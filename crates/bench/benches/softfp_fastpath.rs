@@ -6,15 +6,13 @@
 //! kernels clear 2× the generic scalar throughput on add and mul — is
 //! a hard assertion measured outside criterion's sampling.
 //!
-//! A second set of lanes pins each `softfp::simd` engine explicitly
-//! (`add_simd_avx512`, `mul_simd_portable`, …) through the
-//! `*_bits_batch_with` entry points, so per-engine regressions show up
-//! in criterion history; lanes for engines the host lacks are skipped.
+//! A second set of lanes pins each engine the host runs (`add_simd_scalar`,
+//! `mul_simd_avx512`, …) through the `fastpath::*_bits_batch_with` entry
+//! points, so per-engine regressions show up in criterion history.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fpfpga::softfp::fastpath;
-use fpfpga::softfp::simd::{self, SimdEngine};
-use fpfpga::softfp::{self, Flags, FpFormat, RoundMode};
+use fpfpga::softfp::{self, Flags, FpFormat, RoundMode, SimdEngine};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -189,28 +187,23 @@ fn bench_softfp_fastpath(c: &mut Criterion) {
         });
 
         // Engine-pinned SIMD lanes (skipping engines the host lacks).
-        let mut engines = vec![
-            ("scalar", SimdEngine::Scalar),
-            ("portable", SimdEngine::WidePortable),
-        ];
-        if simd::avx2_available() {
-            engines.push(("avx2", SimdEngine::WideAvx2));
-        }
-        if simd::avx512_available() {
-            engines.push(("avx512", SimdEngine::WideAvx512));
-        }
-        for &(eng_name, eng) in &engines {
+        for eng in SimdEngine::available() {
+            let eng_name = match eng {
+                SimdEngine::Scalar => "scalar",
+                SimdEngine::WideAvx2 => "avx2",
+                SimdEngine::WideAvx512 => "avx512",
+            };
             g.bench_function(format!("add_simd_{eng_name}"), |bch| {
                 bch.iter(|| {
                     out.clear();
-                    simd::add_bits_batch_with(eng, fmt, &a, &b, MODE, &mut out);
+                    fastpath::add_bits_batch_with(eng, fmt, &a, &b, MODE, &mut out);
                     out.len()
                 })
             });
             g.bench_function(format!("mul_simd_{eng_name}"), |bch| {
                 bch.iter(|| {
                     out.clear();
-                    simd::mul_bits_batch_with(eng, fmt, &a, &b, MODE, &mut out);
+                    fastpath::mul_bits_batch_with(eng, fmt, &a, &b, MODE, &mut out);
                     out.len()
                 })
             });

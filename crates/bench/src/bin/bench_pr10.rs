@@ -1,12 +1,12 @@
 //! `bench_pr10` — performance snapshot of the SIMD batch lanes: per-engine
-//! softfp batch throughput (scalar fast lane vs the AVX2 wide kernels vs
-//! the portable twin), a special-value density sweep for the
+//! softfp batch throughput (scalar fast lane vs each wide engine the host
+//! runs), a special-value density sweep for the
 //! classify-then-partition pass, and the ≥4× add/mul speedup gate. Writes
 //! `BENCH_PR10.json` at the repository root (and echoes to stdout) so
 //! EXPERIMENTS.md has a machine-readable source.
 //!
-//! The gate only arms on hosts where `is_x86_feature_detected!("avx2")`
-//! holds; elsewhere it records a skip notice instead of failing, so the
+//! The gate only arms on hosts where `simd::active_engine()` is a wide
+//! engine; elsewhere it records a skip notice instead of failing, so the
 //! bin is safe to run on any CI runner.
 //!
 //! ```text
@@ -15,7 +15,7 @@
 
 use fpfpga::prelude::*;
 use fpfpga::softfp::simd::{self, SimdEngine};
-use fpfpga::softfp::Flags;
+use fpfpga::softfp::{fastpath, Flags};
 use serde_json::{json, Value};
 use std::hint::black_box;
 use std::time::Instant;
@@ -89,28 +89,20 @@ where
     (ta, tb)
 }
 
-fn engines() -> Vec<(SimdEngine, &'static str)> {
-    let mut v = vec![(SimdEngine::Scalar, "scalar")];
-    if simd::avx2_available() {
-        v.push((SimdEngine::WideAvx2, "wide_avx2"));
+/// JSON name of an engine.
+fn engine_name(eng: SimdEngine) -> &'static str {
+    match eng {
+        SimdEngine::Scalar => "scalar",
+        SimdEngine::WideAvx2 => "wide_avx2",
+        SimdEngine::WideAvx512 => "wide_avx512",
     }
-    if simd::avx512_available() {
-        v.push((SimdEngine::WideAvx512, "wide_avx512"));
-    }
-    v.push((SimdEngine::WidePortable, "wide_portable"));
-    v
 }
 
-/// The best wide engine the host supports (what `Auto` dispatches to),
-/// with its JSON name.
-fn best_wide() -> Option<(SimdEngine, &'static str)> {
-    if simd::avx512_available() {
-        Some((SimdEngine::WideAvx512, "wide_avx512"))
-    } else if simd::avx2_available() {
-        Some((SimdEngine::WideAvx2, "wide_avx2"))
-    } else {
-        None
-    }
+/// Every engine this host runs, scalar first.
+fn engines() -> Vec<(SimdEngine, &'static str)> {
+    SimdEngine::available()
+        .map(|e| (e, engine_name(e)))
+        .collect()
 }
 
 struct OpRun {
@@ -151,46 +143,38 @@ fn run_op(
     let run = |eng: SimdEngine, out: &mut Vec<(u64, Flags)>| match op {
         "add" => {
             out.clear();
-            simd::add_bits_batch_with(eng, fmt, a, b, MODE, out);
+            fastpath::add_bits_batch_with(eng, fmt, a, b, MODE, out);
             out.len() as u64
         }
         "sub" => {
             out.clear();
-            simd::sub_bits_batch_with(eng, fmt, a, b, MODE, out);
+            fastpath::sub_bits_batch_with(eng, fmt, a, b, MODE, out);
             out.len() as u64
         }
         "mul" => {
             out.clear();
-            simd::mul_bits_batch_with(eng, fmt, a, b, MODE, out);
+            fastpath::mul_bits_batch_with(eng, fmt, a, b, MODE, out);
             out.len() as u64
         }
         _ => {
             out.clear();
-            simd::fma_bits_batch_with(eng, fmt, a, b, c, MODE, out);
+            fastpath::fma_bits_batch_with(eng, fmt, a, b, c, MODE, out);
             out.len() as u64
         }
     };
-    let mut mops = Vec::new();
+    let mut mops = vec![("scalar", 0.0)];
     for (eng, name) in engines() {
-        if eng == SimdEngine::Scalar {
-            continue;
-        }
         let mut o2 = Vec::with_capacity(N);
         let (ts, te) = paired_best_of(
             ROUNDS,
             || run(SimdEngine::Scalar, out),
             || run(eng, &mut o2),
         );
-        if mops.is_empty() {
-            mops.push(("scalar", N as f64 / ts / 1e6));
-        } else {
-            // Keep the best scalar window across pairings.
-            let best = N as f64 / ts / 1e6;
-            if best > mops[0].1 {
-                mops[0].1 = best;
-            }
+        // Keep the best scalar window across pairings.
+        mops[0].1 = f64::max(mops[0].1, N as f64 / ts / 1e6);
+        if eng != SimdEngine::Scalar {
+            mops.push((name, N as f64 / te / 1e6));
         }
-        mops.push((name, N as f64 / te / 1e6));
     }
     OpRun { op, mops }
 }
@@ -218,7 +202,7 @@ fn density_section(fmt: FpFormat, name: &str) -> Value {
     let mut rows = Vec::new();
     let mut out: Vec<(u64, Flags)> = Vec::with_capacity(N);
     let mut o2: Vec<(u64, Flags)> = Vec::with_capacity(N);
-    let wide = best_wide().map_or(SimdEngine::WidePortable, |(eng, _)| eng);
+    let wide = simd::active_engine();
     for density in [0u32, 5, 50, 100] {
         let a = operands_with_specials(fmt, N, 0xd00d + density as u64, density);
         let b = operands_with_specials(fmt, N, 0xbeef + density as u64, density);
@@ -226,12 +210,12 @@ fn density_section(fmt: FpFormat, name: &str) -> Value {
             ROUNDS,
             || {
                 out.clear();
-                simd::add_bits_batch_with(SimdEngine::Scalar, fmt, &a, &b, MODE, &mut out);
+                fastpath::add_bits_batch_with(SimdEngine::Scalar, fmt, &a, &b, MODE, &mut out);
                 out.len() as u64
             },
             || {
                 o2.clear();
-                simd::add_bits_batch_with(wide, fmt, &a, &b, MODE, &mut o2);
+                fastpath::add_bits_batch_with(wide, fmt, &a, &b, MODE, &mut o2);
                 o2.len() as u64
             },
         );
@@ -277,18 +261,24 @@ fn main() {
         format_section(FpFormat::FP48, "f48", &mut runs),
         format_section(FpFormat::DOUBLE, "f64", &mut runs),
     ]);
-    let density = Value::Array(vec![
-        density_section(FpFormat::SINGLE, "f32"),
-        density_section(FpFormat::DOUBLE, "f64"),
-    ]);
+    let wide_eng = simd::active_engine();
+    let density = if wide_eng == SimdEngine::Scalar {
+        Value::Array(Vec::new())
+    } else {
+        Value::Array(vec![
+            density_section(FpFormat::SINGLE, "f32"),
+            density_section(FpFormat::DOUBLE, "f64"),
+        ])
+    };
 
-    // The ≥4× gate: batch add and mul, best wide engine (what `Auto`
-    // dispatches to) vs the scalar fast lane, every named format. Only
+    // The ≥4× gate: batch add and mul, the detected wide engine (what the
+    // default entry points run) vs the scalar fast lane, every named format. Only
     // armed when a wide x86 engine is detected; a failed first look gets
     // one re-measure before the gate trips (shared-box noise insurance).
     const GATE: f64 = 4.0;
     let mut gate: Value = json!({ "armed": false, "notice": "no avx2/avx512; gate skipped" });
-    if let Some((wide_eng, wide_name)) = best_wide() {
+    if wide_eng != SimdEngine::Scalar {
+        let wide_name = engine_name(wide_eng);
         let mut checks = Vec::new();
         let mut failed = Vec::new();
         for (label, r) in &runs {
@@ -302,7 +292,6 @@ fn main() {
                 failed.push(label.clone());
             }
         }
-        let _ = wide_eng;
         if !failed.is_empty() {
             // Re-measure the failures once on a quieter window.
             println!("gate re-measure: {failed:?}");

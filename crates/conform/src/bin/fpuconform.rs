@@ -5,8 +5,8 @@
 //! fpuconform [--ops add,mul,...] [--formats f32,f64,f48,e6f17]
 //!            [--samples N] [--seed S] [--sweeps ieee,ftz,fpu,limb]
 //!            [--limb-formats f128,f256,e19f236]
-//!            [--max-divergences K] [--threads N] [--fastpath]
-//!            [--simd scalar|wide|auto] [--json]
+//!            [--max-divergences K] [--threads N]
+//!            [--lane generic|scalar|wide] [--json]
 //! ```
 //!
 //! The `limb` sweep checks the wide-format (multi-limb) kernels against
@@ -15,13 +15,15 @@
 //!
 //! `--threads N` shards every sweep over `N` scoped worker threads
 //! (0 = one per CPU); the output is byte-identical for every `N`.
-//! `--fastpath` (or the `FPUCONFORM_FASTPATH` environment variable)
-//! forces the softfp reference evaluation through the monomorphized
-//! `fastpath` kernels for add/sub/mul/fma, so the sweeps conformance-
-//! check the fast lane itself. `--simd scalar|wide|auto` (or
-//! `FPUCONFORM_SIMD` plus `FPFPGA_SIMD`) goes one layer further and
-//! routes those ops through the `softfp::simd` dispatchers under the
-//! chosen policy — `wide` sweeps the vector engines case by case.
+//! `--lane` picks the datapath the flush-to-zero evaluation (the `ftz`
+//! sweep and the `fpu` sweep's oracle) runs add/sub/mul/fma on:
+//! `generic` (the default) is the generic `ops`; `scalar` and `wide` run
+//! every case as a full 8-lane chunk through the production batch entry
+//! points, pinned to the scalar fast lane or to the SIMD engine this
+//! host detected — so a wide sweep checks the vector datapath, not the
+//! scalar tail. `--lane wide` exits 2 on a host with no wide engine.
+//! Divergences are minimized on the lane that found them, and `--json`
+//! records the engine the sweep ran as `engine`.
 //!
 //! Exit status is 0 when every sweep agrees and 1 when any divergence
 //! was found (which is what the CI step keys off). Each stored
@@ -38,7 +40,7 @@ use fpfpga_conform::limb::{
 };
 use fpfpga_conform::shrink::{minimize, minimize_with, render_case};
 use fpfpga_softfp::limb::LimbFormat;
-use fpfpga_softfp::simd::SimdPolicy;
+use fpfpga_softfp::simd::{self, SimdEngine};
 use serde_json::{json, Value};
 use std::process::ExitCode;
 
@@ -56,7 +58,7 @@ fn usage(err: &str) -> ! {
          \x20                 [--formats f32,f64,f48,e<E>f<F>] [--samples N] [--seed S]\n\
          \x20                 [--sweeps ieee,ftz,fpu,limb] [--max-divergences K]\n\
          \x20                 [--limb-formats f128,f256,e<E>f<F>]\n\
-         \x20                 [--threads N] [--fastpath] [--simd scalar|wide|auto] [--json]"
+         \x20                 [--threads N] [--lane generic|scalar|wide] [--json]"
     );
     std::process::exit(2);
 }
@@ -124,16 +126,22 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage("--threads needs an integer (0 = auto)"));
             }
-            "--fastpath" => diff::set_force_fastpath(true),
-            "--simd" => {
-                let policy = match value(&mut it).as_str() {
-                    "scalar" => SimdPolicy::ForceScalar,
-                    "wide" => SimdPolicy::ForceWide,
-                    "auto" => SimdPolicy::Auto,
-                    other => usage(&format!("unknown simd mode `{other}` (scalar, wide, auto)")),
+            "--lane" => {
+                config.lane = match value(&mut it).as_str() {
+                    "generic" => None,
+                    "scalar" => Some(SimdEngine::Scalar),
+                    "wide" => match simd::active_engine() {
+                        SimdEngine::Scalar => {
+                            eprintln!(
+                                "error: --lane wide: this host has no wide SIMD engine \
+                                 (AVX2 or AVX-512 on x86-64)"
+                            );
+                            std::process::exit(2);
+                        }
+                        eng => Some(eng),
+                    },
+                    other => usage(&format!("unknown lane `{other}` (generic, scalar, wide)")),
                 };
-                fpfpga_softfp::simd::set_simd_policy(policy);
-                diff::set_force_simd(true);
             }
             "--json" => json = true,
             "--help" | "-h" => usage("help requested"),
@@ -148,12 +156,12 @@ fn parse_args() -> Args {
     }
 }
 
-/// Minimize a divergence with the oracle that found it.
-fn minimized(d: &Divergence) -> String {
+/// Minimize a divergence with the oracle and the lane that found it.
+fn minimized(d: &Divergence, lane: Option<SimdEngine>) -> String {
     let case = match d.against {
         "host" => minimize(&d.case),
         "host-ftz" => minimize_with(&d.case, |c| {
-            let ours = diff::eval_ftz(c);
+            let ours = diff::eval_ftz(c, lane);
             let host = diff::eval_host(c);
             ours.0 != host.bits
         }),
@@ -231,7 +239,12 @@ fn limb_report_text(report: &LimbSweepReport) {
     }
 }
 
-fn report_json(name: &str, report: &SweepReport) -> Value {
+/// The engine a sweep evaluated add/sub/mul/fma on.
+fn engine_name(lane: Option<SimdEngine>) -> String {
+    lane.map_or("generic".to_string(), |eng| format!("{eng:?}"))
+}
+
+fn report_json(name: &str, report: &SweepReport, lane: Option<SimdEngine>) -> Value {
     let combos: Vec<Value> = report
         .reports
         .iter()
@@ -247,7 +260,7 @@ fn report_json(name: &str, report: &SweepReport) -> Value {
                             Some(f) => format!("{:#x} {:?}", d.reference.0, f),
                             None => format!("{:#x}", d.reference.0),
                         },
-                        "minimized": minimized(d),
+                        "minimized": minimized(d, lane),
                     })
                 })
                 .collect();
@@ -270,7 +283,7 @@ fn report_json(name: &str, report: &SweepReport) -> Value {
     })
 }
 
-fn report_text(name: &str, report: &SweepReport) {
+fn report_text(name: &str, report: &SweepReport, lane: Option<SimdEngine>) {
     println!(
         "sweep {name}: {} cases, {} divergences",
         report.total_cases(),
@@ -293,7 +306,7 @@ fn report_text(name: &str, report: &SweepReport) {
                     Some(f) => println!("    reference {:#x} {:?}", d.reference.0, f),
                     None => println!("    reference {:#x}", d.reference.0),
                 }
-                println!("    minimized {}", minimized(d));
+                println!("    minimized {}", minimized(d, lane));
             }
         }
     }
@@ -339,7 +352,7 @@ fn main() -> ExitCode {
     if args.json {
         let mut out: Vec<Value> = sections
             .iter()
-            .map(|(name, r)| report_json(name, r))
+            .map(|(name, r)| report_json(name, r, args.config.lane))
             .collect();
         if let Some(r) = &limb_section {
             out.push(limb_report_json(r));
@@ -347,6 +360,7 @@ fn main() -> ExitCode {
         let doc = json!({
             "samples": args.config.samples,
             "seed": args.config.seed,
+            "engine": engine_name(args.config.lane),
             "formats": Value::Array(
                 args.config.formats.iter().map(|f| json!(format_name(*f))).collect()
             ),
@@ -358,8 +372,9 @@ fn main() -> ExitCode {
         });
         println!("{}", serde_json::to_string_pretty(&doc).unwrap());
     } else {
+        println!("engine {}", engine_name(args.config.lane));
         for (name, r) in &sections {
-            report_text(name, r);
+            report_text(name, r, args.config.lane);
         }
         if let Some(r) = &limb_section {
             limb_report_text(r);

@@ -19,52 +19,8 @@
 use crate::corpus::{special_values, CaseGen, Rng64};
 use crate::host::{self, HostEval};
 use fpfpga_softfp::ieee;
-use fpfpga_softfp::{Flags, FpFormat, RoundMode};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Process-wide switch forcing [`eval_ftz`] through the monomorphized
-/// `softfp::fastpath` kernels for the ops that have a fast lane
-/// (add/sub/mul/fma). Settable programmatically ([`set_force_fastpath`])
-/// or via the `FPUCONFORM_FASTPATH` environment variable (any value but
-/// `0`); the sweeps must produce byte-identical reports either way —
-/// that equivalence is exactly what a forced conformance run checks.
-static FORCE_FASTPATH: AtomicBool = AtomicBool::new(false);
-static FASTPATH_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Force (or stop forcing) the fast-lane kernels in [`eval_ftz`].
-pub fn set_force_fastpath(on: bool) {
-    FORCE_FASTPATH.store(on, Ordering::Relaxed);
-}
-
-/// True when the fast lane is forced, by flag or by environment.
-pub fn fastpath_forced() -> bool {
-    FORCE_FASTPATH.load(Ordering::Relaxed)
-        || *FASTPATH_ENV
-            .get_or_init(|| std::env::var_os("FPUCONFORM_FASTPATH").is_some_and(|v| v != *"0"))
-}
-
-/// Process-wide switch routing [`eval_ftz`] add/sub/mul/fma through the
-/// `softfp::simd` one-shot dispatchers, which honor the active
-/// [`SimdPolicy`](fpfpga_softfp::simd::SimdPolicy) — so a sweep under
-/// `--simd wide` exercises the real vector datapath (broadcast batch,
-/// classify-then-partition fixup) case by case. Settable
-/// programmatically ([`set_force_simd`]) or via the `FPUCONFORM_SIMD`
-/// environment variable (any value but `0`). Takes precedence over the
-/// fast-lane switch; sweeps must stay byte-identical in every mode.
-static FORCE_SIMD: AtomicBool = AtomicBool::new(false);
-static SIMD_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Force (or stop forcing) the SIMD dispatchers in [`eval_ftz`].
-pub fn set_force_simd(on: bool) {
-    FORCE_SIMD.store(on, Ordering::Relaxed);
-}
-
-/// True when the SIMD dispatchers are forced, by flag or by environment.
-pub fn simd_forced() -> bool {
-    FORCE_SIMD.load(Ordering::Relaxed)
-        || *SIMD_ENV.get_or_init(|| std::env::var_os("FPUCONFORM_SIMD").is_some_and(|v| v != *"0"))
-}
+use fpfpga_softfp::simd::LANES;
+use fpfpga_softfp::{fastpath, Flags, FpFormat, RoundMode, SimdEngine};
 
 /// An operation under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -329,6 +285,11 @@ pub struct SweepConfig {
     /// combination derives its own seed, so the report is byte-identical
     /// for every thread count.
     pub threads: usize,
+    /// The datapath the flush-to-zero evaluation ([`eval_ftz`]) runs
+    /// add/sub/mul/fma on: `None` is the generic `ops`, `Some(engine)` the
+    /// production batch entry points pinned to that engine. Every lane
+    /// must produce a byte-identical report.
+    pub lane: Option<SimdEngine>,
 }
 
 impl Default for SweepConfig {
@@ -340,6 +301,7 @@ impl Default for SweepConfig {
             seed: 1,
             max_divergences: 8,
             threads: 1,
+            lane: None,
         }
     }
 }
@@ -516,15 +478,14 @@ fn outside_ftz_domain(fmt: FpFormat, bits: u64) -> bool {
     m != 0 && (e == fmt.inf_biased_exp() || e == 0)
 }
 
-/// Evaluate a case with the paper-faithful flush-to-zero ops. When the
-/// SIMD dispatch is forced ([`simd_forced`]), add/sub/mul/fma route
-/// through the `softfp::simd` one-shot dispatchers under the active
-/// policy; otherwise, when the fast lane is forced
-/// ([`fastpath_forced`]), they route through the monomorphized
-/// `softfp::fastpath` dispatchers instead of the generic unpacked path.
-/// div/sqrt/convert/compare have no fast or vector lane and always use
-/// the generic implementations.
-pub fn eval_ftz(case: &Case) -> (u64, Flags) {
+/// Evaluate a case with the paper-faithful flush-to-zero ops. With a
+/// `lane`, add/sub/mul/fma run through that engine's production batch
+/// path; otherwise they, and div/sqrt/convert/compare (which have no fast
+/// or vector lane) always, run the generic implementations.
+pub fn eval_ftz(case: &Case, lane: Option<SimdEngine>) -> (u64, Flags) {
+    if let Some(r) = lane.and_then(|eng| eval_on_lane(eng, case)) {
+        return r;
+    }
     let Case {
         op,
         fmt,
@@ -533,26 +494,6 @@ pub fn eval_ftz(case: &Case) -> (u64, Flags) {
         b,
         c,
     } = *case;
-    if simd_forced() {
-        use fpfpga_softfp::simd;
-        match op {
-            Op::Add => return simd::add_bits(fmt, a, b, mode),
-            Op::Sub => return simd::sub_bits(fmt, a, b, mode),
-            Op::Mul => return simd::mul_bits(fmt, a, b, mode),
-            Op::Fma => return simd::fma_bits(fmt, a, b, c, mode),
-            _ => {}
-        }
-    }
-    if fastpath_forced() {
-        use fpfpga_softfp::fastpath;
-        match op {
-            Op::Add => return fastpath::add_bits(fmt, a, b, mode),
-            Op::Sub => return fastpath::sub_bits(fmt, a, b, mode),
-            Op::Mul => return fastpath::mul_bits(fmt, a, b, mode),
-            Op::Fma => return fastpath::fma_bits(fmt, a, b, c, mode),
-            _ => {}
-        }
-    }
     match op {
         Op::Add => fpfpga_softfp::add_bits(fmt, a, b, mode),
         Op::Sub => fpfpga_softfp::sub_bits(fmt, a, b, mode),
@@ -566,6 +507,31 @@ pub fn eval_ftz(case: &Case) -> (u64, Flags) {
             (ordering_code(Some(ord)), Flags::NONE)
         }
     }
+}
+
+/// One add/sub/mul/fma case through `fastpath::*_bits_batch_with` on
+/// `eng`. The operands are broadcast to a full chunk of [`LANES`], so a
+/// wide engine runs its vector datapath and classify pass rather than
+/// the scalar tail. `None` for ops without a batch lane.
+fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<(u64, Flags)> {
+    let Case {
+        op,
+        fmt,
+        mode,
+        a,
+        b,
+        c,
+    } = *case;
+    let (a, b, c) = ([a; LANES], [b; LANES], [c; LANES]);
+    let mut out = Vec::with_capacity(LANES);
+    match op {
+        Op::Add => fastpath::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
+        Op::Sub => fastpath::sub_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
+        Op::Mul => fastpath::mul_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
+        Op::Fma => fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out),
+        _ => return None,
+    }
+    Some(out[0])
 }
 
 /// Sweep the flush-to-zero layer against the host on the common
@@ -592,7 +558,7 @@ pub fn run_ftz_sweep(config: &SweepConfig) -> SweepReport {
                 r.skipped += 1;
                 return;
             }
-            let ours = eval_ftz(&case);
+            let ours = eval_ftz(&case, config.lane);
             let reference = eval_host(&case);
             let res_fmt = result_format(&case);
             // Deliberate-deviation masking.
@@ -714,7 +680,7 @@ pub fn run_fpu_sweep(config: &SweepConfig) -> SweepReport {
                         b,
                         c: 0,
                     };
-                    let (want, wf) = eval_ftz(&case);
+                    let (want, wf) = eval_ftz(&case, config.lane);
                     r.cases += 1;
                     if got != want || gf != wf {
                         r.divergences += 1;
@@ -849,47 +815,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forced_fastpath_report_is_byte_identical() {
-        // The whole point of the fast lane: forcing it through every
-        // sweep combination must not change a single byte of the report.
-        let cfg = SweepConfig {
-            ops: vec![Op::Add, Op::Sub, Op::Mul, Op::Fma],
-            formats: vec![FpFormat::SINGLE],
-            samples: 500,
-            ..SweepConfig::default()
-        };
-        let plain = format!("{:?}", run_ftz_sweep(&cfg));
-        set_force_fastpath(true);
-        let forced = format!("{:?}", run_ftz_sweep(&cfg));
-        set_force_fastpath(false);
-        assert_eq!(plain, forced);
-    }
-
-    #[test]
-    fn forced_simd_report_is_byte_identical_in_every_policy() {
-        use fpfpga_softfp::simd::{set_simd_policy, SimdPolicy};
-        // Divergence-free dispatch: every SIMD policy must reproduce the
-        // plain sweep report byte for byte.
+    /// Divergence-free dispatch: each engine in `lanes` must reproduce the
+    /// generic sweep byte for byte. The lane is a config value, so nothing
+    /// here races the other sweeps in this binary.
+    fn assert_lanes_report_byte_identically(lanes: impl IntoIterator<Item = SimdEngine>) {
         let cfg = SweepConfig {
             ops: vec![Op::Add, Op::Sub, Op::Mul, Op::Fma],
             formats: vec![FpFormat::SINGLE, FpFormat::DOUBLE],
             samples: 500,
             ..SweepConfig::default()
         };
-        let plain = format!("{:?}", run_ftz_sweep(&cfg));
-        set_force_simd(true);
-        for policy in [
-            SimdPolicy::ForceScalar,
-            SimdPolicy::ForceWide,
-            SimdPolicy::Auto,
-        ] {
-            set_simd_policy(policy);
-            let forced = format!("{:?}", run_ftz_sweep(&cfg));
-            assert_eq!(plain, forced, "policy {policy:?}");
+        let generic = format!("{:?}", run_ftz_sweep(&cfg));
+        for eng in lanes {
+            let on_lane = SweepConfig {
+                lane: Some(eng),
+                ..cfg.clone()
+            };
+            assert_eq!(generic, format!("{:?}", run_ftz_sweep(&on_lane)), "{eng:?}");
         }
-        set_simd_policy(SimdPolicy::Auto);
-        set_force_simd(false);
-        assert_eq!(plain, format!("{:?}", run_ftz_sweep(&cfg)));
+    }
+
+    #[test]
+    fn forced_fastpath_report_is_byte_identical() {
+        assert_lanes_report_byte_identically([SimdEngine::Scalar]);
+    }
+
+    #[test]
+    fn forced_simd_report_is_byte_identical_in_every_policy() {
+        // Every wide engine this host runs; the scalar lane is covered above.
+        assert_lanes_report_byte_identically(
+            SimdEngine::available().filter(|&eng| eng != SimdEngine::Scalar),
+        );
     }
 }

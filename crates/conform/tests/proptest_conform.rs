@@ -135,7 +135,7 @@ fn pipeline_agrees(
         b,
         c: 0,
     };
-    let (want, wf) = eval_ftz(&case);
+    let (want, wf) = eval_ftz(&case, None);
     prop_assert_eq!(got, want, "{:?} k={} a={:#x} b={:#x}", case, stages, a, b);
     prop_assert_eq!(gf, wf, "{:?} k={} flags", case, stages);
     Ok(())

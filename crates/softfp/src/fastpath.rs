@@ -24,10 +24,13 @@
 //!   slice** and append results to a caller-provided buffer instead of
 //!   allocating per element.
 //!
+//! Every batch entry point also has a `*_with` form that pins the
+//! [`SimdEngine`] by value; the plain form runs [`simd::active_engine`].
+//!
 //! Equivalence with the generic path — results *and* exception flags — is
 //! enforced by proptests over random formats (not just the three named
 //! precisions) and by the `fpfpga-conform` differential harness, which CI
-//! runs once with the fast lane force-enabled.
+//! runs on the scalar and the wide lane (`fpuconform --lane`).
 
 use crate::exceptions::Flags;
 use crate::format::FpFormat;
@@ -35,7 +38,7 @@ use crate::ops;
 use crate::ops::add::GRS_BITS;
 use crate::ops::fma::FMA_GRS;
 use crate::round::{shift_right_sticky, RoundMode};
-use crate::simd;
+use crate::simd::{self, SimdEngine, LANES, OP_ADD, OP_MUL, OP_SUB};
 
 /// Panic message used by every batch entry point on length mismatch.
 pub const LEN_MISMATCH: &str = "batch operand slices must have equal lengths";
@@ -622,6 +625,35 @@ macro_rules! dispatch_ternary {
     }};
 }
 
+/// Chunk loader over two operand slices.
+#[inline(always)]
+fn slices_chunk<'s>(
+    a: &'s [u64],
+    b: &'s [u64],
+) -> impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]) + 's {
+    move |i, xs, ys| {
+        xs.copy_from_slice(&a[i..i + LANES]);
+        ys.copy_from_slice(&b[i..i + LANES]);
+    }
+}
+
+/// Chunk loader over `(x, y)` pairs.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn pairs_chunk(pairs: &[(u64, u64)]) -> impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]) + '_ {
+    move |i, xs, ys| {
+        for l in 0..LANES {
+            (xs[l], ys[l]) = pairs[i + l];
+        }
+    }
+}
+
+// Each batch entry point has one body, the `*_with` form, which takes the
+// engine by value: a wide engine runs the `simd` drivers on the named
+// formats, and the scalar engine (or a dynamic format) runs the
+// monomorphized scalar loops below. The plain form passes
+// [`simd::active_engine`].
+
 /// Batched `a[i] + b[i]`, appended to `out`.
 ///
 /// Dispatches on `fmt` once for the whole slice; `out` is reused across
@@ -637,9 +669,26 @@ pub fn add_bits_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    add_bits_batch_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`add_bits_batch`] on an explicit engine.
+///
+/// # Panics
+/// Panics if `a.len() != b.len()`, or if `eng` is a wide engine this host
+/// cannot run.
+pub fn add_bits_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
     out.reserve(a.len());
-    if simd::try_add_bits_batch(fmt, a, b, mode, out) {
+    let load_one = |i: usize| (a[i], b[i]);
+    if simd::run_bin::<OP_ADD>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
         return;
     }
     dispatch_binary!(
@@ -664,9 +713,23 @@ pub fn sub_bits_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    sub_bits_batch_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`sub_bits_batch`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn sub_bits_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
     out.reserve(a.len());
-    if simd::try_sub_bits_batch(fmt, a, b, mode, out) {
+    let load_one = |i: usize| (a[i], b[i]);
+    if simd::run_bin::<OP_SUB>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
         return;
     }
     dispatch_binary!(
@@ -691,9 +754,23 @@ pub fn mul_bits_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    mul_bits_batch_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`mul_bits_batch`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn mul_bits_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
     out.reserve(a.len());
-    if simd::try_mul_bits_batch(fmt, a, b, mode, out) {
+    let load_one = |i: usize| (a[i], b[i]);
+    if simd::run_bin::<OP_MUL>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
         return;
     }
     dispatch_binary!(
@@ -720,10 +797,31 @@ pub fn fma_bits_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    fma_bits_batch_with(simd::active_engine(), fmt, a, b, c, mode, out)
+}
+
+/// [`fma_bits_batch`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn fma_bits_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    c: &[u64],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
     assert_eq!(a.len(), c.len(), "{}", LEN_MISMATCH);
     out.reserve(a.len());
-    if simd::try_fma_bits_batch(fmt, a, b, c, mode, out) {
+    let load_chunk =
+        |i: usize, xs: &mut [u64; LANES], ys: &mut [u64; LANES], zs: &mut [u64; LANES]| {
+            xs.copy_from_slice(&a[i..i + LANES]);
+            ys.copy_from_slice(&b[i..i + LANES]);
+            zs.copy_from_slice(&c[i..i + LANES]);
+        };
+    let load_one = |i: usize| (a[i], b[i], c[i]);
+    if simd::run_fma(eng, fmt, a.len(), load_chunk, load_one, mode, out) {
         return;
     }
     let iter = a
@@ -741,8 +839,29 @@ pub fn add_pairs_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    add_pairs_batch_with(simd::active_engine(), fmt, pairs, mode, out)
+}
+
+/// [`add_pairs_batch`] on an explicit engine (panics if the host cannot
+/// run `eng`).
+pub fn add_pairs_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    pairs: &[(u64, u64)],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     out.reserve(pairs.len());
-    if simd::try_add_pairs_batch(fmt, pairs, mode, out) {
+    let load_one = |i: usize| pairs[i];
+    if simd::run_bin::<OP_ADD>(
+        eng,
+        fmt,
+        pairs.len(),
+        pairs_chunk(pairs),
+        load_one,
+        mode,
+        out,
+    ) {
         return;
     }
     dispatch_binary!(
@@ -763,8 +882,29 @@ pub fn sub_pairs_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    sub_pairs_batch_with(simd::active_engine(), fmt, pairs, mode, out)
+}
+
+/// [`sub_pairs_batch`] on an explicit engine (panics if the host cannot
+/// run `eng`).
+pub fn sub_pairs_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    pairs: &[(u64, u64)],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     out.reserve(pairs.len());
-    if simd::try_sub_pairs_batch(fmt, pairs, mode, out) {
+    let load_one = |i: usize| pairs[i];
+    if simd::run_bin::<OP_SUB>(
+        eng,
+        fmt,
+        pairs.len(),
+        pairs_chunk(pairs),
+        load_one,
+        mode,
+        out,
+    ) {
         return;
     }
     dispatch_binary!(
@@ -785,8 +925,29 @@ pub fn mul_pairs_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    mul_pairs_batch_with(simd::active_engine(), fmt, pairs, mode, out)
+}
+
+/// [`mul_pairs_batch`] on an explicit engine (panics if the host cannot
+/// run `eng`).
+pub fn mul_pairs_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    pairs: &[(u64, u64)],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     out.reserve(pairs.len());
-    if simd::try_mul_pairs_batch(fmt, pairs, mode, out) {
+    let load_one = |i: usize| pairs[i];
+    if simd::run_bin::<OP_MUL>(
+        eng,
+        fmt,
+        pairs.len(),
+        pairs_chunk(pairs),
+        load_one,
+        mode,
+        out,
+    ) {
         return;
     }
     dispatch_binary!(
@@ -808,8 +969,28 @@ pub fn fma_triples_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    fma_triples_batch_with(simd::active_engine(), fmt, triples, mode, out)
+}
+
+/// [`fma_triples_batch`] on an explicit engine (panics if the host cannot
+/// run `eng`).
+pub fn fma_triples_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    triples: &[(u64, u64, u64)],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     out.reserve(triples.len());
-    if simd::try_fma_triples_batch(fmt, triples, mode, out) {
+    #[allow(clippy::needless_range_loop)]
+    let load_chunk =
+        |i: usize, xs: &mut [u64; LANES], ys: &mut [u64; LANES], zs: &mut [u64; LANES]| {
+            for l in 0..LANES {
+                (xs[l], ys[l], zs[l]) = triples[i + l];
+            }
+        };
+    let load_one = |i: usize| triples[i];
+    if simd::run_fma(eng, fmt, triples.len(), load_chunk, load_one, mode, out) {
         return;
     }
     dispatch_ternary!(fmt, mode, triples.iter().copied(), out, fma, fma_dyn);
@@ -824,8 +1005,26 @@ pub fn mul_bcast_batch(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
+    mul_bcast_batch_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`mul_bcast_batch`] on an explicit engine (panics if the host cannot
+/// run `eng`).
+pub fn mul_bcast_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: u64,
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
     out.reserve(a.len());
-    if simd::try_mul_bcast_batch(fmt, a, b, mode, out) {
+    let load_chunk = |i: usize, xs: &mut [u64; LANES], ys: &mut [u64; LANES]| {
+        xs.copy_from_slice(&a[i..i + LANES]);
+        *ys = [b; LANES];
+    };
+    let load_one = |i: usize| (a[i], b);
+    if simd::run_bin::<OP_MUL>(eng, fmt, a.len(), load_chunk, load_one, mode, out) {
         return;
     }
     dispatch_binary!(

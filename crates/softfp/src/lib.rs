@@ -62,7 +62,7 @@ pub use fastpath::{
 pub use format::{FpFormat, ParseFormatError};
 pub use policy::{ParsePolicyError, PrecisionPolicy};
 pub use round::RoundMode;
-pub use simd::{set_simd_policy, simd_policy, SimdEngine, SimdPolicy};
+pub use simd::SimdEngine;
 pub use unpacked::{Class, Unpacked};
 pub use value::SoftFloat;
 

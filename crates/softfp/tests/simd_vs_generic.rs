@@ -1,28 +1,17 @@
 //! Property tests: every SIMD batch engine must be bit-identical to the
 //! generic `unpacked` dispatchers — result encodings *and* exception
 //! flags — at special-operand densities of 0%, ~5% and 100%, on the
-//! paper's three precisions. The suite pins the engine explicitly
-//! through the `*_bits_batch_with` entry points (no global-policy
-//! races between test threads) and checks partition-order stability:
+//! paper's three precisions. The suite pins the engine by value through
+//! the `fastpath::*_bits_batch_with` entry points — `Scalar` runs the
+//! production scalar loops — and checks partition-order stability:
 //! the classify-then-partition driver must scatter special-lane results
 //! back into their original batch positions.
 
-use fpfpga_softfp::simd::{self, SimdEngine};
-use fpfpga_softfp::{add_bits, fma_bits, mul_bits, sub_bits, Flags, FpFormat, RoundMode};
+use fpfpga_softfp::fastpath;
+use fpfpga_softfp::{
+    add_bits, fma_bits, mul_bits, sub_bits, Flags, FpFormat, RoundMode, SimdEngine,
+};
 use proptest::prelude::*;
-
-/// Every engine this host can run. The scalar lane and the portable
-/// wide twin always exist; the intrinsics engines join when detected.
-fn engines() -> Vec<SimdEngine> {
-    let mut e = vec![SimdEngine::Scalar, SimdEngine::WidePortable];
-    if simd::avx2_available() {
-        e.push(SimdEngine::WideAvx2);
-    }
-    if simd::avx512_available() {
-        e.push(SimdEngine::WideAvx512);
-    }
-    e
-}
 
 const FORMATS: [FpFormat; 3] = FpFormat::PAPER_PRECISIONS;
 
@@ -92,18 +81,18 @@ fn check_density(fmt: FpFormat, mode: RoundMode, raw: &RawBatch, density_pct: u1
         .map(|i| fma_bits(fmt, a[i], b[i], c[i], mode))
         .collect();
 
-    for eng in engines() {
+    for eng in SimdEngine::available() {
         let mut out = Vec::new();
-        simd::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+        fastpath::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
         assert_eq!(out, want_add, "{eng:?} add {fmt:?} {density_pct}%");
         out.clear();
-        simd::sub_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+        fastpath::sub_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
         assert_eq!(out, want_sub, "{eng:?} sub {fmt:?} {density_pct}%");
         out.clear();
-        simd::mul_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+        fastpath::mul_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
         assert_eq!(out, want_mul, "{eng:?} mul {fmt:?} {density_pct}%");
         out.clear();
-        simd::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out);
+        fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out);
         assert_eq!(out, want_fma, "{eng:?} fma {fmt:?} {density_pct}%");
     }
 }
@@ -135,23 +124,19 @@ proptest! {
     }
 
     /// Engines also agree on arbitrary *raw* encodings (whatever mix of
-    /// normal/special that implies), including the one-shot dispatchers.
+    /// normal/special that implies).
     #[test]
     fn raw_encodings_match_generic(fmt in any_fmt(), mode in any_mode(),
                                    raw in raw_batch()) {
         let a: Vec<u64> = raw.iter().map(|&(x, ..)| x & fmt.enc_mask()).collect();
         let b: Vec<u64> = raw.iter().map(|&(_, y, ..)| y & fmt.enc_mask()).collect();
-        for eng in engines() {
+        for eng in SimdEngine::available() {
             let mut out = Vec::new();
-            simd::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+            fastpath::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
             for i in 0..a.len() {
                 prop_assert_eq!(out[i], add_bits(fmt, a[i], b[i], mode),
                                 "{:?} add lane {}", eng, i);
             }
-        }
-        if let (Some(&x), Some(&y)) = (a.first(), b.first()) {
-            prop_assert_eq!(simd::add_bits(fmt, x, y, mode), add_bits(fmt, x, y, mode));
-            prop_assert_eq!(simd::mul_bits(fmt, x, y, mode), mul_bits(fmt, x, y, mode));
         }
     }
 }
