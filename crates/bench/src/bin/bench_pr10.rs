@@ -1,12 +1,14 @@
 //! `bench_pr10` — performance snapshot of the SIMD batch lanes: per-engine
 //! softfp batch throughput (scalar fast lane vs each wide engine the host
-//! runs), a special-value density sweep for the
-//! classify-then-partition pass, and the ≥4× add/mul speedup gate. Writes
-//! `BENCH_PR10.json` at the repository root (and echoes to stdout) so
-//! EXPERIMENTS.md has a machine-readable source.
+//! runs), a special-value density sweep (add and fma, 0–100% special
+//! operands, which the wide kernels resolve in register), and two gates:
+//! ≥4× wide/scalar on add/mul, and no density slower on the wide engine
+//! than on the scalar lane. Writes `BENCH_PR10.json` at the repository
+//! root (and echoes to stdout) so EXPERIMENTS.md has a machine-readable
+//! source.
 //!
-//! The gate only arms on hosts where `simd::active_engine()` is a wide
-//! engine; elsewhere it records a skip notice instead of failing, so the
+//! The gates only arm on hosts where `simd::active_engine()` is a wide
+//! engine; elsewhere they record a skip notice instead of failing, so the
 //! bin is safe to run on any CI runner.
 //!
 //! ```text
@@ -38,8 +40,8 @@ fn operands(fmt: FpFormat, n: usize, seed: u64) -> Vec<u64> {
 }
 
 /// Random operands where roughly `density_pct`% are special encodings
-/// (zeros, infinities, denormal patterns) — the classify-then-partition
-/// pass's fixup rate.
+/// (zeros, infinities, denormal patterns) — the share of lanes the wide
+/// kernels' special blend decides.
 fn operands_with_specials(fmt: FpFormat, n: usize, seed: u64, density_pct: u32) -> Vec<u64> {
     let mut s = seed;
     let specials = [
@@ -196,42 +198,63 @@ fn format_section(fmt: FpFormat, name: &str, runs_out: &mut Vec<(String, OpRun)>
     json!({ "format": name, "elements": N, "ops": Value::Array(rows) })
 }
 
-/// Wide-vs-scalar throughput across special-value densities: where the
-/// classify-then-partition fixup pass starts to dominate.
-fn density_section(fmt: FpFormat, name: &str) -> Value {
-    let mut rows = Vec::new();
-    let mut out: Vec<(u64, Flags)> = Vec::with_capacity(N);
-    let mut o2: Vec<(u64, Flags)> = Vec::with_capacity(N);
+const DENSITIES: [u32; 5] = [0, 5, 50, 75, 100];
+
+/// Scalar and wide-engine Mop/s for `op` ("add" or "fma") on operands with
+/// `density`% specials, interleaved best-of.
+fn density_mops(fmt: FpFormat, op: &str, density: u32, seed: u64) -> (f64, f64) {
+    let a = operands_with_specials(fmt, N, seed ^ 0xd00d ^ density as u64, density);
+    let b = operands_with_specials(fmt, N, seed ^ 0xbeef ^ density as u64, density);
+    let c = operands_with_specials(fmt, N, seed ^ 0xfeed ^ density as u64, density);
+    let run = |eng: SimdEngine, out: &mut Vec<(u64, Flags)>| {
+        out.clear();
+        if op == "add" {
+            fastpath::add_bits_batch_with(eng, fmt, &a, &b, MODE, out);
+        } else {
+            fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, MODE, out);
+        }
+        out.len() as u64
+    };
+    let (mut out, mut o2) = (Vec::with_capacity(N), Vec::with_capacity(N));
     let wide = simd::active_engine();
-    for density in [0u32, 5, 50, 100] {
-        let a = operands_with_specials(fmt, N, 0xd00d + density as u64, density);
-        let b = operands_with_specials(fmt, N, 0xbeef + density as u64, density);
-        let (ts, tw) = paired_best_of(
-            ROUNDS,
-            || {
-                out.clear();
-                fastpath::add_bits_batch_with(SimdEngine::Scalar, fmt, &a, &b, MODE, &mut out);
-                out.len() as u64
-            },
-            || {
-                o2.clear();
-                fastpath::add_bits_batch_with(wide, fmt, &a, &b, MODE, &mut o2);
-                o2.len() as u64
-            },
-        );
-        let (scalar_mops, wide_mops) = (N as f64 / ts / 1e6, N as f64 / tw / 1e6);
+    let (ts, tw) = paired_best_of(
+        ROUNDS,
+        || run(SimdEngine::Scalar, &mut out),
+        || run(wide, &mut o2),
+    );
+    (N as f64 / ts / 1e6, N as f64 / tw / 1e6)
+}
+
+/// Wide-vs-scalar throughput of one op across special-value densities,
+/// under the density gate: no density may run slower on the wide engine
+/// than on the scalar lane. A row that does gets one re-measure on fresh
+/// operands (shared-box noise insurance) before the gate trips.
+fn density_section(fmt: FpFormat, name: &str, op: &str) -> Value {
+    let mut rows = Vec::new();
+    for density in DENSITIES {
+        let (mut scalar_mops, mut wide_mops) = density_mops(fmt, op, density, 0);
+        let remeasured = wide_mops < scalar_mops;
+        if remeasured {
+            (scalar_mops, wide_mops) = density_mops(fmt, op, density, 0x5a5a);
+        }
         println!(
-            "density {name} add {density:>3}% specials: scalar {scalar_mops:.1}, wide {wide_mops:.1} Mop/s ({:.2}x)",
-            wide_mops / scalar_mops
+            "density {name} {op} {density:>3}% specials: scalar {scalar_mops:.1}, wide {wide_mops:.1} Mop/s ({:.2}x){}",
+            wide_mops / scalar_mops,
+            if remeasured { " on re-measure" } else { "" }
+        );
+        assert!(
+            wide_mops >= scalar_mops,
+            "density gate: wide engine slower than the scalar lane for {name} {op} at {density}% specials"
         );
         rows.push(json!({
             "special_density_pct": density,
             "scalar_mops": scalar_mops,
             "wide_mops": wide_mops,
             "wide_speedup": wide_mops / scalar_mops,
+            "remeasured": remeasured,
         }));
     }
-    json!({ "format": name, "op": "add", "elements": N, "rows": Value::Array(rows) })
+    json!({ "format": name, "op": op, "elements": N, "rows": Value::Array(rows) })
 }
 
 fn feature_report() -> Value {
@@ -262,14 +285,17 @@ fn main() {
         format_section(FpFormat::DOUBLE, "f64", &mut runs),
     ]);
     let wide_eng = simd::active_engine();
-    let density = if wide_eng == SimdEngine::Scalar {
-        Value::Array(Vec::new())
-    } else {
-        Value::Array(vec![
-            density_section(FpFormat::SINGLE, "f32"),
-            density_section(FpFormat::DOUBLE, "f64"),
-        ])
-    };
+    let mut density = Vec::new();
+    let mut density_gate = json!({ "armed": false, "notice": "no avx2/avx512; gate skipped" });
+    if wide_eng != SimdEngine::Scalar {
+        for (fmt, name) in [(FpFormat::SINGLE, "f32"), (FpFormat::DOUBLE, "f64")] {
+            for op in ["add", "fma"] {
+                density.push(density_section(fmt, name, op));
+            }
+        }
+        density_gate = json!({ "armed": true, "engine": engine_name(wide_eng), "threshold": 1.0 });
+        println!("density gate: wide >= scalar at every density");
+    }
 
     // The ≥4× gate: batch add and mul, the detected wide engine (what the
     // default entry points run) vs the scalar fast lane, every named format. Only
@@ -336,8 +362,9 @@ fn main() {
         "bench": "pr10_simd",
         "features": features,
         "softfp_engines": softfp,
-        "special_density": density,
+        "special_density": Value::Array(density),
         "gate": gate,
+        "density_gate": density_gate,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
     std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n")

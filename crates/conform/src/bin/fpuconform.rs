@@ -165,6 +165,7 @@ fn minimized(d: &Divergence, lane: Option<SimdEngine>) -> String {
             let host = diff::eval_host(c);
             ours.0 != host.bits
         }),
+        "lane-0" => minimize_with(&d.case, |c| diff::eval_ftz_lanes(c, lane).1.is_some()),
         // fpu divergences depend on the pipeline depth, which the Case
         // does not carry; report them unminimized.
         _ => d.case,

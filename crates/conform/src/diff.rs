@@ -325,6 +325,16 @@ pub struct OpReport {
     pub examples: Vec<Divergence>,
 }
 
+impl OpReport {
+    /// Count a divergence, storing it while fewer than `max` are kept.
+    fn diverged(&mut self, d: Divergence, max: usize) {
+        self.divergences += 1;
+        if self.examples.len() < max {
+            self.examples.push(d);
+        }
+    }
+}
+
 /// Aggregated sweep outcome.
 #[derive(Clone, Debug, Default)]
 pub struct SweepReport {
@@ -460,10 +470,7 @@ pub fn run_ieee_sweep(config: &SweepConfig) -> SweepReport {
         cases_for(op, fmt, mode, config.samples, config.seed, |case| {
             r.cases += 1;
             if let Some(d) = check_case(&case) {
-                r.divergences += 1;
-                if r.examples.len() < config.max_divergences {
-                    r.examples.push(d);
-                }
+                r.diverged(d, config.max_divergences);
             }
         });
         r
@@ -483,8 +490,19 @@ fn outside_ftz_domain(fmt: FpFormat, bits: u64) -> bool {
 /// path; otherwise they, and div/sqrt/convert/compare (which have no fast
 /// or vector lane) always, run the generic implementations.
 pub fn eval_ftz(case: &Case, lane: Option<SimdEngine>) -> (u64, Flags) {
-    if let Some(r) = lane.and_then(|eng| eval_on_lane(eng, case)) {
-        return r;
+    eval_ftz_lanes(case, lane).0
+}
+
+/// [`eval_ftz`] plus the lane-position check: on a batch lane the case
+/// runs in every lane of a chunk, and the second value is the first
+/// lane's result that differs from lane 0's (always `None` off a batch
+/// lane, and for ops without one).
+pub fn eval_ftz_lanes(
+    case: &Case,
+    lane: Option<SimdEngine>,
+) -> ((u64, Flags), Option<(u64, Flags)>) {
+    if let Some(outs) = lane.and_then(|eng| eval_on_lane(eng, case)) {
+        return (outs[0], outs.iter().find(|&&o| o != outs[0]).copied());
     }
     let Case {
         op,
@@ -494,7 +512,7 @@ pub fn eval_ftz(case: &Case, lane: Option<SimdEngine>) -> (u64, Flags) {
         b,
         c,
     } = *case;
-    match op {
+    let r = match op {
         Op::Add => fpfpga_softfp::add_bits(fmt, a, b, mode),
         Op::Sub => fpfpga_softfp::sub_bits(fmt, a, b, mode),
         Op::Mul => fpfpga_softfp::mul_bits(fmt, a, b, mode),
@@ -506,14 +524,16 @@ pub fn eval_ftz(case: &Case, lane: Option<SimdEngine>) -> (u64, Flags) {
             let ord = fpfpga_softfp::compare::compare(fmt, a, b);
             (ordering_code(Some(ord)), Flags::NONE)
         }
-    }
+    };
+    (r, None)
 }
 
 /// One add/sub/mul/fma case through `fastpath::*_bits_batch_with` on
-/// `eng`. The operands are broadcast to a full chunk of [`LANES`], so a
-/// wide engine runs its vector datapath and classify pass rather than
-/// the scalar tail. `None` for ops without a batch lane.
-fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<(u64, Flags)> {
+/// `eng`, returning every lane's result. The operands are broadcast to a
+/// full chunk of [`LANES`], so a wide engine runs its vector datapath and
+/// special-operand blend rather than the scalar tail. `None` for ops
+/// without a batch lane.
+fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<Vec<(u64, Flags)>> {
     let Case {
         op,
         fmt,
@@ -531,7 +551,18 @@ fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<(u64, Flags)> {
         Op::Fma => fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out),
         _ => return None,
     }
-    Some(out[0])
+    Some(out)
+}
+
+/// A batch lane whose result differs from lane 0's for the same operands
+/// (`against: "lane-0"`): a lane-position fault in a wide engine.
+fn lane_skew(case: Case, got: (u64, Flags), lane0: (u64, Flags)) -> Divergence {
+    Divergence {
+        case,
+        ours: got,
+        reference: (lane0.0, Some(lane0.1)),
+        against: "lane-0",
+    }
 }
 
 /// Sweep the flush-to-zero layer against the host on the common
@@ -558,7 +589,12 @@ pub fn run_ftz_sweep(config: &SweepConfig) -> SweepReport {
                 r.skipped += 1;
                 return;
             }
-            let ours = eval_ftz(&case, config.lane);
+            let (ours, odd_lane) = eval_ftz_lanes(&case, config.lane);
+            if let Some(got) = odd_lane {
+                r.cases += 1;
+                r.diverged(lane_skew(case, got, ours), config.max_divergences);
+                return;
+            }
             let reference = eval_host(&case);
             let res_fmt = result_format(&case);
             // Deliberate-deviation masking.
@@ -579,15 +615,13 @@ pub fn run_ftz_sweep(config: &SweepConfig) -> SweepReport {
                 (_, Some(h)) => ours.1 == h,
             };
             if ours.0 != reference.bits || !flags_ok {
-                r.divergences += 1;
-                if r.examples.len() < config.max_divergences {
-                    r.examples.push(Divergence {
-                        case,
-                        ours,
-                        reference: (reference.bits, reference.flags),
-                        against: "host-ftz",
-                    });
-                }
+                let d = Divergence {
+                    case,
+                    ours,
+                    reference: (reference.bits, reference.flags),
+                    against: "host-ftz",
+                };
+                r.diverged(d, config.max_divergences);
             }
         });
         r
@@ -680,18 +714,18 @@ pub fn run_fpu_sweep(config: &SweepConfig) -> SweepReport {
                         b,
                         c: 0,
                     };
-                    let (want, wf) = eval_ftz(&case, config.lane);
+                    let ((want, wf), odd_lane) = eval_ftz_lanes(&case, config.lane);
                     r.cases += 1;
-                    if got != want || gf != wf {
-                        r.divergences += 1;
-                        if r.examples.len() < config.max_divergences {
-                            r.examples.push(Divergence {
-                                case,
-                                ours: (got, gf),
-                                reference: (want, Some(wf)),
-                                against: "softfp-fpu",
-                            });
-                        }
+                    if let Some(odd) = odd_lane {
+                        r.diverged(lane_skew(case, odd, (want, wf)), config.max_divergences);
+                    } else if got != want || gf != wf {
+                        let d = Divergence {
+                            case,
+                            ours: (got, gf),
+                            reference: (want, Some(wf)),
+                            against: "softfp-fpu",
+                        };
+                        r.diverged(d, config.max_divergences);
                     }
                 };
                 // A rotated slice of the special-value square plus the

@@ -13,18 +13,20 @@
 //!   both-operands-normal datapath is explicit vector arithmetic with
 //!   lane-mask selects instead of branches. The blocks are total over
 //!   arbitrary encodings (special operands produce garbage that the
-//!   partition pass discards — never a panic or UB) and bit-exact twins
-//!   of the scalar fast lane on normal operands. The wide-format multiply
-//!   and fma run on `(hi, lo)` u64 pairs (32-bit limb splits) instead of
+//!   driver blends over — never a panic or UB) and bit-exact twins of the
+//!   scalar fast lane on normal operands. The wide-format multiply and
+//!   fma run on `(hi, lo)` u64 pairs (32-bit limb splits) instead of
 //!   `u128`, so every operation maps to a vector instruction.
-//! * **Classify-then-partition batch drivers**: each [`LANES`]-sized chunk
-//!   is classified branchlessly (a normality bitmask), computed
-//!   unconditionally by the wide kernel, and the rare special lanes are
-//!   then overwritten in-place by a sparse fixup pass through the generic
-//!   [`crate::ops`] path. Dense-compute + sparse-fixup beats literally
-//!   splitting the batch into runs: all-normal runs shorter than a chunk
-//!   would fragment the vector loop on exactly the workloads that have
-//!   occasional specials.
+//! * **Special operands resolved in register**, as the paper's cores
+//!   resolve them in their denormalize stage: each [`LANES`]-sized chunk
+//!   is classified branchlessly (a normality mask) and computed
+//!   unconditionally by the datapath block; a chunk with any ±0,
+//!   subnormal or ∞ lane also runs a select-only special block — the
+//!   generic [`crate::ops`] special rules, `invalid` included — and
+//!   blends it over those lanes. All-normal chunks skip it on one
+//!   predictable branch, and a special-heavy batch costs at most about
+//!   one extra block per chunk, so throughput no longer depends on the
+//!   operand mix.
 //! * **Explicit intrinsics engines** behind the `Words` trait: the
 //!   block kernels are generic over a lane-word vocabulary (shifts,
 //!   compares-to-mask, select, msb scan, 32×32 multiply), and each
@@ -51,6 +53,8 @@
 
 use crate::exceptions::Flags;
 use crate::format::FpFormat;
+#[cfg(target_arch = "x86_64")]
+use crate::ops::add::GRS_BITS;
 use crate::ops::fma::FMA_GRS;
 use crate::round::RoundMode;
 use std::sync::OnceLock;
@@ -231,19 +235,26 @@ fn shr128_sticky(hi: u64, lo: u64, n: u64) -> (u64, u64, u64) {
     (r_hi, r_lo, lost)
 }
 
+// Packed flag codes. `round_pack_lane` only emits 0, `FL_INEXACT`,
+// `FL_OVERFLOW | FL_INEXACT` and `FL_UNDERFLOW | FL_INEXACT`; overflow and
+// underflow never coincide, so their joint code is free to mean
+// `invalid`, which the wide kernels' special lanes (∞ − ∞, 0 × ∞) raise
+// alone.
 const FL_OVERFLOW: u64 = 1;
 const FL_UNDERFLOW: u64 = 2;
 const FL_INEXACT: u64 = 4;
+const FL_INVALID: u64 = FL_OVERFLOW | FL_UNDERFLOW;
 
-/// Expand a lane's packed flag word into [`Flags`]. The fast lane never
-/// raises `invalid` or `div_by_zero` (those need a special operand, which
-/// the partition pass routes to the generic path).
+/// Expand a lane's packed flag word into [`Flags`]. No lane raises
+/// `div_by_zero` (add/sub/mul/fma cannot), and only a special operand
+/// raises `invalid` (code `FL_INVALID`).
 #[inline(always)]
-pub(crate) fn unpack_flags(fl: u64) -> Flags {
+pub(crate) const fn unpack_flags(fl: u64) -> Flags {
+    let range = fl & FL_INVALID;
     Flags {
-        overflow: fl & FL_OVERFLOW != 0,
-        underflow: fl & FL_UNDERFLOW != 0,
-        invalid: false,
+        overflow: range == FL_OVERFLOW,
+        underflow: range == FL_UNDERFLOW,
+        invalid: range == FL_INVALID,
         inexact: fl & FL_INEXACT != 0,
         div_by_zero: false,
     }

@@ -1,11 +1,9 @@
 //! The wide engines (x86-64 only): the lane-word trait, its AVX2 and
-//! AVX-512 implementations, the engine-generic block kernels and the
-//! classify-then-partition batch drivers.
+//! AVX-512 implementations, the engine-generic block kernels, the
+//! special-operand blocks and the batch drivers that blend the two.
 
 use super::*;
 use crate::fastpath::{self, lane_of, Lane};
-use crate::ops;
-use crate::ops::add::GRS_BITS;
 
 // ---------------------------------------------------------------------------
 // The SIMD word: one trait, two engines
@@ -31,9 +29,9 @@ use crate::ops::add::GRS_BITS;
 // whose shift amounts stay below 64 and whose `vmul32` operands have
 // clear high halves — true for every value the kernels build from
 // normal operands — both engines are bit-identical to the scalar fast
-// lane. Garbage lanes (special operands) may hold anything; the partition
-// pass overwrites every such lane from the generic path, so their
-// contents are never observable.
+// lane. The datapath's lanes with a special operand may hold anything:
+// the drivers blend the special blocks' result over every such lane, so
+// the datapath's contents there are never observable.
 
 /// The engine-generic SIMD word: [`LANES`] u64 lanes.
 trait Words: Copy {
@@ -468,7 +466,7 @@ use engines_x86::{W2, W5};
 // computed. The blocks are total over arbitrary encodings — variable
 // shift amounts are clamped wherever a valid lane needs it, arithmetic
 // wraps, and the `kill`/`|= 1` jams keep `vmsb` inputs nonzero — so a
-// special lane's garbage can never fault; the partition pass discards it.
+// special lane's garbage can never fault; the driver blends over it.
 
 /// Vector twin of [`widening_mul`]: all four partial products are
 /// 32×32→64 (`vmul32`), the carry chain exact for every input pair.
@@ -864,26 +862,120 @@ unsafe fn fma_wide_block<W: Words, const E: u32, const F: u32>(
     round_pack_block::<W, E, F>(sign, exp0, kept, tail, grs, rtn, kill)
 }
 
-/// Precomputed [`Flags`] for every packed flag word the fast lane can
-/// produce — one indexed load per element in the batch epilogue instead
-/// of five bit tests.
+// ---------------------------------------------------------------------------
+// Special-operand blocks
+// ---------------------------------------------------------------------------
+//
+// The stage-1 special rules of the generic add, mul and fma, in
+// register: each operand is classed by its exponent field alone (all
+// zeros: ±0 or a subnormal pattern, flushed to zero; all ones: ∞, any
+// fraction payload ignored), and the result is picked by selects. A
+// lane whose operands are all normal is a don't-care here — the driver
+// keeps the datapath's result there. Like the block kernels, these are
+// `unsafe` only for the `Words` calls: the engine must have passed
+// runtime feature detection.
+
+/// `(zero, infinite)` class masks of one operand stream.
+#[inline(always)]
+unsafe fn vclass<W: Words, const E: u32, const F: u32>(x: W) -> (W::M, W::M) {
+    let em = W::splat((1u64 << E) - 1);
+    let e = x.shrc(F).vand(em);
+    (e.veq(W::splat(0)), e.veq(em))
+}
+
+/// Canonical ∞ magnitude, sign-bit mask and encoding mask for `(E, F)`.
+#[inline(always)]
+unsafe fn vconsts<W: Words, const E: u32, const F: u32>() -> (W, W, W) {
+    let enc = if E + F + 1 == 64 {
+        u64::MAX
+    } else {
+        (1u64 << (E + F + 1)) - 1
+    };
+    (
+        W::splat(((1u64 << E) - 1) << F),
+        W::splat(1u64 << (E + F)),
+        W::splat(enc),
+    )
+}
+
+/// Add with a special operand (`b` arrives sign-flipped for sub): ∞ − ∞
+/// is +∞ with `invalid`, a lone ∞ wins with its sign, 0 + 0 is −0 only
+/// when both zeros are, and 0 + x returns x.
+#[inline(always)]
+unsafe fn add_special<W: Words, const E: u32, const F: u32>(a: W, b: W) -> (W, W) {
+    let (inf, sgn, enc) = vconsts::<W, E, F>();
+    let (za, ia) = vclass::<W, E, F>(a);
+    let (zb, ib) = vclass::<W, E, F>(b);
+    let (sa, sb) = (a.vand(sgn), b.vand(sgn));
+    let invalid = W::mand(W::mand(ia, ib), sa.vne(sb));
+    let r_inf = W::sel(invalid, inf, W::sel(ia, sa, sb).vor(inf));
+    let r_fin = W::sel(za, W::sel(zb, sa.vand(sb), b), a).vand(enc);
+    (
+        W::sel(W::mor(ia, ib), r_inf, r_fin),
+        W::sel(invalid, W::splat(FL_INVALID), W::splat(0)),
+    )
+}
+
+/// Multiply with a special operand: 0 × ∞ is +0 with `invalid`, else ∞
+/// or 0 with the product's sign.
+#[inline(always)]
+unsafe fn mul_special<W: Words, const E: u32, const F: u32>(a: W, b: W) -> (W, W) {
+    let (inf, sgn, _) = vconsts::<W, E, F>();
+    let zero = W::splat(0);
+    let (za, ia) = vclass::<W, E, F>(a);
+    let (zb, ib) = vclass::<W, E, F>(b);
+    let sign = a.vxor(b).vand(sgn);
+    let invalid = W::mor(W::mand(za, ib), W::mand(ia, zb));
+    let r = W::sel(W::mor(ia, ib), sign.vor(inf), sign);
+    (
+        W::sel(invalid, zero, r),
+        W::sel(invalid, W::splat(FL_INVALID), zero),
+    )
+}
+
+/// Fma with a special operand, rule for rule as the generic fma: 0 × ∞ is
+/// +0 with `invalid` whatever c is; an ∞ product wins unless c is the
+/// opposite ∞ (+∞, `invalid`); an ∞ c wins next; a zero product returns
+/// c (0 + 0 by the add's sign rule); and c = ±0 under a normal product is
+/// `mul(a, b)`, whose `(bits, flags)` the caller passes as `prod`.
+#[inline(always)]
+unsafe fn fma_special<W: Words, const E: u32, const F: u32>(
+    a: W,
+    b: W,
+    c: W,
+    prod: (W, W),
+) -> (W, W) {
+    let (inf, sgn, enc) = vconsts::<W, E, F>();
+    let zero = W::splat(0);
+    let (za, ia) = vclass::<W, E, F>(a);
+    let (zb, ib) = vclass::<W, E, F>(b);
+    let (zc, ic) = vclass::<W, E, F>(c);
+    let (psign, sc) = (a.vxor(b).vand(sgn), c.vand(sgn));
+    let (pinf, pzero) = (W::mor(ia, ib), W::mor(za, zb));
+    let zero_inf = W::mor(W::mand(za, ib), W::mand(ia, zb));
+    let inf_inf = W::mand(W::mand(pinf, ic), psign.vne(sc));
+    let r_inf = W::sel(pinf, psign, sc).vor(inf);
+    let r_fin = W::sel(pzero, W::sel(zc, psign.vand(sc), c.vand(enc)), prod.0);
+    let r = W::sel(W::mor(pinf, ic), r_inf, r_fin);
+    let exact = W::mor(W::mor(pinf, ic), pzero);
+    (
+        W::sel(zero_inf, zero, W::sel(inf_inf, inf, r)),
+        W::sel(
+            W::mor(zero_inf, inf_inf),
+            W::splat(FL_INVALID),
+            W::sel(exact, zero, prod.1),
+        ),
+    )
+}
+
+/// Precomputed [`Flags`] for every packed flag word a lane can produce —
+/// one indexed load per element in the batch epilogue instead of five
+/// bit tests.
 const FLAG_LUT: [Flags; 8] = {
-    let mut lut = [Flags {
-        overflow: false,
-        underflow: false,
-        invalid: false,
-        inexact: false,
-        div_by_zero: false,
-    }; 8];
+    let mut lut = [unpack_flags(0); 8];
     let mut i = 0;
     while i < 8 {
-        lut[i] = Flags {
-            overflow: i as u64 & FL_OVERFLOW != 0,
-            underflow: i as u64 & FL_UNDERFLOW != 0,
-            invalid: false,
-            inexact: i as u64 & FL_INEXACT != 0,
-            div_by_zero: false,
-        };
+        lut[i] = unpack_flags(i as u64);
         i += 1;
     }
     lut
@@ -904,9 +996,11 @@ const PAIR_LAYOUT_OK: bool = std::mem::size_of::<(u64, Flags)>() == 16
 /// `(u64, Flags)` pair: `true` is guaranteed to be the byte `1`, so
 /// each set flag is a `0x01` byte at its field offset (padding zero).
 const fn flag_word(i: u64) -> u64 {
-    ((i & FL_OVERFLOW != 0) as u64) << (8 * std::mem::offset_of!(Flags, overflow) % 64)
-        | ((i & FL_UNDERFLOW != 0) as u64) << (8 * std::mem::offset_of!(Flags, underflow) % 64)
-        | ((i & FL_INEXACT != 0) as u64) << (8 * std::mem::offset_of!(Flags, inexact) % 64)
+    let f = unpack_flags(i);
+    (f.overflow as u64) << (8 * std::mem::offset_of!(Flags, overflow) % 64)
+        | (f.underflow as u64) << (8 * std::mem::offset_of!(Flags, underflow) % 64)
+        | (f.invalid as u64) << (8 * std::mem::offset_of!(Flags, invalid) % 64)
+        | (f.inexact as u64) << (8 * std::mem::offset_of!(Flags, inexact) % 64)
 }
 
 /// Word-form twin of [`FLAG_LUT`] for the in-register epilogue lookup.
@@ -921,22 +1015,46 @@ const FLAG_WORDS: [u64; 8] = {
 };
 
 // ---------------------------------------------------------------------------
-// Chunked batch drivers (classify-then-partition)
+// Chunked batch drivers
 // ---------------------------------------------------------------------------
 
-/// Binary-op batch driver: vector-compute every full chunk, record a
-/// branchless normality bitmask per chunk, and push special indices for
-/// the caller's fixup pass. The sub-chunk tail runs the scalar fast lane
-/// (which handles its own specials).
+/// Append one chunk's `(bits, packed flags)` lanes to `out`.
+///
+/// # Safety
+/// `W`'s engine must have passed runtime feature detection, and `out`
+/// must have spare capacity for [`LANES`] more pairs (the raw
+/// interleaved store writes there).
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
+unsafe fn store_chunk<W: Words>(r: W, f: W, out: &mut Vec<(u64, Flags)>) {
+    if PAIR_LAYOUT_OK {
+        let dst = out.as_mut_ptr().add(out.len()).cast::<u64>();
+        r.store_interleaved(f.vand(W::splat(7)).lut8(&FLAG_WORDS), dst);
+        out.set_len(out.len() + LANES);
+    } else {
+        let mut res = [0u64; LANES];
+        let mut fl = [0u64; LANES];
+        r.store(&mut res);
+        f.store(&mut fl);
+        let mut chunk = [(0u64, FLAG_LUT[0]); LANES];
+        for l in 0..LANES {
+            chunk[l] = (res[l], FLAG_LUT[(fl[l] & 7) as usize]);
+        }
+        out.extend_from_slice(&chunk);
+    }
+}
+
+/// Binary-op batch driver: every full chunk runs the datapath block; a
+/// chunk with any non-normal lane also runs the special block and blends
+/// it over those lanes. The sub-chunk tail runs the scalar fast lane
+/// (which handles its own specials).
+#[inline(always)]
 fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
     n: usize,
     load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
     load_one: impl Fn(usize) -> (u64, u64),
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
-    specials: &mut Vec<u32>,
 ) {
     let rtn = mode == RoundMode::NearestEven;
     let full = n - n % LANES;
@@ -947,42 +1065,30 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
         let mut ys = [0u64; LANES];
         load_chunk(i, &mut xs, &mut ys);
         // SAFETY: `W`'s engine passed positive runtime feature detection
-        // (the dispatch layer's invariant). The interleaved store targets
-        // capacity reserved above, under the compile-time layout check.
-        let (all, nbits) = unsafe {
+        // (the dispatch layer's invariant), and `out` has room reserved
+        // for every full chunk.
+        unsafe {
             let va = W::load(&xs);
-            let vb = W::load(&ys);
-            let (r, f) = if OP == OP_ADD {
-                add_block::<W, E, F>(va, vb, rtn)
-            } else if OP == OP_SUB {
-                add_block::<W, E, F>(va, vb.vxor(W::splat(1u64 << (E + F))), rtn)
-            } else {
+            let mut vb = W::load(&ys);
+            if OP == OP_SUB {
+                vb = vb.vxor(W::splat(1u64 << (E + F)));
+            }
+            let (mut r, mut f) = if OP == OP_MUL {
                 mul_block::<W, E, F>(va, vb, rtn)
+            } else {
+                add_block::<W, E, F>(va, vb, rtn)
             };
             let normal = W::mand(vnormal::<W, E, F>(va), vnormal::<W, E, F>(vb));
-            if PAIR_LAYOUT_OK {
-                let dst = out.as_mut_ptr().add(out.len()).cast::<u64>();
-                r.store_interleaved(f.vand(W::splat(7)).lut8(&FLAG_WORDS), dst);
-                out.set_len(out.len() + LANES);
-            } else {
-                let mut res = [0u64; LANES];
-                let mut fl = [0u64; LANES];
-                r.store(&mut res);
-                f.store(&mut fl);
-                let mut chunk = [(0u64, FLAG_LUT[0]); LANES];
-                for l in 0..LANES {
-                    chunk[l] = (res[l], FLAG_LUT[(fl[l] & 7) as usize]);
-                }
-                out.extend_from_slice(&chunk);
+            if !W::mall(normal) {
+                let (sr, sf) = if OP == OP_MUL {
+                    mul_special::<W, E, F>(va, vb)
+                } else {
+                    add_special::<W, E, F>(va, vb)
+                };
+                r = W::sel(normal, r, sr);
+                f = W::sel(normal, f, sf);
             }
-            (W::mall(normal), W::mbits(normal))
-        };
-        if !all {
-            for l in 0..LANES {
-                if nbits & (1 << l) == 0 {
-                    specials.push((i + l) as u32);
-                }
-            }
+            store_chunk(r, f, out);
         }
         i += LANES;
     }
@@ -998,16 +1104,16 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
     }
 }
 
-/// Ternary (fma) batch driver; same structure as [`bin_driver`].
+/// Ternary (fma) batch driver; same structure as [`bin_driver`]. A chunk
+/// with a non-normal lane also runs [`mul_block`] for the c = ±0 lanes.
 #[inline(always)]
-#[allow(clippy::needless_range_loop, clippy::type_complexity)]
+#[allow(clippy::type_complexity)]
 fn fma_driver<W: Words, const E: u32, const F: u32>(
     n: usize,
     load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
     load_one: impl Fn(usize) -> (u64, u64, u64),
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
-    specials: &mut Vec<u32>,
 ) {
     let rtn = mode == RoundMode::NearestEven;
     let full = n - n % LANES;
@@ -1018,40 +1124,23 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
         let mut ys = [0u64; LANES];
         let mut zs = [0u64; LANES];
         load_chunk(i, &mut xs, &mut ys, &mut zs);
-        // SAFETY: as in `bin_driver` — the engine was runtime-detected
-        // and the interleaved store targets reserved capacity.
-        let (all, nbits) = unsafe {
+        // SAFETY: as in `bin_driver`.
+        unsafe {
             let va = W::load(&xs);
             let vb = W::load(&ys);
             let vc = W::load(&zs);
-            let (r, f) = fma_block::<W, E, F>(va, vb, vc, rtn);
+            let (mut r, mut f) = fma_block::<W, E, F>(va, vb, vc, rtn);
             let normal = W::mand(
                 W::mand(vnormal::<W, E, F>(va), vnormal::<W, E, F>(vb)),
                 vnormal::<W, E, F>(vc),
             );
-            if PAIR_LAYOUT_OK {
-                let dst = out.as_mut_ptr().add(out.len()).cast::<u64>();
-                r.store_interleaved(f.vand(W::splat(7)).lut8(&FLAG_WORDS), dst);
-                out.set_len(out.len() + LANES);
-            } else {
-                let mut res = [0u64; LANES];
-                let mut fl = [0u64; LANES];
-                r.store(&mut res);
-                f.store(&mut fl);
-                let mut chunk = [(0u64, FLAG_LUT[0]); LANES];
-                for l in 0..LANES {
-                    chunk[l] = (res[l], FLAG_LUT[(fl[l] & 7) as usize]);
-                }
-                out.extend_from_slice(&chunk);
+            if !W::mall(normal) {
+                let prod = mul_block::<W, E, F>(va, vb, rtn);
+                let (sr, sf) = fma_special::<W, E, F>(va, vb, vc, prod);
+                r = W::sel(normal, r, sr);
+                f = W::sel(normal, f, sf);
             }
-            (W::mall(normal), W::mbits(normal))
-        };
-        if !all {
-            for l in 0..LANES {
-                if nbits & (1 << l) == 0 {
-                    specials.push((i + l) as u32);
-                }
-            }
+            store_chunk(r, f, out);
         }
         i += LANES;
     }
@@ -1069,55 +1158,47 @@ mod engine {
     use super::*;
 
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bin_driver_tf<const E: u32, const F: u32, const OP: u8>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
         load_one: impl Fn(usize) -> (u64, u64),
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
     ) {
-        super::bin_driver::<W2, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
+        super::bin_driver::<W2, E, F, OP>(n, load_chunk, load_one, mode, out)
     }
 
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn fma_driver_tf<const E: u32, const F: u32>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
         load_one: impl Fn(usize) -> (u64, u64, u64),
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
     ) {
-        super::fma_driver::<W2, E, F>(n, load_chunk, load_one, mode, out, specials)
+        super::fma_driver::<W2, E, F>(n, load_chunk, load_one, mode, out)
     }
 
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bin_driver_512<const E: u32, const F: u32, const OP: u8>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
         load_one: impl Fn(usize) -> (u64, u64),
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
     ) {
-        super::bin_driver::<W5, E, F, OP>(n, load_chunk, load_one, mode, out, specials)
+        super::bin_driver::<W5, E, F, OP>(n, load_chunk, load_one, mode, out)
     }
 
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn fma_driver_512<const E: u32, const F: u32>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
         load_one: impl Fn(usize) -> (u64, u64, u64),
         mode: RoundMode,
         out: &mut Vec<(u64, Flags)>,
-        specials: &mut Vec<u32>,
     ) {
-        super::fma_driver::<W5, E, F>(n, load_chunk, load_one, mode, out, specials)
+        super::fma_driver::<W5, E, F>(n, load_chunk, load_one, mode, out)
     }
 }
 
@@ -1164,11 +1245,9 @@ fn wide_lane(eng: SimdEngine, fmt: FpFormat) -> Option<Lane> {
     }
 }
 
-/// Run a binary batch on `eng` and fix up the special lanes through the
-/// generic path, in index order. Returns `false`, leaving `out`
+/// Run a binary batch on `eng`. Returns `false`, leaving `out`
 /// untouched, when the scalar lane should run instead.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_bin<const OP: u8>(
     eng: SimdEngine,
     fmt: FpFormat,
@@ -1181,37 +1260,13 @@ pub(crate) fn run_bin<const OP: u8>(
     let Some(lane) = wide_lane(eng, fmt) else {
         return false;
     };
-    let base = out.len();
-    let mut specials: Vec<u32> = Vec::new();
-    wide_dispatch!(
-        bin,
-        eng,
-        lane,
-        OP,
-        n,
-        &load_chunk,
-        &load_one,
-        mode,
-        out,
-        &mut specials
-    );
-    for &j in &specials {
-        let (x, y) = load_one(j as usize);
-        out[base + j as usize] = if OP == OP_ADD {
-            ops::add::add(fmt, x, y, mode)
-        } else if OP == OP_SUB {
-            ops::add::sub(fmt, x, y, mode)
-        } else {
-            ops::mul::mul(fmt, x, y, mode)
-        };
-    }
+    wide_dispatch!(bin, eng, lane, OP, n, load_chunk, load_one, mode, out);
     true
 }
 
-/// Run an fma batch on `eng` with the generic fixup pass; `false` when
-/// the scalar lane should run instead.
+/// Run an fma batch on `eng`; `false` when the scalar lane should run
+/// instead.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_fma(
     eng: SimdEngine,
     fmt: FpFormat,
@@ -1224,22 +1279,6 @@ pub(crate) fn run_fma(
     let Some(lane) = wide_lane(eng, fmt) else {
         return false;
     };
-    let base = out.len();
-    let mut specials: Vec<u32> = Vec::new();
-    wide_dispatch!(
-        fma,
-        eng,
-        lane,
-        n,
-        &load_chunk,
-        &load_one,
-        mode,
-        out,
-        &mut specials
-    );
-    for &j in &specials {
-        let (x, y, z) = load_one(j as usize);
-        out[base + j as usize] = ops::fma::fma(fmt, x, y, z, mode);
-    }
+    wide_dispatch!(fma, eng, lane, n, load_chunk, load_one, mode, out);
     true
 }

@@ -1,16 +1,16 @@
 //! Property tests: every SIMD batch engine must be bit-identical to the
 //! generic `unpacked` dispatchers — result encodings *and* exception
-//! flags — at special-operand densities of 0%, ~5% and 100%, on the
-//! paper's three precisions. The suite pins the engine by value through
-//! the `fastpath::*_bits_batch_with` entry points — `Scalar` runs the
-//! production scalar loops — and checks partition-order stability:
-//! the classify-then-partition driver must scatter special-lane results
-//! back into their original batch positions.
+//! flags — at special-operand densities of 0%, ~5%, 50%, 75% and 100%, on
+//! the paper's three precisions. The suite pins the engine by value
+//! through the `fastpath::*_bits_batch_with` entry points — `Scalar` runs
+//! the production scalar loops. An exhaustive class grid then puts every
+//! operand-class combination in every lane position of full chunks, so
+//! the wide engines' in-register special blend is checked lane by lane.
 
-use fpfpga_softfp::fastpath;
 use fpfpga_softfp::{
     add_bits, fma_bits, mul_bits, sub_bits, Flags, FpFormat, RoundMode, SimdEngine,
 };
+use fpfpga_softfp::{fastpath, ops};
 use proptest::prelude::*;
 
 const FORMATS: [FpFormat; 3] = FpFormat::PAPER_PRECISIONS;
@@ -100,23 +100,38 @@ fn check_density(fmt: FpFormat, mode: RoundMode, raw: &RawBatch, density_pct: u1
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// 0% specials: the pure vector datapath, no partition fixup.
+    /// 0% specials: the pure vector datapath, no special blend.
     #[test]
     fn all_normal_batches_match_generic(fmt in any_fmt(), mode in any_mode(),
                                         raw in raw_batch()) {
         check_density(fmt, mode, &raw, 0);
     }
 
-    /// ~5% specials: mostly-vector chunks with sparse scattered fixups —
-    /// the partition pass must place each special result back in order.
+    /// ~5% specials: mostly-normal chunks with a scattered special lane —
+    /// the blend must land each special result in its own lane.
     #[test]
     fn sparse_special_batches_match_generic(fmt in any_fmt(), mode in any_mode(),
                                             raw in raw_batch()) {
         check_density(fmt, mode, &raw, 5);
     }
 
-    /// 100% specials: every lane takes the generic path; the vector lane
-    /// contributes nothing but must not corrupt order or flags.
+    /// 50% specials: nearly every chunk mixes normal and special lanes.
+    #[test]
+    fn half_special_batches_match_generic(fmt in any_fmt(), mode in any_mode(),
+                                          raw in raw_batch()) {
+        check_density(fmt, mode, &raw, 50);
+    }
+
+    /// 75% specials per operand: the benchmark's `batch_special` density
+    /// (~94% of add/mul lanes and ~98% of fma lanes have a special operand).
+    #[test]
+    fn dense_special_batches_match_generic(fmt in any_fmt(), mode in any_mode(),
+                                           raw in raw_batch()) {
+        check_density(fmt, mode, &raw, 75);
+    }
+
+    /// 100% specials: every lane's result comes from the special rules;
+    /// the datapath contributes nothing but must not leak into any lane.
     #[test]
     fn all_special_batches_match_generic(fmt in any_fmt(), mode in any_mode(),
                                          raw in raw_batch()) {
@@ -137,6 +152,138 @@ proptest! {
                 prop_assert_eq!(out[i], add_bits(fmt, a[i], b[i], mode),
                                 "{:?} add lane {}", eng, i);
             }
+        }
+    }
+}
+
+/// One operand of each class the special rules distinguish, both signs:
+/// ±0, ±subnormal pattern, ±∞, ±∞ with a fraction payload, ±min-normal,
+/// ±max-finite and ±1.0.
+fn class_values(fmt: FpFormat) -> Vec<u64> {
+    let one = fmt.pack(false, fmt.bias() as u64, 0);
+    let pos = [
+        0,
+        fmt.pack(false, 0, fmt.frac_mask() >> 1 | 1),
+        fmt.pos_inf(),
+        fmt.pack(false, fmt.inf_biased_exp(), 1 << (fmt.frac_bits() - 1) | 5),
+        fmt.min_positive(),
+        fmt.max_finite(),
+        one,
+    ];
+    let sign = 1u64 << fmt.sign_shift();
+    pos.iter().flat_map(|&x| [x, x | sign]).collect()
+}
+
+/// Normal products a·b that overflow, underflow, round inexactly, or land
+/// exactly — fma with c = ±0 must return `mul(a, b)`, flags included.
+fn product_cases(fmt: FpFormat) -> Vec<(u64, u64)> {
+    let one = fmt.bias() as u64;
+    let near_one = fmt.pack(false, one, 1); // 1 + ulp: its square rounds
+    let two = fmt.pack(false, one + 1, 0);
+    let half = fmt.pack(false, one - 1, 0);
+    let third = fmt.pack(true, one - 2, fmt.frac_mask() / 3);
+    vec![
+        (fmt.max_finite(), two),
+        (fmt.max_finite(), fmt.max_finite()),
+        (fmt.min_positive(), half),
+        (fmt.min_positive(), fmt.min_positive()),
+        (near_one, near_one),
+        (third, fmt.pack(false, one + 1, fmt.frac_mask())),
+        (two, half),
+    ]
+}
+
+/// Run one op over `cases` on every engine, once per starting lane: the
+/// list is prefixed with 0..LANES filler cases and padded to whole chunks,
+/// so every case lands in every lane position of a full chunk.
+fn check_grid<T: Copy + std::fmt::Debug>(
+    what: &str,
+    cases: &[T],
+    filler: T,
+    want: impl Fn(T) -> (u64, Flags),
+    run: impl Fn(SimdEngine, &[T], &mut Vec<(u64, Flags)>),
+) {
+    const LANES: usize = fpfpga_softfp::simd::LANES;
+    for skew in 0..LANES {
+        let mut batch = vec![filler; skew];
+        batch.extend_from_slice(cases);
+        batch.resize(batch.len().next_multiple_of(LANES), filler);
+        let expect: Vec<(u64, Flags)> = batch.iter().map(|&t| want(t)).collect();
+        for eng in SimdEngine::available() {
+            let mut got = Vec::new();
+            run(eng, &batch, &mut got);
+            for (i, (g, w)) in got.iter().zip(&expect).enumerate() {
+                assert_eq!(g, w, "{eng:?} {what} {:x?} (lane {})", batch[i], i % LANES);
+            }
+            assert_eq!(got.len(), expect.len(), "{eng:?} {what}");
+        }
+    }
+}
+
+#[test]
+fn class_grid_matches_generic_in_every_lane() {
+    for fmt in FORMATS {
+        let vals = class_values(fmt);
+        let pairs: Vec<(u64, u64)> = vals
+            .iter()
+            .flat_map(|&a| vals.iter().map(move |&b| (a, b)))
+            .collect();
+        let mut triples: Vec<(u64, u64, u64)> = pairs
+            .iter()
+            .flat_map(|&(a, b)| vals.iter().map(move |&c| (a, b, c)))
+            .collect();
+        for (a, b) in product_cases(fmt) {
+            for c in [0, 1u64 << fmt.sign_shift()] {
+                triples.push((a, b, c));
+                triples.push((a, b | 1u64 << fmt.sign_shift(), c));
+            }
+        }
+        let one = fmt.pack(false, fmt.bias() as u64, 0);
+        for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
+            let tag = |op: &str| format!("{op} {fmt:?} {mode:?}");
+            let split = |ps: &[(u64, u64)]| -> (Vec<u64>, Vec<u64>) { ps.iter().copied().unzip() };
+            check_grid(
+                &tag("add"),
+                &pairs,
+                (one, one),
+                |(a, b)| ops::add::add(fmt, a, b, mode),
+                |eng, ps, out| {
+                    let (a, b) = split(ps);
+                    fastpath::add_bits_batch_with(eng, fmt, &a, &b, mode, out)
+                },
+            );
+            check_grid(
+                &tag("sub"),
+                &pairs,
+                (one, one),
+                |(a, b)| ops::add::sub(fmt, a, b, mode),
+                |eng, ps, out| {
+                    let (a, b) = split(ps);
+                    fastpath::sub_bits_batch_with(eng, fmt, &a, &b, mode, out)
+                },
+            );
+            check_grid(
+                &tag("mul"),
+                &pairs,
+                (one, one),
+                |(a, b)| ops::mul::mul(fmt, a, b, mode),
+                |eng, ps, out| {
+                    let (a, b) = split(ps);
+                    fastpath::mul_bits_batch_with(eng, fmt, &a, &b, mode, out)
+                },
+            );
+            check_grid(
+                &tag("fma"),
+                &triples,
+                (one, one, one),
+                |(a, b, c)| ops::fma::fma(fmt, a, b, c, mode),
+                |eng, ts, out| {
+                    let a: Vec<u64> = ts.iter().map(|t| t.0).collect();
+                    let b: Vec<u64> = ts.iter().map(|t| t.1).collect();
+                    let c: Vec<u64> = ts.iter().map(|t| t.2).collect();
+                    fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, out)
+                },
+            );
         }
     }
 }
