@@ -258,26 +258,7 @@ impl LinearArray {
     /// per-cycle clocking, and the cycle count charged is exactly what
     /// the per-cycle run (issue + drain) would consume.
     pub fn stream_a_batched(&mut self, a: &Matrix) -> u64 {
-        let n = a.rows();
-        assert_eq!(a.cols(), n, "A must be square for this schedule");
-        assert!(
-            self.pes.iter().all(|pe| pe.n() == n),
-            "PE column height mismatch"
-        );
-        let sched = Schedule::new(n as u32, self.pl());
-        let pads_per_step = sched.padded_period() as u64 - n as u64;
-        for k in 0..n {
-            let a_col: Vec<u64> = (0..n).map(|i| a.get(i, k)).collect();
-            for pe in &mut self.pes {
-                pe.mac_step_batch(false, k, &a_col, pads_per_step);
-            }
-        }
-        let total = sched.issue_cycles() + self.pes.len() as u64 + self.pl() as u64 + 1;
-        self.cycles += total;
-        for pe in &mut self.pes {
-            pe.account_batched_cycles(total, sched.issue_cycles());
-        }
-        total
+        self.stream_a_batched_parallel(a, 1)
     }
 
     /// [`LinearArray::stream_a_batched`] fanned out over up to
@@ -538,14 +519,15 @@ mod tests {
 
     #[test]
     fn batched_stream_is_bit_identical_to_per_cycle() {
-        for (n, lm, la) in [(2usize, 3u32, 4u32), (5, 4, 5), (8, 9, 12), (12, 4, 5)] {
-            let a = sample(n, n as f64);
-            let b = sample(n, n as f64 + 0.5);
-            let (c_seq, s_seq) = LinearArray::multiply(F, RM, lm, la, &a, &b, UnitBackend::Fast);
-            let (c_bat, s_bat) =
-                LinearArray::multiply_batched(F, RM, lm, la, &a, &b, UnitBackend::Fast);
-            assert_eq!(c_seq, c_bat, "values n={n} lm={lm} la={la}");
-            assert_eq!(s_seq, s_bat, "stats n={n} lm={lm} la={la}");
+        for backend in [UnitBackend::Fast, UnitBackend::Structural] {
+            for (n, lm, la) in [(2usize, 3u32, 4u32), (5, 4, 5), (8, 9, 12), (12, 4, 5)] {
+                let a = sample(n, n as f64);
+                let b = sample(n, n as f64 + 0.5);
+                let (c_seq, s_seq) = LinearArray::multiply(F, RM, lm, la, &a, &b, backend);
+                let (c_bat, s_bat) = LinearArray::multiply_batched(F, RM, lm, la, &a, &b, backend);
+                assert_eq!(c_seq, c_bat, "values n={n} lm={lm} la={la} {backend:?}");
+                assert_eq!(s_seq, s_bat, "stats n={n} lm={lm} la={la} {backend:?}");
+            }
         }
     }
 

@@ -16,7 +16,8 @@
 use crate::dot::interleaved_reference;
 use crate::matrix::Matrix;
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
-use fpfpga_softfp::{Flags, FpFormat, RoundMode, SoftFloat};
+use fpfpga_softfp::fastpath::add_bits;
+use fpfpga_softfp::{Flags, FpFormat, RoundMode};
 use std::collections::VecDeque;
 
 /// One MVM processing element: several matrix rows + a banked MAC.
@@ -274,13 +275,12 @@ impl MvmEngine {
 
 /// Pairwise fold of a partial-sum bank (same order as the dot kernel).
 fn fold_bank(fmt: FpFormat, mode: RoundMode, bank: &[u64]) -> u64 {
-    let mut live: Vec<SoftFloat> = bank.iter().map(|&b| SoftFloat::from_bits(fmt, b)).collect();
+    let mut live = bank.to_vec();
     while live.len() > 1 {
         let mut next = Vec::with_capacity(live.len().div_ceil(2));
         let mut i = 0;
         while i + 1 < live.len() {
-            let (s, _) = live[i].add(&live[i + 1], mode);
-            next.push(s);
+            next.push(add_bits(fmt, live[i], live[i + 1], mode).0);
             i += 2;
         }
         if i < live.len() {
@@ -288,12 +288,13 @@ fn fold_bank(fmt: FpFormat, mode: RoundMode, bank: &[u64]) -> u64 {
         }
         live = next;
     }
-    live[0].bits()
+    live[0]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpfpga_softfp::SoftFloat;
 
     const F: FpFormat = FpFormat::SINGLE;
     const RM: RoundMode = RoundMode::NearestEven;

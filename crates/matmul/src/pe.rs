@@ -5,7 +5,7 @@
 
 use crate::schedule::Token;
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
-use fpfpga_softfp::{Flags, FpFormat, RoundMode};
+use fpfpga_softfp::{add_acc_bits, mul_bcast_bits, Flags, FpFormat, RoundMode};
 use std::collections::VecDeque;
 
 /// How to build the PE's floating-point pipes.
@@ -38,6 +38,7 @@ pub struct PeStats {
 /// One processing element of the linear array.
 pub struct ProcessingElement {
     fmt: FpFormat,
+    mode: RoundMode,
     /// Double-buffered columns of `B` owned by this PE, indexed by step
     /// `k`; the control token's bank bit selects which buffer a MAC
     /// reads, so the next block's column can load while tokens of the
@@ -58,11 +59,9 @@ pub struct ProcessingElement {
     pub flags: Flags,
     /// Activity counters.
     pub stats: PeStats,
-    /// Scratch buffers reused across [`ProcessingElement::mac_step_batch`]
-    /// calls so the batched kernel allocates nothing per step.
-    scratch_pairs: Vec<(u64, u64)>,
-    scratch_mul: Vec<(u64, Flags)>,
-    scratch_add: Vec<(u64, Flags)>,
+    /// The products of one [`ProcessingElement::mac_step_batch`] step,
+    /// reused across steps so the batched kernel allocates nothing.
+    products: Vec<u64>,
 }
 
 impl ProcessingElement {
@@ -100,6 +99,7 @@ impl ProcessingElement {
         };
         ProcessingElement {
             fmt,
+            mode,
             b_banks: [vec![0; n], vec![0; n]],
             c_col: vec![0; n],
             mult,
@@ -109,9 +109,7 @@ impl ProcessingElement {
             token_out: None,
             flags: Flags::NONE,
             stats: PeStats::default(),
-            scratch_pairs: Vec::new(),
-            scratch_mul: Vec::new(),
-            scratch_add: Vec::new(),
+            products: Vec::new(),
         }
     }
 
@@ -223,45 +221,31 @@ impl ProcessingElement {
     }
 
     /// Bulk execution of one schedule step: every row's MAC for column
-    /// pass `k` runs through the pipes' batched fast path
-    /// ([`FpPipe::run_batch`]) in two calls instead of `PL`·rows clocks.
+    /// pass `k` as two wide calls on this PE's own `C` column — one
+    /// [`mul_bcast_bits`] (the `A` column against the stationary `B`
+    /// element) and one [`add_acc_bits`] (`c[i] ← p[i] + c[i]`, the
+    /// adder's operand order) — instead of `PL`·rows clocks. Both pipes
+    /// compute exactly these softfp operations (the fast backend's delay
+    /// lines directly, the structural one by the crate invariant its
+    /// batch path relies on), so the pipes themselves are bypassed.
     ///
     /// Valid exactly when the surrounding schedule is hazard-free — any
     /// two updates of the same `C` entry at least one padded period
-    /// (≥ PL) apart, which is what `Schedule` guarantees by padding.
-    /// Then results, flags and MAC/BRAM activity counts are
-    /// bit-identical to per-cycle clocking; `pads` records the step's
-    /// padding issues for the energy model.
+    /// (≥ PL) apart, which is what `Schedule` guarantees by padding —
+    /// and no per-cycle token is in flight. Then results, flags and
+    /// MAC/BRAM activity counts are bit-identical to per-cycle clocking;
+    /// `pads` records the step's padding issues for the energy model.
     pub fn mac_step_batch(&mut self, bank: bool, k: usize, a_col: &[u64], pads: u64) {
+        debug_assert!(
+            self.c_delay.iter().all(Option::is_none) && self.add_meta.iter().all(Option::is_none),
+            "per-cycle MACs still in flight"
+        );
         let bk = self.b_banks[bank as usize][k];
-        self.scratch_pairs.clear();
-        self.scratch_pairs.extend(a_col.iter().map(|&a| (a, bk)));
-        self.scratch_mul.clear();
-        self.mult
-            .run_batch_into(&self.scratch_pairs, &mut self.scratch_mul);
-        debug_assert_eq!(
-            self.scratch_mul.len(),
-            a_col.len(),
-            "mult pipe was not empty"
-        );
-        self.scratch_pairs.clear();
-        for (i, &(p, pf)) in self.scratch_mul.iter().enumerate() {
-            self.flags |= pf;
-            self.scratch_pairs.push((p, self.c_col[i]));
-        }
-        self.scratch_add.clear();
-        self.add
-            .run_batch_into(&self.scratch_pairs, &mut self.scratch_add);
-        debug_assert_eq!(
-            self.scratch_add.len(),
-            a_col.len(),
-            "add pipe was not empty"
-        );
-        for (i, &(s, sf)) in self.scratch_add.iter().enumerate() {
-            self.flags |= sf;
-            self.c_col[i] = s;
-        }
-        let n = a_col.len() as u64;
+        let rows = a_col.len();
+        self.products.resize(rows, 0);
+        self.flags |= mul_bcast_bits(self.fmt, a_col, bk, self.mode, &mut self.products);
+        self.flags |= add_acc_bits(self.fmt, &self.products, &mut self.c_col[..rows], self.mode);
+        let n = rows as u64;
         self.stats.useful_macs += n;
         self.stats.pad_macs += pads;
         self.stats.bram_accesses += 3 * n; // B read + C read + C write per MAC

@@ -22,7 +22,10 @@
 //! * **Batch entry points** ([`add_bits_batch`], [`mul_bits_batch`],
 //!   [`add_pairs_batch`], …) that dispatch on the format **once per
 //!   slice** and append results to a caller-provided buffer instead of
-//!   allocating per element.
+//!   allocating per element, plus two **bits entry points**
+//!   ([`mul_bcast_bits`], [`add_acc_bits`]) for matmul steps that write
+//!   result bits in place and return the batch's flags OR-ed into one
+//!   [`Flags`].
 //!
 //! Every batch entry point also has a `*_with` form that pins the
 //! [`SimdEngine`] by value; the plain form runs [`simd::active_engine`].
@@ -38,7 +41,8 @@ use crate::ops;
 use crate::ops::add::GRS_BITS;
 use crate::ops::fma::FMA_GRS;
 use crate::round::{shift_right_sticky, RoundMode};
-use crate::simd::{self, SimdEngine, LANES, OP_ADD, OP_MUL, OP_SUB};
+use crate::simd::{self, BitsSink, PairSink, SimdEngine, LANES, OP_ADD, OP_MUL, OP_SUB};
+use std::cell::Cell;
 
 /// Panic message used by every batch entry point on length mismatch.
 pub const LEN_MISMATCH: &str = "batch operand slices must have equal lengths";
@@ -648,6 +652,21 @@ fn pairs_chunk(pairs: &[(u64, u64)]) -> impl Fn(usize, &mut [u64; LANES], &mut [
     }
 }
 
+/// [`simd::run_bin`] appending `(bits, flags)` pairs to `out`; `false`,
+/// leaving `out` untouched, when the scalar lane should run instead.
+#[inline(always)]
+fn run_bin_pairs<const OP: u8>(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    n: usize,
+    load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
+    load_one: impl Fn(usize) -> (u64, u64),
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) -> bool {
+    simd::run_bin::<OP>(eng, fmt, n, load_chunk, load_one, mode, &mut PairSink(out)).is_some()
+}
+
 // Each batch entry point has one body, the `*_with` form, which takes the
 // engine by value: a wide engine runs the `simd` drivers on the named
 // formats, and the scalar engine (or a dynamic format) runs the
@@ -688,7 +707,7 @@ pub fn add_bits_batch_with(
     assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
     out.reserve(a.len());
     let load_one = |i: usize| (a[i], b[i]);
-    if simd::run_bin::<OP_ADD>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
+    if run_bin_pairs::<OP_ADD>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
         return;
     }
     dispatch_binary!(
@@ -729,7 +748,7 @@ pub fn sub_bits_batch_with(
     assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
     out.reserve(a.len());
     let load_one = |i: usize| (a[i], b[i]);
-    if simd::run_bin::<OP_SUB>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
+    if run_bin_pairs::<OP_SUB>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
         return;
     }
     dispatch_binary!(
@@ -770,7 +789,7 @@ pub fn mul_bits_batch_with(
     assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
     out.reserve(a.len());
     let load_one = |i: usize| (a[i], b[i]);
-    if simd::run_bin::<OP_MUL>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
+    if run_bin_pairs::<OP_MUL>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
         return;
     }
     dispatch_binary!(
@@ -853,7 +872,7 @@ pub fn add_pairs_batch_with(
 ) {
     out.reserve(pairs.len());
     let load_one = |i: usize| pairs[i];
-    if simd::run_bin::<OP_ADD>(
+    if run_bin_pairs::<OP_ADD>(
         eng,
         fmt,
         pairs.len(),
@@ -896,7 +915,7 @@ pub fn sub_pairs_batch_with(
 ) {
     out.reserve(pairs.len());
     let load_one = |i: usize| pairs[i];
-    if simd::run_bin::<OP_SUB>(
+    if run_bin_pairs::<OP_SUB>(
         eng,
         fmt,
         pairs.len(),
@@ -939,7 +958,7 @@ pub fn mul_pairs_batch_with(
 ) {
     out.reserve(pairs.len());
     let load_one = |i: usize| pairs[i];
-    if simd::run_bin::<OP_MUL>(
+    if run_bin_pairs::<OP_MUL>(
         eng,
         fmt,
         pairs.len(),
@@ -1024,7 +1043,7 @@ pub fn mul_bcast_batch_with(
         *ys = [b; LANES];
     };
     let load_one = |i: usize| (a[i], b);
-    if simd::run_bin::<OP_MUL>(eng, fmt, a.len(), load_chunk, load_one, mode, out) {
+    if run_bin_pairs::<OP_MUL>(eng, fmt, a.len(), load_chunk, load_one, mode, out) {
         return;
     }
     dispatch_binary!(
@@ -1037,6 +1056,120 @@ pub fn mul_bcast_batch_with(
         ops::mul::mul,
         mul_dyn
     );
+}
+
+/// The scalar lane of the bits entry points: `out[i] = kernel(load(i))`
+/// for every element, returning the OR of the flags.
+#[inline(always)]
+fn bits_loop(
+    out: &[Cell<u64>],
+    load: impl Fn(usize) -> (u64, u64),
+    kernel: impl Fn(u64, u64) -> (u64, Flags),
+) -> Flags {
+    let mut flags = Flags::NONE;
+    for (i, cell) in out.iter().enumerate() {
+        let (x, y) = load(i);
+        let (r, f) = kernel(x, y);
+        cell.set(r);
+        flags |= f;
+    }
+    flags
+}
+
+/// Dispatch [`bits_loop`] on the format once: the named formats run the
+/// monomorphized `$kernel`, everything else `$dynk`.
+macro_rules! dispatch_bits {
+    ($fmt:expr, $mode:expr, $out:expr, $load:expr, $kernel:ident, $dynk:ident) => {{
+        let (fmt, mode) = ($fmt, $mode);
+        match lane_of(fmt) {
+            Lane::Single => bits_loop($out, $load, |x, y| $kernel::<8, 23>(x, y, mode)),
+            Lane::W48 => bits_loop($out, $load, |x, y| $kernel::<11, 36>(x, y, mode)),
+            Lane::Double => bits_loop($out, $load, |x, y| $kernel::<11, 52>(x, y, mode)),
+            Lane::Dyn => bits_loop($out, $load, |x, y| $dynk(fmt, x, y, mode)),
+        }
+    }};
+}
+
+/// `out[i] = a[i] * b` against one broadcast operand, writing result bits
+/// only and returning the OR of every element's flags — the shape of a
+/// matmul step (a column of `A` against one stationary `B` element, or
+/// one row of `B` against one `A` element) that keeps no per-element
+/// flags.
+///
+/// Bit-identical to [`mul_bcast_batch`] element for element; the
+/// returned flags equal the OR of its per-element flags.
+///
+/// # Panics
+/// Panics if `a.len() != out.len()`.
+pub fn mul_bcast_bits(fmt: FpFormat, a: &[u64], b: u64, mode: RoundMode, out: &mut [u64]) -> Flags {
+    mul_bcast_bits_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`mul_bcast_bits`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn mul_bcast_bits_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: u64,
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    assert_eq!(a.len(), out.len(), "{}", LEN_MISMATCH);
+    let out = Cell::from_mut(out).as_slice_of_cells();
+    let load_chunk = |i: usize, xs: &mut [u64; LANES], ys: &mut [u64; LANES]| {
+        xs.copy_from_slice(&a[i..i + LANES]);
+        *ys = [b; LANES];
+    };
+    let load_one = |i: usize| (a[i], b);
+    let sink = &mut BitsSink(out);
+    if let Some(flags) =
+        simd::run_bin::<OP_MUL>(eng, fmt, a.len(), load_chunk, load_one, mode, sink)
+    {
+        return flags;
+    }
+    dispatch_bits!(fmt, mode, out, load_one, mul, mul_dyn)
+}
+
+/// `acc[i] = x[i] + acc[i]` in place (operand order as written),
+/// returning the OR of every element's flags — a matmul accumulation
+/// step over a contiguous `C` column or row.
+///
+/// Bit-identical to [`add_bits_batch`]`(fmt, x, acc, …)` element for
+/// element; the returned flags equal the OR of its per-element flags.
+///
+/// # Panics
+/// Panics if `x.len() != acc.len()`.
+pub fn add_acc_bits(fmt: FpFormat, x: &[u64], acc: &mut [u64], mode: RoundMode) -> Flags {
+    add_acc_bits_with(simd::active_engine(), fmt, x, acc, mode)
+}
+
+/// [`add_acc_bits`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn add_acc_bits_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    x: &[u64],
+    acc: &mut [u64],
+    mode: RoundMode,
+) -> Flags {
+    assert_eq!(x.len(), acc.len(), "{}", LEN_MISMATCH);
+    let acc = Cell::from_mut(acc).as_slice_of_cells();
+    #[allow(clippy::needless_range_loop)]
+    let load_chunk = |i: usize, xs: &mut [u64; LANES], ys: &mut [u64; LANES]| {
+        xs.copy_from_slice(&x[i..i + LANES]);
+        for l in 0..LANES {
+            ys[l] = acc[i + l].get();
+        }
+    };
+    let load_one = |i: usize| (x[i], acc[i].get());
+    let sink = &mut BitsSink(acc);
+    if let Some(flags) =
+        simd::run_bin::<OP_ADD>(eng, fmt, x.len(), load_chunk, load_one, mode, sink)
+    {
+        return flags;
+    }
+    dispatch_bits!(fmt, mode, acc, load_one, add, add_dyn)
 }
 
 #[cfg(test)]

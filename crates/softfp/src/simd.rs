@@ -39,8 +39,12 @@
 //!   engines). The epilogue is vectorized too — packed flag words become
 //!   [`Flags`] byte patterns via an in-register 8-entry LUT and are stored
 //!   interleaved with the results, under compile-time layout checks. The
-//!   wide path exists on x86-64 only; every other target runs the scalar
-//!   lane.
+//!   bits entry points ([`crate::fastpath::mul_bcast_bits`],
+//!   [`crate::fastpath::add_acc_bits`]) take a second sink through the
+//!   same binary driver: result words only, with each chunk's flags
+//!   decoded by a LUT and OR-ed in register into one [`Flags`] for the
+//!   batch. The wide path exists on x86-64 only; every other target runs
+//!   the scalar lane.
 //! * **Engine by value**: [`active_engine`] detects the best engine once
 //!   per process (AVX-512, else AVX2, else [`SimdEngine::Scalar`]). Every
 //!   batch entry point in [`crate::fastpath`] has a `*_with` form that
@@ -57,6 +61,7 @@ use crate::format::FpFormat;
 use crate::ops::add::GRS_BITS;
 use crate::ops::fma::FMA_GRS;
 use crate::round::RoundMode;
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -423,10 +428,11 @@ pub(crate) fn fma_wide_scalar(
 // Wide-path entry
 // ---------------------------------------------------------------------------
 //
-// `run_bin` / `run_fma` run a batch on a wide engine and return `true`, or
-// return `false` (leaving `out` untouched) when the caller's scalar lane
-// should run: the scalar engine, or a format without a named lane. The
-// x86-64 versions live in `wide`; everywhere else there is no wide engine.
+// `run_bin` / `run_fma` run a batch on a wide engine, or return
+// `None`/`false` (leaving the output untouched) when the caller's scalar
+// lane should run: the scalar engine, or a format without a named lane.
+// The x86-64 versions live in `wide`; everywhere else there is no wide
+// engine.
 
 /// Binary-op selectors for `run_bin`.
 pub(crate) const OP_ADD: u8 = 0;
@@ -443,6 +449,24 @@ fn assert_available(eng: SimdEngine) {
     );
 }
 
+/// The sink of the pair entry points: one `(bits, flags)` pair per
+/// element, appended to the caller's buffer.
+pub(crate) struct PairSink<'o>(pub(crate) &'o mut Vec<(u64, Flags)>);
+
+/// The sink of the bits entry points ([`crate::fastpath::mul_bcast_bits`],
+/// [`crate::fastpath::add_acc_bits`]): result bits written in place, one
+/// cell per element — cells, so that `add_acc_bits` can read and write
+/// its accumulator through the same slice — and flags OR-ed into one
+/// [`Flags`] for the whole batch.
+pub(crate) struct BitsSink<'o>(pub(crate) &'o [Cell<u64>]);
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) trait Sink {}
+#[cfg(not(target_arch = "x86_64"))]
+impl Sink for PairSink<'_> {}
+#[cfg(not(target_arch = "x86_64"))]
+impl Sink for BitsSink<'_> {}
+
 #[cfg(not(target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_bin<const OP: u8>(
@@ -452,10 +476,10 @@ pub(crate) fn run_bin<const OP: u8>(
     _load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
     _load_one: impl Fn(usize) -> (u64, u64),
     _mode: RoundMode,
-    _out: &mut Vec<(u64, Flags)>,
-) -> bool {
+    _sink: &mut impl Sink,
+) -> Option<Flags> {
     assert_available(eng);
-    false
+    None
 }
 
 #[cfg(not(target_arch = "x86_64"))]

@@ -34,7 +34,7 @@ use crate::fastpath::{self, lane_of, Lane};
 // the datapath's contents there are never observable.
 
 /// The engine-generic SIMD word: [`LANES`] u64 lanes.
-trait Words: Copy {
+pub(crate) trait Words: Copy {
     /// Lane-mask type (all-ones/all-zeros words, or a compact bitmask).
     type M: Copy;
     unsafe fn splat(x: u64) -> Self;
@@ -1044,29 +1044,101 @@ unsafe fn store_chunk<W: Words>(r: W, f: W, out: &mut Vec<(u64, Flags)>) {
     }
 }
 
+/// Where a binary driver's results go: the one point where the pair
+/// entry points (`*_bits_batch`, `*_pairs_batch`) and the bits entry
+/// points (`mul_bcast_bits`, `add_acc_bits`) differ.
+pub(crate) trait Sink {
+    /// True when the driver ORs every element's flags into the
+    /// [`Flags`] it returns (the bits sink, which stores no per-element
+    /// flags); the pair sink stores them per element instead.
+    const REDUCE: bool;
+    /// Make room for `n` results.
+    fn reserve(&mut self, n: usize);
+    /// Store the full chunk at elements `i..i + LANES`: result words and
+    /// packed flag words.
+    ///
+    /// # Safety
+    /// `W`'s engine must have passed runtime feature detection, and the
+    /// driver must have called [`Sink::reserve`] for every element.
+    unsafe fn chunk<W: Words>(&mut self, i: usize, r: W, f: W);
+    /// Store tail element `j` (computed by the scalar fast lane).
+    fn one(&mut self, j: usize, r: (u64, Flags));
+}
+
+impl Sink for PairSink<'_> {
+    const REDUCE: bool = false;
+    #[inline(always)]
+    fn reserve(&mut self, n: usize) {
+        self.0.reserve(n)
+    }
+    #[inline(always)]
+    unsafe fn chunk<W: Words>(&mut self, _i: usize, r: W, f: W) {
+        store_chunk(r, f, self.0)
+    }
+    #[inline(always)]
+    fn one(&mut self, _j: usize, r: (u64, Flags)) {
+        self.0.push(r)
+    }
+}
+
+impl Sink for BitsSink<'_> {
+    const REDUCE: bool = true;
+    fn reserve(&mut self, _n: usize) {}
+    #[inline(always)]
+    unsafe fn chunk<W: Words>(&mut self, i: usize, r: W, _f: W) {
+        let mut res = [0u64; LANES];
+        r.store(&mut res);
+        for (cell, v) in self.0[i..i + LANES].iter().zip(res) {
+            cell.set(v);
+        }
+    }
+    #[inline(always)]
+    fn one(&mut self, j: usize, r: (u64, Flags)) {
+        self.0[j].set(r.0)
+    }
+}
+
+/// [`Flags::to_bits`] of every packed flag word a lane can produce: the
+/// *decoded* form a bits sink ORs across chunks. The packed codes
+/// themselves cannot be OR-ed — `FL_INVALID` is `FL_OVERFLOW |
+/// FL_UNDERFLOW`.
+const FLAG_BITS: [u64; 8] = {
+    let mut w = [0u64; 8];
+    let mut i = 0;
+    while i < 8 {
+        w[i] = unpack_flags(i as u64).to_bits() as u64;
+        i += 1;
+    }
+    w
+};
+
 /// Binary-op batch driver: every full chunk runs the datapath block; a
 /// chunk with any non-normal lane also runs the special block and blends
 /// it over those lanes. The sub-chunk tail runs the scalar fast lane
-/// (which handles its own specials).
+/// (which handles its own specials). Results go to `sink`; when the sink
+/// reduces flags ([`Sink::REDUCE`]) the decoded flag words are OR-ed in
+/// register and the OR of every element's flags is returned, otherwise
+/// [`Flags::NONE`].
 #[inline(always)]
-fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
+fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
     n: usize,
     load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
     load_one: impl Fn(usize) -> (u64, u64),
     mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
+    sink: &mut S,
+) -> Flags {
     let rtn = mode == RoundMode::NearestEven;
     let full = n - n % LANES;
-    out.reserve(n);
+    sink.reserve(n);
+    // SAFETY: `W`'s engine passed positive runtime feature detection (the
+    // dispatch layer's invariant).
+    let mut seen = unsafe { W::splat(0) };
     let mut i = 0;
     while i < full {
         let mut xs = [0u64; LANES];
         let mut ys = [0u64; LANES];
         load_chunk(i, &mut xs, &mut ys);
-        // SAFETY: `W`'s engine passed positive runtime feature detection
-        // (the dispatch layer's invariant), and `out` has room reserved
-        // for every full chunk.
+        // SAFETY: as above, and the sink has room for every element.
         unsafe {
             let va = W::load(&xs);
             let mut vb = W::load(&ys);
@@ -1088,20 +1160,35 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8>(
                 r = W::sel(normal, r, sr);
                 f = W::sel(normal, f, sf);
             }
-            store_chunk(r, f, out);
+            if S::REDUCE {
+                seen = seen.vor(f.vand(W::splat(7)).lut8(&FLAG_BITS));
+            }
+            sink.chunk(i, r, f);
         }
         i += LANES;
     }
+    let mut flags = Flags::NONE;
+    if S::REDUCE {
+        let mut words = [0u64; LANES];
+        // SAFETY: as above.
+        unsafe { seen.store(&mut words) };
+        flags = Flags::from_bits(words.iter().fold(0, |acc, &w| acc | w) as u8);
+    }
     for j in full..n {
         let (x, y) = load_one(j);
-        out.push(if OP == OP_ADD {
+        let r = if OP == OP_ADD {
             fastpath::add::<E, F>(x, y, mode)
         } else if OP == OP_SUB {
             fastpath::sub::<E, F>(x, y, mode)
         } else {
             fastpath::mul::<E, F>(x, y, mode)
-        });
+        };
+        if S::REDUCE {
+            flags |= r.1;
+        }
+        sink.one(j, r);
     }
+    flags
 }
 
 /// Ternary (fma) batch driver; same structure as [`bin_driver`]. A chunk
@@ -1158,14 +1245,14 @@ mod engine {
     use super::*;
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bin_driver_tf<const E: u32, const F: u32, const OP: u8>(
+    pub(super) unsafe fn bin_driver_tf<const E: u32, const F: u32, const OP: u8, S: Sink>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
         load_one: impl Fn(usize) -> (u64, u64),
         mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-    ) {
-        super::bin_driver::<W2, E, F, OP>(n, load_chunk, load_one, mode, out)
+        sink: &mut S,
+    ) -> Flags {
+        super::bin_driver::<W2, E, F, OP, S>(n, load_chunk, load_one, mode, sink)
     }
 
     #[target_feature(enable = "avx2")]
@@ -1180,14 +1267,14 @@ mod engine {
     }
 
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-    pub(super) unsafe fn bin_driver_512<const E: u32, const F: u32, const OP: u8>(
+    pub(super) unsafe fn bin_driver_512<const E: u32, const F: u32, const OP: u8, S: Sink>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
         load_one: impl Fn(usize) -> (u64, u64),
         mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-    ) {
-        super::bin_driver::<W5, E, F, OP>(n, load_chunk, load_one, mode, out)
+        sink: &mut S,
+    ) -> Flags {
+        super::bin_driver::<W5, E, F, OP, S>(n, load_chunk, load_one, mode, sink)
     }
 
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
@@ -1208,12 +1295,12 @@ mod engine {
 macro_rules! wide_dispatch {
     (bin, $eng:expr, $lane:expr, $op:expr, $($arg:expr),*) => {
         match ($lane, $eng) {
-            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<8, 23, $op>($($arg),*) },
-            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<8, 23, $op>($($arg),*) },
-            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<11, 36, $op>($($arg),*) },
-            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<11, 36, $op>($($arg),*) },
-            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<11, 52, $op>($($arg),*) },
-            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<11, 52, $op>($($arg),*) },
+            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<8, 23, $op, _>($($arg),*) },
+            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<8, 23, $op, _>($($arg),*) },
+            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<11, 36, $op, _>($($arg),*) },
+            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<11, 36, $op, _>($($arg),*) },
+            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::bin_driver_512::<11, 52, $op, _>($($arg),*) },
+            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::bin_driver_tf::<11, 52, $op, _>($($arg),*) },
             _ => unreachable!("wide dispatch requires a wide engine and a named lane"),
         }
     };
@@ -1245,8 +1332,9 @@ fn wide_lane(eng: SimdEngine, fmt: FpFormat) -> Option<Lane> {
     }
 }
 
-/// Run a binary batch on `eng`. Returns `false`, leaving `out`
-/// untouched, when the scalar lane should run instead.
+/// Run a binary batch on `eng` into `sink`, returning the driver's
+/// flags (see [`bin_driver`]); `None`, leaving the sink untouched, when
+/// the scalar lane should run instead.
 #[inline(always)]
 pub(crate) fn run_bin<const OP: u8>(
     eng: SimdEngine,
@@ -1255,13 +1343,12 @@ pub(crate) fn run_bin<const OP: u8>(
     load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
     load_one: impl Fn(usize) -> (u64, u64),
     mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let Some(lane) = wide_lane(eng, fmt) else {
-        return false;
-    };
-    wide_dispatch!(bin, eng, lane, OP, n, load_chunk, load_one, mode, out);
-    true
+    sink: &mut impl Sink,
+) -> Option<Flags> {
+    let lane = wide_lane(eng, fmt)?;
+    Some(wide_dispatch!(
+        bin, eng, lane, OP, n, load_chunk, load_one, mode, sink
+    ))
 }
 
 /// Run an fma batch on `eng`; `false` when the scalar lane should run
