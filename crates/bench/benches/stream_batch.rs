@@ -29,8 +29,7 @@ fn bench_stream_batch(c: &mut Criterion) {
         // The two paths must agree before we time them.
         let (c_cycle, s_cycle) =
             LinearArray::multiply(fmt, mode, LM, LA, &a, &b, UnitBackend::Fast);
-        let (c_batch, s_batch) =
-            LinearArray::multiply_batched(fmt, mode, LM, LA, &a, &b, UnitBackend::Fast);
+        let (c_batch, s_batch) = LinearArray::multiply_batched(fmt, mode, LM, LA, &a, &b);
         assert_eq!(
             c_cycle, c_batch,
             "batched result must be bit-identical (n={n})"
@@ -53,8 +52,7 @@ fn bench_stream_batch(c: &mut Criterion) {
 
         g.bench_function("batched", |bch| {
             bch.iter(|| {
-                let (out, _) =
-                    LinearArray::multiply_batched(fmt, mode, LM, LA, &a, &b, UnitBackend::Fast);
+                let (out, _) = LinearArray::multiply_batched(fmt, mode, LM, LA, &a, &b);
                 black_box(out.get(0, 0))
             })
         });

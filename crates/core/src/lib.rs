@@ -55,8 +55,7 @@
 //! let fmt = FpFormat::SINGLE;
 //! let a = Matrix::from_fn(fmt, 8, 8, |i, j| (i + j) as f64);
 //! let b = Matrix::identity(fmt, 8);
-//! let (c, stats) = LinearArray::multiply_batched(
-//!     fmt, RoundMode::NearestEven, 7, 9, &a, &b, UnitBackend::Fast);
+//! let (c, stats) = LinearArray::multiply_batched(fmt, RoundMode::NearestEven, 7, 9, &a, &b);
 //! assert_eq!(c, a);
 //! assert_eq!(stats.useful_macs, 8 * 8 * 8);
 //! ```

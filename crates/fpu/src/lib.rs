@@ -86,7 +86,7 @@ pub use divider::{DividerDesign, SqrtDesign};
 pub use generator::Generation;
 pub use mac::{FusedMacDesign, FusedMacUnit, MacComparison};
 pub use multiplier::MultiplierDesign;
-pub use parallel::{chunk_ranges, parallel_chunks_mut, parallel_map_slice};
+pub use parallel::{chunk_ranges, parallel_map_slice};
 pub use sim::{DelayLineUnit, FpPipe, PipelinedUnit};
 pub use stream::StreamSession;
 pub use trace::Waveform;

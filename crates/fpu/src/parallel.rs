@@ -1,6 +1,6 @@
 //! Deterministic data-parallel fan-out over scoped threads.
 //!
-//! The batched matmul kernels and the conformance sweeps are
+//! The multi-array matmul and the conformance sweeps are
 //! embarrassingly parallel over independent work items, but this
 //! repository vendors no threadpool crate — and does not need one:
 //! [`std::thread::scope`] borrows the work list directly, and joining
@@ -83,35 +83,6 @@ where
     out
 }
 
-/// Run `f` once per chunk of `items`, in parallel, mutating disjoint
-/// `&mut` chunks — the shape the matmul linear array needs (each PE is
-/// independent state). Chunks are contiguous and processed in spawn
-/// order; `f` receives the chunk's starting index in `items`.
-pub fn parallel_chunks_mut<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let threads = resolve_threads(threads);
-    if threads <= 1 || items.len() <= 1 {
-        f(0, items);
-        return;
-    }
-    let ranges = chunk_ranges(items.len(), threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = items;
-        let mut consumed = 0;
-        for r in ranges {
-            let (chunk, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            let start = consumed;
-            consumed += r.len();
-            scope.spawn(move || f(start, chunk));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,30 +125,5 @@ mod tests {
         // 0 = auto (one per CPU); still ordered.
         let items: Vec<u32> = (0..100).collect();
         assert_eq!(parallel_map_slice(0, &items, |_, &x| x), items);
-    }
-
-    #[test]
-    fn chunks_mut_touches_every_item_once() {
-        let mut items: Vec<u64> = vec![0; 1003];
-        parallel_chunks_mut(5, &mut items, |start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot += (start + i) as u64 + 1;
-            }
-        });
-        for (i, &v) in items.iter().enumerate() {
-            assert_eq!(v, i as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn chunks_mut_single_thread_runs_inline() {
-        let mut items = vec![1u8, 2, 3];
-        parallel_chunks_mut(1, &mut items, |start, chunk| {
-            assert_eq!(start, 0);
-            for v in chunk {
-                *v *= 2;
-            }
-        });
-        assert_eq!(items, vec![2, 4, 6]);
     }
 }

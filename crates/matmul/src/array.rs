@@ -66,6 +66,22 @@ impl LinearArray {
         }
     }
 
+    /// An array for the batched streams
+    /// ([`LinearArray::stream_a_tile_batched`],
+    /// [`LinearArray::stream_a_batched`]). A batched step never clocks
+    /// its PEs' pipes, so which pipes they hold selects nothing: they are
+    /// always the fast delay lines.
+    pub fn batched(
+        fmt: FpFormat,
+        mode: RoundMode,
+        mult_stages: u32,
+        add_stages: u32,
+        p: usize,
+        n: usize,
+    ) -> LinearArray {
+        LinearArray::new(fmt, mode, mult_stages, add_stages, p, n, UnitBackend::Fast)
+    }
+
     /// Number of PEs.
     pub fn p(&self) -> usize {
         self.pes.len()
@@ -76,20 +92,11 @@ impl LinearArray {
         self.mult_stages + self.add_stages
     }
 
-    /// Load `B` (n×p) into `bank`: PE `j` receives column `j`. Loading
-    /// the inactive bank is safe while tokens reading the other bank are
-    /// still in flight (double buffering, as in \[5\]).
-    pub fn load_b(&mut self, bank: bool, b: &Matrix) {
-        assert_eq!(b.cols(), self.pes.len(), "B columns must match PE count");
-        let n = b.rows();
-        for (j, pe) in self.pes.iter_mut().enumerate() {
-            let col: Vec<u64> = (0..n).map(|k| b.get(k, j)).collect();
-            pe.load_b_column(bank, &col);
-        }
-    }
-
-    /// Load the first `cols` columns of a zero-padded `b×b` tile of `B`
-    /// into `bank` — ragged edge tiles instantiate only their real
+    /// Load the first `cols` columns of `b` into `bank`: PE `j` receives
+    /// column `j`. Loading the inactive bank is safe while tokens
+    /// reading the other bank are still in flight (double buffering, as
+    /// in \[5\]). A whole `n×p` `B` loads with `cols = p`; a ragged edge
+    /// tile of a zero-padded `b×b` block instantiates only its real
     /// columns as PEs (`p = cols`), so the zero-padded columns beyond
     /// `cols` never exist in hardware and can never pollute the
     /// exception flags.
@@ -252,49 +259,15 @@ impl LinearArray {
     }
 
     /// [`LinearArray::stream_a`] through the PEs' batched fast path
-    /// ([`crate::pe::ProcessingElement::mac_step_batch`]): the delay
-    /// lines and token shift registers are bypassed, but the `C` matrix,
-    /// exception flags and activity statistics come out bit-identical to
-    /// per-cycle clocking, and the cycle count charged is exactly what
-    /// the per-cycle run (issue + drain) would consume.
+    /// ([`crate::pe::ProcessingElement::mac_step_batch`]): the square
+    /// stream is the one-tile case of
+    /// [`LinearArray::stream_a_tile_batched`] (every row and step real)
+    /// followed by [`LinearArray::drain_batched`], so the `C` matrix,
+    /// exception flags, activity statistics and cycle charge come out
+    /// bit-identical to per-cycle clocking (issue + drain).
     pub fn stream_a_batched(&mut self, a: &Matrix) -> u64 {
-        self.stream_a_batched_parallel(a, 1)
-    }
-
-    /// [`LinearArray::stream_a_batched`] fanned out over up to
-    /// `threads` scoped workers ([`fpfpga_fpu::parallel_chunks_mut`]):
-    /// every PE owns disjoint state (its `B` banks, `C` column, pipes,
-    /// flags and counters), so each worker runs the complete k-loop for
-    /// its contiguous PE chunk and the result — values, flags, stats,
-    /// cycle accounting — is bit-identical for every thread count,
-    /// including `1` (inline) and `0` (one worker per CPU).
-    pub fn stream_a_batched_parallel(&mut self, a: &Matrix, threads: usize) -> u64 {
         let n = a.rows();
-        assert_eq!(a.cols(), n, "A must be square for this schedule");
-        assert!(
-            self.pes.iter().all(|pe| pe.n() == n),
-            "PE column height mismatch"
-        );
-        let sched = Schedule::new(n as u32, self.pl());
-        let pads_per_step = sched.padded_period() as u64 - n as u64;
-        // Hoist the column extraction once; all workers share the
-        // read-only columns.
-        let a_cols: Vec<Vec<u64>> = (0..n)
-            .map(|k| (0..n).map(|i| a.get(i, k)).collect())
-            .collect();
-        fpfpga_fpu::parallel_chunks_mut(threads, &mut self.pes, |_, chunk| {
-            for pe in chunk {
-                for (k, a_col) in a_cols.iter().enumerate() {
-                    pe.mac_step_batch(false, k, a_col, pads_per_step);
-                }
-            }
-        });
-        let total = sched.issue_cycles() + self.pes.len() as u64 + self.pl() as u64 + 1;
-        self.cycles += total;
-        for pe in &mut self.pes {
-            pe.account_batched_cycles(total, sched.issue_cycles());
-        }
-        total
+        self.stream_a_tile_batched(a, n, n, false) + self.drain_batched()
     }
 
     /// Drain the array: the last token must traverse all PEs and both
@@ -334,7 +307,7 @@ impl LinearArray {
         assert_eq!(b.rows(), n);
         assert_eq!(b.cols(), n);
         let mut arr = LinearArray::new(fmt, mode, mult_stages, add_stages, n, n, backend);
-        arr.load_b(false, b);
+        arr.load_b_tile(false, b, n);
         arr.stream_a(a);
         let c = arr.read_c();
         (c, arr.stats())
@@ -350,40 +323,14 @@ impl LinearArray {
         add_stages: u32,
         a: &Matrix,
         b: &Matrix,
-        backend: UnitBackend,
     ) -> (Matrix, ArrayStats) {
         let n = a.rows();
         assert_eq!(a.cols(), n);
         assert_eq!(b.rows(), n);
         assert_eq!(b.cols(), n);
-        let mut arr = LinearArray::new(fmt, mode, mult_stages, add_stages, n, n, backend);
-        arr.load_b(false, b);
+        let mut arr = LinearArray::batched(fmt, mode, mult_stages, add_stages, n, n);
+        arr.load_b_tile(false, b, n);
         arr.stream_a_batched(a);
-        let c = arr.read_c();
-        (c, arr.stats())
-    }
-
-    /// [`LinearArray::multiply_batched`] with the k-loop fanned out
-    /// over `threads` workers — same result, flags and statistics at
-    /// every thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn multiply_batched_parallel(
-        fmt: FpFormat,
-        mode: RoundMode,
-        mult_stages: u32,
-        add_stages: u32,
-        a: &Matrix,
-        b: &Matrix,
-        backend: UnitBackend,
-        threads: usize,
-    ) -> (Matrix, ArrayStats) {
-        let n = a.rows();
-        assert_eq!(a.cols(), n);
-        assert_eq!(b.rows(), n);
-        assert_eq!(b.cols(), n);
-        let mut arr = LinearArray::new(fmt, mode, mult_stages, add_stages, n, n, backend);
-        arr.load_b(false, b);
-        arr.stream_a_batched_parallel(a, threads);
         let c = arr.read_c();
         (c, arr.stats())
     }
@@ -480,7 +427,7 @@ mod tests {
         let a = sample(n, 7.0);
         let b = sample(n, 8.0);
         let mut arr = LinearArray::new(F, RM, 4, 5, n, n, UnitBackend::Fast);
-        arr.load_b(false, &b);
+        arr.load_b_tile(false, &b, n);
         let cycles = arr.stream_a(&a);
         let sched = Schedule::new(n as u32, 9);
         // issue + (p PEs + PL + 1) drain
@@ -496,7 +443,7 @@ mod tests {
         let a2 = sample(n, 10.0);
         let b = sample(n, 11.0);
         let mut arr = LinearArray::new(F, RM, 3, 4, n, n, UnitBackend::Fast);
-        arr.load_b(false, &b);
+        arr.load_b_tile(false, &b, n);
         arr.stream_a(&a1);
         arr.stream_a(&a2);
         let c = arr.read_c();
@@ -524,45 +471,11 @@ mod tests {
                 let a = sample(n, n as f64);
                 let b = sample(n, n as f64 + 0.5);
                 let (c_seq, s_seq) = LinearArray::multiply(F, RM, lm, la, &a, &b, backend);
-                let (c_bat, s_bat) = LinearArray::multiply_batched(F, RM, lm, la, &a, &b, backend);
+                let (c_bat, s_bat) = LinearArray::multiply_batched(F, RM, lm, la, &a, &b);
                 assert_eq!(c_seq, c_bat, "values n={n} lm={lm} la={la} {backend:?}");
                 assert_eq!(s_seq, s_bat, "stats n={n} lm={lm} la={la} {backend:?}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_batched_is_thread_count_invariant() {
-        for n in [3usize, 8, 12] {
-            let a = sample(n, n as f64 + 0.25);
-            let b = sample(n, n as f64 + 0.75);
-            let (c_seq, s_seq) =
-                LinearArray::multiply_batched(F, RM, 4, 5, &a, &b, UnitBackend::Fast);
-            for threads in [0usize, 1, 2, 3, 7] {
-                let (c_par, s_par) = LinearArray::multiply_batched_parallel(
-                    F,
-                    RM,
-                    4,
-                    5,
-                    &a,
-                    &b,
-                    UnitBackend::Fast,
-                    threads,
-                );
-                assert_eq!(c_seq, c_par, "values n={n} threads={threads}");
-                assert_eq!(s_seq, s_par, "stats n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_batched_flags_match() {
-        let a = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
-        let b = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
-        let mut arr = LinearArray::new(F, RM, 3, 4, 2, 2, UnitBackend::Fast);
-        arr.load_b(false, &b);
-        arr.stream_a_batched_parallel(&a, 2);
-        assert!(arr.flags().overflow);
     }
 
     #[test]
@@ -571,7 +484,7 @@ mod tests {
         let b = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
         let run = |batched: bool| {
             let mut arr = LinearArray::new(F, RM, 3, 4, 2, 2, UnitBackend::Fast);
-            arr.load_b(false, &b);
+            arr.load_b_tile(false, &b, 2);
             if batched {
                 arr.stream_a_batched(&a);
             } else {
@@ -589,7 +502,7 @@ mod tests {
         let a = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
         let b = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
         let mut arr = LinearArray::new(F, RM, 3, 4, 2, 2, UnitBackend::Fast);
-        arr.load_b(false, &b);
+        arr.load_b_tile(false, &b, 2);
         arr.stream_a(&a);
         assert!(arr.flags().overflow);
     }

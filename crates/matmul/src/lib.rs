@@ -74,7 +74,7 @@ pub use fft::{ButterflyUnit, Cplx, FftEngine};
 pub use fir::FirFilter;
 pub use lu::LuEngine;
 pub use matrix::Matrix;
-pub use mixed::{mixed_dot, mixed_matmul, mixed_matmul_parallel, mixed_mvm, ErrorBudget, MixedDot};
+pub use mixed::{mixed_dot, mixed_matmul, mixed_mvm, ErrorBudget, MixedDot};
 pub use multi::{FnTiles, MatrixTiles, MultiMatMul, MultiStats, TileSource};
 pub use mvm::MvmEngine;
 pub use perf::{DeviceFill, PeResources};

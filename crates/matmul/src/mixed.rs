@@ -27,9 +27,8 @@
 //! For a **uniform** policy every conversion is the identity and
 //! [`mixed_dot`] reproduces [`interleaved_reference`](crate::dot::interleaved_reference) — and therefore the
 //! cycle-accurate [`DotProductUnit`](crate::dot::DotProductUnit) — bit
-//! for bit. [`mixed_matmul`] is the one-worker case of
-//! [`mixed_matmul_parallel`]; both, and [`mixed_mvm`], are pinned against
-//! a per-element oracle on the generic ops (`tests/mixed_oracle.rs`),
+//! for bit. [`mixed_matmul`] and [`mixed_mvm`] are pinned against a
+//! per-element oracle on the generic ops (`tests/mixed_oracle.rs`),
 //! values and flags.
 
 use crate::matrix::Matrix;
@@ -174,58 +173,12 @@ pub fn mixed_dot(
 /// `a` and `b` must be in `policy.storage`; the result is too. Each
 /// element is an independent mixed accumulation (product in `compute`,
 /// widened into a single running sum in `accumulate`, rounded once to
-/// `storage`), so the result is trivially independent of any row
-/// partitioning — [`mixed_matmul_parallel`] is bit-identical for every
-/// worker count.
+/// `storage`), run on the wide lanes as the module doc describes.
 pub fn mixed_matmul(
     policy: PrecisionPolicy,
     mode: RoundMode,
     a: &Matrix,
     b: &Matrix,
-) -> (Matrix, Flags) {
-    mixed_matmul_parallel(policy, mode, a, b, 1)
-}
-
-/// One row of the mixed matmul against `B` already in the compute format
-/// (`bc`, row-major, `p` columns): the unit of parallel distribution.
-/// For each `k` in ascending order, one wide multiply of row `k` of `B`
-/// by `a[i][k]` and one wide add into the row's accumulators.
-fn mixed_matmul_row(
-    policy: PrecisionPolicy,
-    mode: RoundMode,
-    a: &Matrix,
-    bc: &[u64],
-    p: usize,
-    i: usize,
-) -> (Vec<u64>, Flags) {
-    let mut flags = Flags::NONE;
-    let mut acc = vec![policy.accumulate.zero(); p];
-    let mut prod = vec![0u64; p];
-    for k in 0..a.cols() {
-        let (ax, af) = convert(policy.storage, a.get(i, k), policy.compute, mode);
-        flags |= af;
-        let b_row = &bc[k * p..(k + 1) * p];
-        flags |= mul_bcast_bits(policy.compute, b_row, ax, mode, &mut prod);
-        flags |= to_accumulate(policy, mode, &mut prod);
-        flags |= add_acc_bits(policy.accumulate, &prod, &mut acc, mode);
-    }
-    for v in &mut acc {
-        let (bits, nf) = convert(policy.accumulate, *v, policy.storage, mode);
-        flags |= nf;
-        *v = bits;
-    }
-    (acc, flags)
-}
-
-/// [`mixed_matmul`] with rows fanned out over `threads` scoped workers
-/// (0 = one per CPU). Bit-identical to the serial kernel for every
-/// thread count: rows are independent and reassembled in row order.
-pub fn mixed_matmul_parallel(
-    policy: PrecisionPolicy,
-    mode: RoundMode,
-    a: &Matrix,
-    b: &Matrix,
-    threads: usize,
 ) -> (Matrix, Flags) {
     check_storage(policy, &[a, b]);
     let (n, m, p) = (a.rows(), a.cols(), b.cols());
@@ -234,14 +187,23 @@ pub fn mixed_matmul_parallel(
     // row of `C` that reads it.
     let (bc, bf) = convert_slice(policy.storage, b.data(), policy.compute, mode);
     let mut flags = if n > 0 { bf } else { Flags::NONE };
-    let rows: Vec<usize> = (0..n).collect();
-    let results = fpfpga_fpu::parallel::parallel_map_slice(threads, &rows, |_, &i| {
-        mixed_matmul_row(policy, mode, a, &bc, p, i)
-    });
-    let mut data = Vec::with_capacity(n * p);
-    for (row, rf) in results {
-        flags |= rf;
-        data.extend(row);
+    let mut data = vec![policy.accumulate.zero(); n * p];
+    let mut prod = vec![0u64; p];
+    for i in 0..n {
+        let acc = &mut data[i * p..(i + 1) * p];
+        for k in 0..m {
+            let (ax, af) = convert(policy.storage, a.get(i, k), policy.compute, mode);
+            flags |= af;
+            let b_row = &bc[k * p..(k + 1) * p];
+            flags |= mul_bcast_bits(policy.compute, b_row, ax, mode, &mut prod);
+            flags |= to_accumulate(policy, mode, &mut prod);
+            flags |= add_acc_bits(policy.accumulate, &prod, acc, mode);
+        }
+        for v in acc.iter_mut() {
+            let (bits, nf) = convert(policy.accumulate, *v, policy.storage, mode);
+            flags |= nf;
+            *v = bits;
+        }
     }
     (Matrix::from_bits(policy.storage, n, p, data), flags)
 }
@@ -402,23 +364,6 @@ mod tests {
         let e_uni = (SoftFloat::from_bits(fmt, uni.bits).to_f64() - exact).abs();
         let e_mix = (SoftFloat::from_bits(fmt, mix.bits).to_f64() - exact).abs();
         assert!(e_mix <= e_uni, "mixed {e_mix} vs uniform {e_uni}");
-    }
-
-    #[test]
-    fn mixed_matmul_parallel_is_bit_identical_for_any_worker_count() {
-        let policy = PrecisionPolicy::new(FpFormat::SINGLE, FpFormat::DOUBLE, FpFormat::FP48);
-        let a = Matrix::from_fn(policy.storage, 13, 9, |i, j| {
-            ((i * 9 + j) as f64 * 0.21).sin()
-        });
-        let b = Matrix::from_fn(policy.storage, 9, 11, |i, j| {
-            ((i * 2 + j) as f64 * 0.17).cos()
-        });
-        let (want, want_flags) = mixed_matmul(policy, RM, &a, &b);
-        for threads in [1usize, 2, 3, 8] {
-            let (got, got_flags) = mixed_matmul_parallel(policy, RM, &a, &b, threads);
-            assert_eq!(got, want, "threads={threads}");
-            assert_eq!(got_flags, want_flags, "threads={threads}");
-        }
     }
 
     #[test]

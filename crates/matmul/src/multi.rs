@@ -30,7 +30,6 @@
 use crate::array::{ArrayStats, LinearArray};
 use crate::block::{BlockMatMul, PlanError};
 use crate::matrix::Matrix;
-use crate::pe::UnitBackend;
 use fpfpga_softfp::{Flags, FpFormat, RoundMode};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -171,7 +170,6 @@ impl MultiMatMul {
 
     /// Run against in-memory operands. Equivalent to
     /// [`MultiMatMul::run_streamed`] over [`MatrixTiles`].
-    #[allow(clippy::too_many_arguments)] // mirrors LinearArray::multiply's parameter list
     pub fn run(
         &self,
         mode: RoundMode,
@@ -179,7 +177,6 @@ impl MultiMatMul {
         add_stages: u32,
         a: &Matrix,
         b: &Matrix,
-        backend: UnitBackend,
         threads: usize,
     ) -> Result<(Matrix, MultiStats), PlanError> {
         self.plan.check_operands(a, b)?;
@@ -189,7 +186,6 @@ impl MultiMatMul {
             add_stages,
             &MatrixTiles(a),
             &MatrixTiles(b),
-            backend,
             threads,
         )
     }
@@ -202,7 +198,6 @@ impl MultiMatMul {
     /// Values, flags and per-array statistics are bit-identical for
     /// every thread count (including 0 = one worker per CPU) and equal
     /// to the serial [`BlockMatMul::run`] reference.
-    #[allow(clippy::too_many_arguments)] // mirrors LinearArray::multiply's parameter list
     pub fn run_streamed<A: TileSource + ?Sized, B: TileSource + ?Sized>(
         &self,
         mode: RoundMode,
@@ -210,7 +205,6 @@ impl MultiMatMul {
         add_stages: u32,
         a: &A,
         b: &B,
-        backend: UnitBackend,
         threads: usize,
     ) -> Result<(Matrix, MultiStats), PlanError> {
         assert_eq!(
@@ -245,8 +239,7 @@ impl MultiMatMul {
             for &(ti, tj) in tiles {
                 let rows = plan.tile_rows(ti);
                 let cols = plan.tile_cols(tj);
-                let mut arr =
-                    LinearArray::new(fmt, mode, mult_stages, add_stages, cols, bs, backend);
+                let mut arr = LinearArray::batched(fmt, mode, mult_stages, add_stages, cols, bs);
                 for bk in 0..tk {
                     let steps = plan.tile_steps(bk);
                     a.read_tile(ti, bk, bs, &mut a_buf);
@@ -359,19 +352,26 @@ mod tests {
         assert_eq!(seen, all);
     }
 
+    /// Every array and thread count reproduces the one-array serial run
+    /// of the blocked plan, which matches the softfp reference and the
+    /// plan's cycle and MAC model. (`tests/multi_equivalence.rs` pins the
+    /// same run against the per-cycle [`BlockMatMul::run`].)
     #[test]
     fn multi_equals_serial_block_run() {
         let (m, k, n, bs) = (11u32, 6u32, 9u32, 4u32);
         let a = sample(m as usize, k as usize, 0.3);
         let b = sample(k as usize, n as usize, 1.1);
-        let plan = BlockMatMul::new(m, k, n, bs, 7).unwrap();
-        let (c_ref, s_ref, f_ref) = plan.run(F, RM, 3, 4, &a, &b, UnitBackend::Fast).unwrap();
+        let serial = MultiMatMul::new(m, k, n, bs, 7, 1).unwrap();
+        let (c_ref, serial_stats) = serial.run(RM, 3, 4, &a, &b, 1).unwrap();
+        let (s_ref, f_ref) = (serial_stats.total, serial_stats.flags);
+        assert_eq!((c_ref.clone(), f_ref), reference_matmul_flags(&a, &b, RM));
+        assert_eq!(s_ref.cycles, serial.plan.total_cycles());
+        assert_eq!(s_ref.useful_macs, serial.plan.useful_macs());
+        assert_eq!(s_ref.pad_macs, serial.plan.pad_macs());
         for arrays in [1u32, 2, 3, 8] {
             for threads in [1usize, 2, 4] {
                 let mm = MultiMatMul::new(m, k, n, bs, 7, arrays).unwrap();
-                let (c, stats) = mm
-                    .run(RM, 3, 4, &a, &b, UnitBackend::Fast, threads)
-                    .unwrap();
+                let (c, stats) = mm.run(RM, 3, 4, &a, &b, threads).unwrap();
                 assert_eq!(c, c_ref, "arrays={arrays} threads={threads}");
                 assert_eq!(stats.flags, f_ref, "arrays={arrays} threads={threads}");
                 assert_eq!(stats.total, s_ref, "arrays={arrays} threads={threads}");
@@ -401,7 +401,7 @@ mod tests {
         );
         let (want, want_flags) = reference_matmul_flags(&m, &m, RM);
         let mm = MultiMatMul::new(3, 3, 3, 2, 7, 4).unwrap();
-        let (c, stats) = mm.run(RM, 3, 4, &m, &m, UnitBackend::Fast, 2).unwrap();
+        let (c, stats) = mm.run(RM, 3, 4, &m, &m, 2).unwrap();
         assert_eq!(c, want);
         assert_eq!(stats.flags, want_flags);
         assert!(want_flags.invalid || want_flags.overflow);
@@ -412,7 +412,7 @@ mod tests {
         let a = sample(3, 3, 0.1);
         let b = sample(3, 3, 0.2);
         let mm = MultiMatMul::new(3, 3, 3, 3, 7, 8).unwrap();
-        let (c, stats) = mm.run(RM, 3, 4, &a, &b, UnitBackend::Fast, 2).unwrap();
+        let (c, stats) = mm.run(RM, 3, 4, &a, &b, 2).unwrap();
         let (want, _) = reference_matmul_flags(&a, &b, RM);
         assert_eq!(c, want);
         // 1 output tile → 7 arrays idle with zero stats.
@@ -450,9 +450,7 @@ mod tests {
             gen: gen_b,
         };
         let mm = MultiMatMul::new(m as u32, k as u32, n as u32, bs, 9, arrays).unwrap();
-        let (c, stats) = mm
-            .run_streamed(RM, 4, 5, &a_src, &b_src, UnitBackend::Fast, 4)
-            .unwrap();
+        let (c, stats) = mm.run_streamed(RM, 4, 5, &a_src, &b_src, 4).unwrap();
         assert!(stats.peak_resident_tiles <= 2 * arrays as usize);
         assert_eq!(stats.tile_fetches, 2 * mm.plan.block_products());
         // Same result as materializing the operands first.
@@ -466,9 +464,7 @@ mod tests {
         };
         let a_full = bits(&gen_a, m, k);
         let b_full = bits(&gen_b, k, n);
-        let (want, _) = mm
-            .run(RM, 4, 5, &a_full, &b_full, UnitBackend::Fast, 1)
-            .unwrap();
+        let (want, _) = mm.run(RM, 4, 5, &a_full, &b_full, 1).unwrap();
         assert_eq!(c, want);
     }
 
@@ -477,7 +473,7 @@ mod tests {
         let mm = MultiMatMul::new(4, 4, 4, 2, 7, 2).unwrap();
         let a = sample(4, 5, 0.0);
         let b = sample(4, 4, 0.0);
-        match mm.run(RM, 3, 4, &a, &b, UnitBackend::Fast, 1) {
+        match mm.run(RM, 3, 4, &a, &b, 1) {
             Err(PlanError::Shape(_)) => {}
             other => panic!("expected shape error, got {other:?}"),
         }

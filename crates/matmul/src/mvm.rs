@@ -211,56 +211,6 @@ impl MvmEngine {
         (y, cycles)
     }
 
-    /// [`MvmEngine::multiply_batched`] with output rows fanned out over
-    /// up to `threads` scoped workers: every row's computation is
-    /// self-contained (its own product batch, accumulator bank and
-    /// fold), so the result vector and cycle charge are bit-identical
-    /// for every thread count. Each worker owns one pair of pipes plus
-    /// one set of round buffers for its whole contiguous row chunk.
-    pub fn multiply_batched_parallel(
-        &self,
-        a: &Matrix,
-        x: &[u64],
-        threads: usize,
-    ) -> (Vec<u64>, u64) {
-        let n = a.rows();
-        assert_eq!(a.cols(), x.len(), "dimension mismatch");
-        let la = self.la as usize;
-        let mut y = vec![0u64; n];
-        fpfpga_fpu::parallel_chunks_mut(threads, &mut y, |start, chunk| {
-            let mut mult = DelayLineUnit::new(self.fmt, self.mode, DelayOp::Mul, self.lm);
-            let mut add = DelayLineUnit::new(self.fmt, self.mode, DelayOp::Add, self.la);
-            let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(a.cols());
-            let mut products: Vec<(u64, Flags)> = Vec::with_capacity(a.cols());
-            let mut inputs: Vec<(u64, u64)> = Vec::with_capacity(la);
-            let mut sums: Vec<(u64, Flags)> = Vec::with_capacity(la);
-            let mut bank = vec![0u64; la];
-            for (off, yi) in chunk.iter_mut().enumerate() {
-                let i = start + off;
-                pairs.clear();
-                pairs.extend((0..a.cols()).map(|k| (x[k], a.get(i, k))));
-                products.clear();
-                mult.run_batch_into(&pairs, &mut products);
-                bank.fill(0);
-                for round in products.chunks(la) {
-                    inputs.clear();
-                    inputs.extend(round.iter().enumerate().map(|(s, &(p, _))| (p, bank[s])));
-                    sums.clear();
-                    add.run_batch_into(&inputs, &mut sums);
-                    for (s, &(v, _)) in sums.iter().enumerate() {
-                        bank[s] = v;
-                    }
-                }
-                *yi = fold_bank(self.fmt, self.mode, &bank);
-            }
-        });
-        let rows_per_pe = n.div_ceil(self.p) as u64;
-        let cycles = a.cols() as u64 * rows_per_pe
-            + (self.lm + self.la + 2) as u64
-            + (self.la as u64) * (self.la as f64).log2().ceil() as u64;
-        (y, cycles)
-    }
-
     /// The reference with the engine's exact accumulation order.
     pub fn reference(&self, a: &Matrix, x: &[u64]) -> Vec<u64> {
         let n = a.rows();
@@ -332,20 +282,6 @@ mod tests {
             let (y_bat, c_bat) = eng.multiply_batched(&a, &x);
             assert_eq!(y_bat, y_seq, "values n={n} m={m} p={p}");
             assert_eq!(c_bat, c_seq, "cycles n={n} m={m} p={p}");
-        }
-    }
-
-    #[test]
-    fn parallel_batched_is_thread_count_invariant() {
-        for (n, m, p) in [(6usize, 6usize, 2usize), (9, 9, 3), (6, 10, 3)] {
-            let (a, x) = sample(n, m);
-            let eng = MvmEngine::new(F, RM, 4, 5, p);
-            let (y_seq, c_seq) = eng.multiply_batched(&a, &x);
-            for threads in [0usize, 1, 2, 5] {
-                let (y_par, c_par) = eng.multiply_batched_parallel(&a, &x, threads);
-                assert_eq!(y_par, y_seq, "values n={n} m={m} threads={threads}");
-                assert_eq!(c_par, c_seq, "cycles n={n} m={m} threads={threads}");
-            }
         }
     }
 

@@ -225,9 +225,9 @@ impl ProcessingElement {
     /// [`mul_bcast_bits`] (the `A` column against the stationary `B`
     /// element) and one [`add_acc_bits`] (`c[i] ← p[i] + c[i]`, the
     /// adder's operand order) — instead of `PL`·rows clocks. Both pipes
-    /// compute exactly these softfp operations (the fast backend's delay
-    /// lines directly, the structural one by the crate invariant its
-    /// batch path relies on), so the pipes themselves are bypassed.
+    /// compute exactly these softfp operations, so the pipes themselves
+    /// are bypassed (which is why batched arrays always hold the fast
+    /// delay lines: see [`crate::array::LinearArray::batched`]).
     ///
     /// Valid exactly when the surrounding schedule is hazard-free — any
     /// two updates of the same `C` entry at least one padded period

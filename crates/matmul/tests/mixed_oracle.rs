@@ -1,13 +1,12 @@
 //! Bit-equivalence of the mixed-precision kernels against a per-element
-//! oracle built only from the generic softfp operations: `mixed_matmul`,
-//! `mixed_matmul_parallel` (1, 2 and 4 threads) and `mixed_mvm`, values
-//! *and* flags, over covering and non-covering policies, both rounding
-//! modes, operands with ±0, ±∞, flushed subnormal encodings and
-//! overflowing/underflowing magnitudes, and shapes down to 0 rows, a zero
-//! inner dimension and single columns.
+//! oracle built only from the generic softfp operations: `mixed_matmul`
+//! and `mixed_mvm`, values *and* flags, over covering and non-covering
+//! policies, both rounding modes, operands with ±0, ±∞, flushed
+//! subnormal encodings and overflowing/underflowing magnitudes, and
+//! shapes down to 0 rows, a zero inner dimension and single columns.
 
 use fpfpga_matmul::matrix::Matrix;
-use fpfpga_matmul::{mixed_matmul, mixed_matmul_parallel, mixed_mvm};
+use fpfpga_matmul::{mixed_matmul, mixed_mvm};
 use fpfpga_softfp::convert::convert;
 use fpfpga_softfp::{add_bits, Flags, FpFormat, PrecisionPolicy, RoundMode, SoftFloat};
 use proptest::prelude::*;
@@ -151,8 +150,7 @@ fn any_mode() -> impl Strategy<Value = RoundMode> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `mixed_matmul` and `mixed_matmul_parallel` at 1/2/4 threads equal
-    /// the triple-loop oracle, values and flags.
+    /// `mixed_matmul` equals the triple-loop oracle, values and flags.
     #[test]
     fn mixed_matmul_matches_oracle(
         n in 0usize..7,
@@ -167,14 +165,7 @@ proptest! {
         let a = matrix(policy.storage, n, m, seed, special_pct);
         let b = matrix(policy.storage, m, p, seed ^ 0x5eed, special_pct);
         let want = oracle_matmul(policy, mode, &a, &b);
-        prop_assert_eq!(mixed_matmul(policy, mode, &a, &b), want.clone(), "serial {:?}", policy);
-        for threads in [1usize, 2, 4] {
-            prop_assert_eq!(
-                mixed_matmul_parallel(policy, mode, &a, &b, threads),
-                want.clone(),
-                "threads={} {:?}", threads, policy
-            );
-        }
+        prop_assert_eq!(mixed_matmul(policy, mode, &a, &b), want, "serial {:?}", policy);
     }
 
     /// `mixed_mvm` equals one banked oracle dot per row, values and flags.
@@ -223,7 +214,7 @@ fn edge_shapes_match_oracle() {
                 let a = matrix(policy.storage, n, m, 11, special_pct);
                 let b = matrix(policy.storage, m, p, 23, special_pct);
                 let want = oracle_matmul(policy, RoundMode::NearestEven, &a, &b);
-                let got = mixed_matmul_parallel(policy, RoundMode::NearestEven, &a, &b, 2);
+                let got = mixed_matmul(policy, RoundMode::NearestEven, &a, &b);
                 assert_eq!(got, want, "{policy:?} {n}x{m}x{p} {special_pct}%");
             }
         }

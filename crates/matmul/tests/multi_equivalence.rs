@@ -72,7 +72,7 @@ proptest! {
         let a = seeded_matrix(fmt, m as usize, k as usize, seed);
         let bm = seeded_matrix(fmt, k as usize, n as usize, seed ^ 0xABCD);
         let mm = MultiMatMul::new(m, k, n, b, lm + la, arrays).unwrap();
-        let (c, stats) = mm.run(RM, lm, la, &a, &bm, UnitBackend::Fast, threads).unwrap();
+        let (c, stats) = mm.run(RM, lm, la, &a, &bm, threads).unwrap();
         let (want, want_flags) = reference_matmul_flags(&a, &bm, RM);
         prop_assert_eq!(c, want, "m={} k={} n={} b={} arrays={} threads={}", m, k, n, b, arrays, threads);
         prop_assert_eq!(stats.flags, want_flags, "flags m={} k={} n={} b={}", m, k, n, b);
@@ -100,7 +100,7 @@ proptest! {
         let plan = BlockMatMul::new(m, k, n, b, lm + la).unwrap();
         let (c_ref, s_ref, f_ref) = plan.run(fmt, RM, lm, la, &a, &bm, UnitBackend::Fast).unwrap();
         let mm = MultiMatMul { plan, arrays };
-        let (c, stats) = mm.run(RM, lm, la, &a, &bm, UnitBackend::Fast, 2).unwrap();
+        let (c, stats) = mm.run(RM, lm, la, &a, &bm, 2).unwrap();
         prop_assert_eq!(c, c_ref);
         prop_assert_eq!(stats.flags, f_ref);
         prop_assert_eq!(stats.total, s_ref, "summed stats m={} k={} n={} b={} arrays={}", m, k, n, b, arrays);
@@ -122,9 +122,9 @@ proptest! {
         let a = seeded_matrix(fmt, m as usize, k as usize, seed);
         let bm = seeded_matrix(fmt, k as usize, n as usize, seed ^ 0xF00D);
         let mm = MultiMatMul::new(m, k, n, b, 9, arrays).unwrap();
-        let (c1, s1) = mm.run(RM, 4, 5, &a, &bm, UnitBackend::Fast, 1).unwrap();
+        let (c1, s1) = mm.run(RM, 4, 5, &a, &bm, 1).unwrap();
         for threads in [2usize, 3, 4] {
-            let (c, s) = mm.run(RM, 4, 5, &a, &bm, UnitBackend::Fast, threads).unwrap();
+            let (c, s) = mm.run(RM, 4, 5, &a, &bm, threads).unwrap();
             prop_assert_eq!(&c, &c1, "values at threads={}", threads);
             prop_assert_eq!(&s.per_array, &s1.per_array, "per-array stats at threads={}", threads);
             prop_assert_eq!(s.flags, s1.flags);
@@ -190,9 +190,7 @@ fn edge_shapes_match_reference_at_ci_threads() {
             let bm = seeded_matrix(fmt, k as usize, n as usize, (n * 17 + b) as u64);
             for arrays in [1u32, 3, 8] {
                 let mm = MultiMatMul::new(m, k, n, b, 9, arrays).unwrap();
-                let (c, stats) = mm
-                    .run(RM, 4, 5, &a, &bm, UnitBackend::Fast, threads)
-                    .unwrap();
+                let (c, stats) = mm.run(RM, 4, 5, &a, &bm, threads).unwrap();
                 let (want, want_flags) = reference_matmul_flags(&a, &bm, RM);
                 assert_eq!(c, want, "m={m} k={k} n={n} b={b} arrays={arrays} {fmt}");
                 assert_eq!(stats.flags, want_flags, "m={m} k={k} n={n} b={b} {fmt}");
@@ -224,9 +222,7 @@ fn special_values_flags_match_at_ci_threads() {
     for arrays in 1..=8u32 {
         for bs in [1u32, 2, 3, 5] {
             let mm = MultiMatMul::new(5, 5, 5, bs, 7, arrays).unwrap();
-            let (c, stats) = mm
-                .run(RM, 3, 4, &a, &b, UnitBackend::Fast, threads)
-                .unwrap();
+            let (c, stats) = mm.run(RM, 3, 4, &a, &b, threads).unwrap();
             assert_eq!(c, want, "arrays={arrays} b={bs}");
             assert_eq!(stats.flags, want_flags, "arrays={arrays} b={bs}");
         }
@@ -260,9 +256,7 @@ fn streaming_peak_residency_is_bounded_by_2k() {
                 gen: gen_b,
             };
             let mm = MultiMatMul::new(m as u32, k as u32, n as u32, bs, 9, arrays).unwrap();
-            let (c, stats) = mm
-                .run_streamed(RM, 4, 5, &a_src, &b_src, UnitBackend::Fast, threads)
-                .unwrap();
+            let (c, stats) = mm.run_streamed(RM, 4, 5, &a_src, &b_src, threads).unwrap();
             // 7×6 output tiles, 5 inner tiles — far more than 2·arrays
             // tile reads — yet residency stays ≤ 2 per array.
             assert!(

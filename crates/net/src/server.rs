@@ -42,9 +42,8 @@ use fpfpga_serve::{JobHandle, JobOutcome, MetricsSnapshot, ServeConfig, ServePoo
 use crate::adaptive::{AdaptiveConfig, AdaptiveTuner};
 use crate::quota::{QuotaBook, QuotaConfig, TenantUsage};
 use crate::wire::{
-    control_frame, decode_spec, encode_reject, encode_result, encoded_result_len,
-    read_frame_polled, write_frame, ErrorCode, Frame, FrameError, FrameKind, Polled, Reject,
-    WireError, MAX_BODY_LEN,
+    control_frame, decode_spec, encode_reject, encode_result, read_frame_polled, write_frame,
+    ErrorCode, Frame, FrameError, FrameKind, Polled, Reject, WireError, MAX_BODY_LEN,
 };
 
 /// How often blocked readers wake to poll the stop flag. Applies only
@@ -546,20 +545,22 @@ fn reject_frame(req_id: u64, code: ErrorCode, retry_after: Duration, detail: Str
 /// The frame a resolved job outcome becomes. A completed result too
 /// big for one frame (a small matmul request can legally produce a
 /// result matrix far over 16 MiB) is turned into a typed
-/// [`ErrorCode::TooLarge`] reject *before* encoding — never an
-/// unsendable buffer, a desynced client, or (past 4 GiB) a wrapped
-/// length prefix.
+/// [`ErrorCode::TooLarge`] reject before anything is written — never
+/// an unsendable buffer, a desynced client, or (past 4 GiB) a wrapped
+/// length prefix. The result is already in memory and its encoding is
+/// no larger, so it is encoded first and the body length checked.
 fn outcome_frame(req_id: u64, outcome: JobOutcome, stats: &NetStats) -> Frame {
     match outcome {
         JobOutcome::Completed(result) => {
-            if encoded_result_len(&result) > u64::from(MAX_BODY_LEN) {
+            let body = encode_result(&result);
+            if body.len() > MAX_BODY_LEN as usize {
                 return reject_frame(
                     req_id,
                     ErrorCode::TooLarge,
                     Duration::ZERO,
                     format!(
                         "result of {} bytes exceeds the {} byte frame cap; shrink the request",
-                        encoded_result_len(&result),
+                        body.len(),
                         MAX_BODY_LEN
                     ),
                 );
@@ -568,7 +569,7 @@ fn outcome_frame(req_id: u64, outcome: JobOutcome, stats: &NetStats) -> Frame {
             Frame {
                 kind: FrameKind::Response,
                 req_id,
-                body: encode_result(&result),
+                body,
             }
         }
         JobOutcome::TimedOut => reject_frame(
@@ -627,6 +628,7 @@ mod tests {
     use super::*;
     use crate::wire::decode_reject;
     use fpfpga_serve::JobResult;
+    use fpfpga_softfp::Flags;
 
     #[test]
     fn oversized_result_becomes_typed_toolarge_reject() {
@@ -647,6 +649,21 @@ mod tests {
         // The reject itself fits a frame.
         let mut buf = Vec::new();
         write_frame(&mut buf, &frame).expect("reject is sendable");
+    }
+
+    #[test]
+    fn oversized_eltwise_result_becomes_typed_toolarge_reject() {
+        // 5 header bytes plus 9 per element (bits + flags): just over
+        // what one frame body can carry.
+        let stats = NetStats::default();
+        let n = MAX_BODY_LEN as usize / 9 + 1;
+        let big = JobOutcome::Completed(JobResult::Eltwise(vec![(0, Flags::NONE); n]));
+        let frame = outcome_frame(11, big, &stats);
+        assert_eq!(frame.kind, FrameKind::Reject);
+        assert_eq!(frame.req_id, 11);
+        let reject = decode_reject(&frame.body).expect("typed reject body");
+        assert_eq!(reject.code, ErrorCode::TooLarge);
+        assert_eq!(stats.responses.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```text
 //! ┌──────────┬─────────┬─────────┬───────────────┬────────────┐
 //! │ len: u32 │ ver: u8 │ kind:u8 │ req_id: u64   │ body …     │
-//! │ LE       │ (=1)    │         │ LE            │ (len − 10) │
+//! │ LE       │ (=2)    │         │ LE            │ (len − 10) │
 //! └──────────┴─────────┴─────────┴───────────────┴────────────┘
 //! ```
 //!
@@ -29,14 +29,13 @@ use fpfpga_fabric::report::ImplementationReport;
 use fpfpga_fabric::synthesis::{Objective, SynthesisOptions};
 use fpfpga_fpu::analysis::CoreKind;
 use fpfpga_matmul::array::ArrayStats;
-use fpfpga_matmul::pe::UnitBackend;
 use fpfpga_matmul::{Cplx, ErrorBudget, Matrix};
 use fpfpga_serve::{ApOp, EltOp, JobResult, JobSpec, Kernel, PolicySel, Priority};
 use fpfpga_softfp::limb::LimbFormat;
 use fpfpga_softfp::{Flags, FpFormat, PrecisionPolicy, RoundMode};
 
 /// Protocol version carried in every frame header.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard ceiling on one frame's `len` field (16 MiB). Anything larger
 /// is refused before allocation — a malformed or hostile length prefix
@@ -478,17 +477,12 @@ fn enc_kernel(e: &mut Enc, k: &Kernel) {
             add_stages,
             a,
             b,
-            backend,
         } => {
             e.u8(2);
             e.u32(*mult_stages);
             e.u32(*add_stages);
             enc_matrix(e, a);
             enc_matrix(e, b);
-            e.u8(match backend {
-                UnitBackend::Fast => 0,
-                UnitBackend::Structural => 1,
-            });
         }
         Kernel::Mvm {
             mult_stages,
@@ -625,24 +619,12 @@ fn dec_kernel(d: &mut Dec) -> Result<Kernel, WireError> {
             x: d.u64_vec()?,
             y: d.u64_vec()?,
         },
-        2 => {
-            let mult_stages = d.u32()?;
-            let add_stages = d.u32()?;
-            let a = dec_matrix(d)?;
-            let b = dec_matrix(d)?;
-            let backend = match d.u8()? {
-                0 => UnitBackend::Fast,
-                1 => UnitBackend::Structural,
-                v => return Err(bad(format!("backend tag {v}"))),
-            };
-            Kernel::MatMul {
-                mult_stages,
-                add_stages,
-                a,
-                b,
-                backend,
-            }
-        }
+        2 => Kernel::MatMul {
+            mult_stages: d.u32()?,
+            add_stages: d.u32()?,
+            a: dec_matrix(d)?,
+            b: dec_matrix(d)?,
+        },
         3 => {
             let mult_stages = d.u32()?;
             let add_stages = d.u32()?;
@@ -895,33 +877,6 @@ pub fn encode_result(r: &JobResult) -> Vec<u8> {
         }
     }
     e.buf
-}
-
-/// The exact length [`encode_result`] would produce for `r`, computed
-/// without allocating. The server checks this against [`MAX_BODY_LEN`]
-/// before encoding, so a result too big for one frame (a small matmul
-/// request can legally produce a huge result matrix) becomes a typed
-/// [`ErrorCode::TooLarge`] reject instead of an unsendable buffer.
-pub fn encoded_result_len(r: &JobResult) -> u64 {
-    fn matrix_len(m: &Matrix) -> u64 {
-        // format (2) + rows (4) + cols (4) + 8 bytes per element.
-        10 + 8 * (m.rows() as u64) * (m.cols() as u64)
-    }
-    match r {
-        JobResult::Eltwise(rs) => 5 + 9 * rs.len() as u64,
-        JobResult::Dot { .. } => 18,
-        JobResult::MatMul { c, .. } => 41 + matrix_len(c),
-        JobResult::Mvm { y, .. } => 13 + 8 * y.len() as u64,
-        JobResult::Lu { lu, .. } => 26 + matrix_len(lu),
-        JobResult::Fft { data, .. } => 13 + 16 * data.len() as u64,
-        JobResult::Apfloat(rs) => {
-            5 + rs
-                .iter()
-                .map(|(bits, _)| 5 + 8 * bits.len() as u64)
-                .sum::<u64>()
-        }
-        JobResult::Sweep { opt, .. } => 53 + opt.name.len() as u64,
-    }
 }
 
 /// Decode a response body back into a [`JobResult`]. Rejects trailing
@@ -1394,70 +1349,6 @@ mod tests {
         };
         write_frame(&mut buf, &frame).unwrap();
         assert_eq!(read_frame(&mut buf.as_slice()).unwrap(), frame);
-    }
-
-    #[test]
-    fn encoded_result_len_matches_the_encoder() {
-        let fmt = FpFormat::try_new(8, 23).unwrap();
-        let m = |r: usize, c: usize| Matrix::from_bits(fmt, r, c, vec![0u64; r * c]);
-        let results = vec![
-            JobResult::Eltwise(vec![(1, Flags::from_bits(0)), (2, Flags::from_bits(1))]),
-            JobResult::Dot {
-                value: 9,
-                flags: Flags::from_bits(0),
-                cycles: 3,
-            },
-            JobResult::MatMul {
-                c: m(3, 5),
-                stats: ArrayStats {
-                    cycles: 1,
-                    useful_macs: 2,
-                    pad_macs: 3,
-                    idle_cycles: 4,
-                    bram_accesses: 5,
-                },
-            },
-            JobResult::Mvm {
-                y: vec![1, 2, 3],
-                cycles: 7,
-            },
-            JobResult::Lu {
-                lu: m(4, 4),
-                cycles: 1,
-                divs: 2,
-                macs: 3,
-                flags: Flags::from_bits(0),
-            },
-            JobResult::Fft {
-                data: vec![Cplx { re: 1, im: 2 }; 8],
-                cycles: 5,
-            },
-            JobResult::Apfloat(vec![
-                (vec![1, 2], Flags::from_bits(0b1)),
-                (vec![3, 4, 5, 6], Flags::from_bits(0)),
-            ]),
-            JobResult::Sweep {
-                opt: ImplementationReport {
-                    name: "adder-s3".into(),
-                    stages: 3,
-                    slices: 10,
-                    luts: 20,
-                    ffs: 30,
-                    bmults: 0,
-                    brams: 0,
-                    clock_mhz: 123.4,
-                    worst_stage_ns: 5.6,
-                },
-                depths: 4,
-            },
-        ];
-        for r in &results {
-            assert_eq!(
-                encoded_result_len(r),
-                encode_result(r).len() as u64,
-                "predictor diverged for {r:?}"
-            );
-        }
     }
 
     /// A reader delivering one byte per call with a `WouldBlock` before

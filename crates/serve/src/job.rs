@@ -21,7 +21,6 @@ use fpfpga_fabric::tech::Tech;
 use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::SweepCache;
-use fpfpga_matmul::pe::UnitBackend;
 use fpfpga_matmul::{
     array::ArrayStats, mixed, BlockMatMul, Cplx, DotProductUnit, FftEngine, LinearArray, LuEngine,
     Matrix, MultiMatMul, MvmEngine, PlanError,
@@ -168,8 +167,6 @@ pub enum Kernel {
         a: Matrix,
         /// Right operand.
         b: Matrix,
-        /// PE pipe backend.
-        backend: UnitBackend,
     },
     /// Matrix-vector multiply on a `p`-PE engine.
     Mvm {
@@ -370,12 +367,8 @@ impl Job {
             Kernel::MatMul {
                 mult_stages,
                 add_stages,
-                backend,
                 ..
-            } => {
-                let fast = matches!(backend, UnitBackend::Fast);
-                (mult_stages, add_stages, fast).hash(&mut h);
-            }
+            } => (mult_stages, add_stages).hash(&mut h),
             Kernel::Mvm {
                 mult_stages,
                 add_stages,
@@ -624,7 +617,6 @@ impl Job {
                 add_stages,
                 a,
                 b,
-                backend,
             } => {
                 if p.is_uniform() {
                     if matmul_routes_to_multi(a, b) {
@@ -637,7 +629,7 @@ impl Job {
                         let mm = matmul_multi_plan(*mult_stages, *add_stages, a, b)
                             .expect("matmul plan was validated at submission");
                         let (c, ms) = mm
-                            .run(mode, *mult_stages, *add_stages, a, b, *backend, 1)
+                            .run(mode, *mult_stages, *add_stages, a, b, 1)
                             .expect("operands match the plan built from them");
                         JobResult::MatMul { c, stats: ms.total }
                     } else {
@@ -648,7 +640,6 @@ impl Job {
                             *add_stages,
                             a,
                             b,
-                            *backend,
                         );
                         JobResult::MatMul { c, stats }
                     }
@@ -1045,7 +1036,6 @@ mod tests {
                 add_stages: 4,
                 a: Matrix::identity(FpFormat::DOUBLE, 2),
                 b: Matrix::identity(FpFormat::DOUBLE, 2),
-                backend: UnitBackend::Fast,
             },
             PrecisionPolicy::mixed(fmt, FpFormat::DOUBLE),
             RM,
@@ -1066,7 +1056,6 @@ mod tests {
                 add_stages: 4,
                 a: Matrix::zero(fmt, 0, 0),
                 b: Matrix::zero(fmt, 0, 0),
-                backend: UnitBackend::Fast,
             },
             fmt,
             RM,
@@ -1081,7 +1070,6 @@ mod tests {
                 add_stages: 0,
                 a: Matrix::identity(fmt, 2),
                 b: Matrix::identity(fmt, 2),
-                backend: UnitBackend::Fast,
             },
             fmt,
             RM,
@@ -1096,7 +1084,6 @@ mod tests {
                 add_stages: 4,
                 a: Matrix::zero(fmt, 2, 3),
                 b: Matrix::zero(fmt, 2, 2),
-                backend: UnitBackend::Fast,
             },
             fmt,
             RM,
@@ -1118,7 +1105,6 @@ mod tests {
                 add_stages: 4,
                 a: a.clone(),
                 b: b.clone(),
-                backend: UnitBackend::Fast,
             },
             fmt,
             RM,
@@ -1156,7 +1142,6 @@ mod tests {
                 add_stages: 4,
                 a: a.clone(),
                 b: b.clone(),
-                backend: UnitBackend::Fast,
             },
             fmt,
             RM,
@@ -1165,8 +1150,7 @@ mod tests {
         let cache = SweepCache::new();
         match job.run(&Tech::virtex2pro(), &cache) {
             JobResult::MatMul { c, .. } => {
-                let (want, _) =
-                    LinearArray::multiply_batched(fmt, RM, 5, 4, &a, &b, UnitBackend::Fast);
+                let (want, _) = LinearArray::multiply_batched(fmt, RM, 5, 4, &a, &b);
                 assert_eq!(c, want);
             }
             other => panic!("wrong result kind: {other:?}"),

@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use fpfpga_fabric::synthesis::SynthesisOptions;
 use fpfpga_fpu::analysis::CoreKind;
-use fpfpga_matmul::pe::UnitBackend;
 use fpfpga_matmul::{Cplx, Matrix};
 use fpfpga_softfp::{FpFormat, PrecisionPolicy, RoundMode, SoftFloat};
 use rand::SmallRng;
@@ -227,7 +226,6 @@ impl Synth {
                     add_stages: 4,
                     a: self.matrix(fmt, m, k),
                     b: self.matrix(fmt, k, n),
-                    backend: UnitBackend::Fast,
                 };
                 let policy = self.accum_policy(fmt);
                 Job::new(kernel, policy, mode)

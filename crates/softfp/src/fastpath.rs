@@ -1015,49 +1015,6 @@ pub fn fma_triples_batch_with(
     dispatch_ternary!(fmt, mode, triples.iter().copied(), out, fma, fma_dyn);
 }
 
-/// Batched `a[i] * b` against one broadcast operand (a matmul column
-/// against a stationary B element), appended to `out`.
-pub fn mul_bcast_batch(
-    fmt: FpFormat,
-    a: &[u64],
-    b: u64,
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
-    mul_bcast_batch_with(simd::active_engine(), fmt, a, b, mode, out)
-}
-
-/// [`mul_bcast_batch`] on an explicit engine (panics if the host cannot
-/// run `eng`).
-pub fn mul_bcast_batch_with(
-    eng: SimdEngine,
-    fmt: FpFormat,
-    a: &[u64],
-    b: u64,
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
-    out.reserve(a.len());
-    let load_chunk = |i: usize, xs: &mut [u64; LANES], ys: &mut [u64; LANES]| {
-        xs.copy_from_slice(&a[i..i + LANES]);
-        *ys = [b; LANES];
-    };
-    let load_one = |i: usize| (a[i], b);
-    if run_bin_pairs::<OP_MUL>(eng, fmt, a.len(), load_chunk, load_one, mode, out) {
-        return;
-    }
-    dispatch_binary!(
-        two_pass,
-        fmt,
-        mode,
-        a.iter().map(|&x| (x, b)),
-        out,
-        mul_normal,
-        ops::mul::mul,
-        mul_dyn
-    );
-}
-
 /// The scalar lane of the bits entry points: `out[i] = kernel(load(i))`
 /// for every element, returning the OR of the flags.
 #[inline(always)]
@@ -1096,8 +1053,9 @@ macro_rules! dispatch_bits {
 /// one row of `B` against one `A` element) that keeps no per-element
 /// flags.
 ///
-/// Bit-identical to [`mul_bcast_batch`] element for element; the
-/// returned flags equal the OR of its per-element flags.
+/// Bit-identical to [`mul_bits_batch`] over a broadcast `b` element
+/// for element; the returned flags equal the OR of its per-element
+/// flags.
 ///
 /// # Panics
 /// Panics if `a.len() != out.len()`.
@@ -1302,8 +1260,11 @@ mod tests {
         sub_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         mul_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         fma_triples_batch(fmt, &[], RoundMode::NearestEven, &mut out);
-        mul_bcast_batch(fmt, &[], 0, RoundMode::NearestEven, &mut out);
         assert!(out.is_empty());
+        assert_eq!(
+            mul_bcast_bits(fmt, &[], 0, RoundMode::NearestEven, &mut []),
+            Flags::NONE
+        );
     }
 
     #[test]
@@ -1352,10 +1313,12 @@ mod tests {
         let a: Vec<u64> = probe_values(fmt);
         let b = 0x4008_0000_0000_0000u64; // 3.0
         let pairs: Vec<(u64, u64)> = a.iter().map(|&x| (x, b)).collect();
-        let mut out1 = Vec::new();
-        let mut out2 = Vec::new();
-        mul_bcast_batch(fmt, &a, b, RoundMode::NearestEven, &mut out1);
-        mul_pairs_batch(fmt, &pairs, RoundMode::NearestEven, &mut out2);
-        assert_eq!(out1, out2);
+        let mut want = Vec::new();
+        mul_pairs_batch(fmt, &pairs, RoundMode::NearestEven, &mut want);
+        let mut bits = vec![0; a.len()];
+        let flags = mul_bcast_bits(fmt, &a, b, RoundMode::NearestEven, &mut bits);
+        let want_bits: Vec<u64> = want.iter().map(|&(r, _)| r).collect();
+        assert_eq!(bits, want_bits);
+        assert_eq!(flags, want.iter().fold(Flags::NONE, |acc, &(_, f)| acc | f));
     }
 }

@@ -502,7 +502,7 @@ mod tests {
     use super::*;
     use crate::fastpath::{
         add_bits_batch_with, add_pairs_batch_with, fma_bits_batch_with, fma_triples_batch_with,
-        mul_bcast_batch_with, mul_bits_batch_with, sub_bits_batch_with,
+        mul_bcast_bits_with, mul_bits_batch_with, sub_bits_batch_with,
     };
     use crate::{fastpath, ops};
 
@@ -691,11 +691,18 @@ mod tests {
             add_pairs_batch_with(eng, fmt, &pairs, mode, &mut s2);
             assert_eq!(s1, s2, "pairs {eng:?}");
 
-            let (mut m1, mut m2) = (Vec::new(), Vec::new());
+            let mut m1 = Vec::new();
             let bb: Vec<u64> = vec![b[3]; a.len()];
             mul_bits_batch_with(eng, fmt, &a, &bb, mode, &mut m1);
-            mul_bcast_batch_with(eng, fmt, &a, b[3], mode, &mut m2);
-            assert_eq!(m1, m2, "bcast {eng:?}");
+            let mut m2 = vec![0; a.len()];
+            let mf = mul_bcast_bits_with(eng, fmt, &a, b[3], mode, &mut m2);
+            let m1_bits: Vec<u64> = m1.iter().map(|&(r, _)| r).collect();
+            assert_eq!(m1_bits, m2, "bcast {eng:?}");
+            assert_eq!(
+                m1.iter().fold(Flags::NONE, |acc, &(_, f)| acc | f),
+                mf,
+                "bcast flags {eng:?}"
+            );
 
             let (mut f1, mut f2) = (Vec::new(), Vec::new());
             fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut f1);

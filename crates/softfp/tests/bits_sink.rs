@@ -9,7 +9,7 @@
 //! flag codes instead of decoded flags would invent `invalid`.
 
 use fpfpga_softfp::fastpath::{
-    add_acc_bits_with, add_bits_batch_with, mul_bcast_batch_with, mul_bcast_bits_with,
+    add_acc_bits_with, add_bits_batch_with, mul_bcast_bits_with, mul_bits_batch_with,
 };
 use fpfpga_softfp::{Flags, FpFormat, RoundMode, SimdEngine};
 
@@ -65,7 +65,7 @@ fn check(
     let ctx = format!("{eng:?} {fmt:?} {mode:?} n={}", a.len());
 
     let mut pairs = Vec::new();
-    mul_bcast_batch_with(eng, fmt, a, b, mode, &mut pairs);
+    mul_bits_batch_with(eng, fmt, a, &vec![b; a.len()], mode, &mut pairs);
     let mut bits = vec![0xdead_beef; a.len()];
     let mul_flags = mul_bcast_bits_with(eng, fmt, a, b, mode, &mut bits);
     let want: Vec<u64> = pairs.iter().map(|&(r, _)| r).collect();

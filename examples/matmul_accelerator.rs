@@ -98,7 +98,6 @@ fn main() {
             units.adder.stages,
             &a_r,
             &b_r,
-            UnitBackend::Fast,
             0, // one worker per CPU; result is thread-count invariant
         )
         .expect("operands match the plan");

@@ -51,7 +51,6 @@ fn main() {
         9, // adder stages
         &a,
         &b,
-        UnitBackend::Fast,
     );
     let err = fpfpga::matmul::reference::error_vs_f64(&c, &a, &b);
     println!(
