@@ -51,13 +51,17 @@
 //! assert_eq!(results[0].0 as u32, 2.0f32.to_bits());
 //!
 //! // Multiply two matrices on a cycle-accurate linear array, over the
-//! // batched streaming engine:
+//! // batched streaming engine, with the block size the paper's cycle
+//! // model favours (b = 8 here: one tile):
 //! let fmt = FpFormat::SINGLE;
 //! let a = Matrix::from_fn(fmt, 8, 8, |i, j| (i + j) as f64);
 //! let b = Matrix::identity(fmt, 8);
-//! let (c, stats) = LinearArray::multiply_batched(fmt, RoundMode::NearestEven, 7, 9, &a, &b);
+//! let plan = BlockMatMul::cheapest(8, 8, 8, 7 + 9).unwrap();
+//! let (c, stats) = MultiMatMul { plan, arrays: 1 }
+//!     .run(RoundMode::NearestEven, 7, 9, &a, &b, 1)
+//!     .unwrap();
 //! assert_eq!(c, a);
-//! assert_eq!(stats.useful_macs, 8 * 8 * 8);
+//! assert_eq!(stats.total.useful_macs, 8 * 8 * 8);
 //! ```
 
 pub use fpfpga_baselines as baselines;

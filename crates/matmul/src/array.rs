@@ -3,7 +3,7 @@
 
 use crate::matrix::Matrix;
 use crate::pe::{PeStats, ProcessingElement, UnitBackend};
-use crate::schedule::{Schedule, Token};
+use crate::schedule::Token;
 use fpfpga_softfp::{Flags, FpFormat, RoundMode};
 
 /// A linear array of PEs computing `C = A·B` (with accumulation into
@@ -66,11 +66,10 @@ impl LinearArray {
         }
     }
 
-    /// An array for the batched streams
-    /// ([`LinearArray::stream_a_tile_batched`],
-    /// [`LinearArray::stream_a_batched`]). A batched step never clocks
-    /// its PEs' pipes, so which pipes they hold selects nothing: they are
-    /// always the fast delay lines.
+    /// An array for the batched stream
+    /// ([`LinearArray::stream_a_tile_batched`]). A batched step never
+    /// clocks its PEs' pipes, so which pipes they hold selects nothing:
+    /// they are always the fast delay lines.
     pub fn batched(
         fmt: FpFormat,
         mode: RoundMode,
@@ -115,8 +114,10 @@ impl LinearArray {
     /// real data. Every other slot of the `b·max(b,PL)` issue window is
     /// a [`Token::pad`] zero-operation: it burns the pipes (charged by
     /// the energy model) but never reads `B`, writes `C` or raises
-    /// flags. No drain — block products chain, as in
-    /// [`LinearArray::stream_a_from_bank`].
+    /// flags. No drain: in-flight operations keep running, so
+    /// consecutive block products chain at full rate (accumulation stays
+    /// hazard-free because any two updates of the same `C` entry are at
+    /// least one padded period ≥ PL apart).
     pub fn stream_a_tile_from_bank(
         &mut self,
         a: &Matrix,
@@ -226,48 +227,13 @@ impl LinearArray {
     /// `C += A · B_loaded`. Returns the cycles this run consumed.
     ///
     /// The inner period is padded to the combined MAC latency when
-    /// `n < PL`, keeping the accumulation hazard-free.
+    /// `n < PL`, keeping the accumulation hazard-free. This is the
+    /// one-tile case of [`LinearArray::stream_a_tile_from_bank`] (every
+    /// row and step real, in [`crate::schedule::Schedule::tokens`]
+    /// order) plus a drain.
     pub fn stream_a(&mut self, a: &Matrix) -> u64 {
-        let start = self.cycles;
-        self.stream_a_from_bank(a, false);
-        self.drain();
-        self.cycles - start
-    }
-
-    /// Issue one `A` stream against the `B` held in `bank`, *without*
-    /// draining — in-flight operations keep running, so consecutive
-    /// block products chain at full rate (accumulation stays hazard-free
-    /// because any two updates of the same `C` entry are at least one
-    /// padded period ≥ PL apart).
-    pub fn stream_a_from_bank(&mut self, a: &Matrix, bank: bool) -> u64 {
         let n = a.rows();
-        assert_eq!(a.cols(), n, "A must be square for this schedule");
-        assert!(
-            self.pes.iter().all(|pe| pe.n() == n),
-            "PE column height mismatch"
-        );
-        let start = self.cycles;
-        let sched = Schedule::new(n as u32, self.pl());
-        for mut token in sched.tokens() {
-            token.bank = bank;
-            if !token.pad {
-                token.a = a.get(token.i as usize, token.k as usize);
-            }
-            self.clock(Some(token));
-        }
-        self.cycles - start
-    }
-
-    /// [`LinearArray::stream_a`] through the PEs' batched fast path
-    /// ([`crate::pe::ProcessingElement::mac_step_batch`]): the square
-    /// stream is the one-tile case of
-    /// [`LinearArray::stream_a_tile_batched`] (every row and step real)
-    /// followed by [`LinearArray::drain_batched`], so the `C` matrix,
-    /// exception flags, activity statistics and cycle charge come out
-    /// bit-identical to per-cycle clocking (issue + drain).
-    pub fn stream_a_batched(&mut self, a: &Matrix) -> u64 {
-        let n = a.rows();
-        self.stream_a_tile_batched(a, n, n, false) + self.drain_batched()
+        self.stream_a_tile_from_bank(a, n, n, false) + self.drain()
     }
 
     /// Drain the array: the last token must traverse all PEs and both
@@ -313,28 +279,6 @@ impl LinearArray {
         (c, arr.stats())
     }
 
-    /// [`LinearArray::multiply`] over the batched streaming path — same
-    /// result, flags and statistics, much faster wall-clock (see the
-    /// `stream_batch` bench).
-    pub fn multiply_batched(
-        fmt: FpFormat,
-        mode: RoundMode,
-        mult_stages: u32,
-        add_stages: u32,
-        a: &Matrix,
-        b: &Matrix,
-    ) -> (Matrix, ArrayStats) {
-        let n = a.rows();
-        assert_eq!(a.cols(), n);
-        assert_eq!(b.rows(), n);
-        assert_eq!(b.cols(), n);
-        let mut arr = LinearArray::batched(fmt, mode, mult_stages, add_stages, n, n);
-        arr.load_b_tile(false, b, n);
-        arr.stream_a_batched(a);
-        let c = arr.read_c();
-        (c, arr.stats())
-    }
-
     /// Aggregate statistics across PEs.
     pub fn stats(&self) -> ArrayStats {
         let mut s = ArrayStats {
@@ -366,7 +310,10 @@ impl LinearArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockMatMul;
+    use crate::multi::{MultiMatMul, MultiStats};
     use crate::reference::reference_matmul;
+    use crate::schedule::Schedule;
 
     const F: FpFormat = FpFormat::SINGLE;
     const RM: RoundMode = RoundMode::NearestEven;
@@ -464,6 +411,16 @@ mod tests {
         assert_eq!(c, want);
     }
 
+    /// The batched run serving makes of a square product: the cheapest
+    /// plan (one `n×n` tile) on one array.
+    fn planned(lm: u32, la: u32, a: &Matrix, b: &Matrix) -> (Matrix, MultiStats) {
+        let n = a.rows() as u32;
+        let plan = BlockMatMul::cheapest(n, n, n, lm + la).unwrap();
+        MultiMatMul { plan, arrays: 1 }
+            .run(RM, lm, la, a, b, 1)
+            .unwrap()
+    }
+
     #[test]
     fn batched_stream_is_bit_identical_to_per_cycle() {
         for backend in [UnitBackend::Fast, UnitBackend::Structural] {
@@ -471,9 +428,9 @@ mod tests {
                 let a = sample(n, n as f64);
                 let b = sample(n, n as f64 + 0.5);
                 let (c_seq, s_seq) = LinearArray::multiply(F, RM, lm, la, &a, &b, backend);
-                let (c_bat, s_bat) = LinearArray::multiply_batched(F, RM, lm, la, &a, &b);
+                let (c_bat, ms) = planned(lm, la, &a, &b);
                 assert_eq!(c_seq, c_bat, "values n={n} lm={lm} la={la} {backend:?}");
-                assert_eq!(s_seq, s_bat, "stats n={n} lm={lm} la={la} {backend:?}");
+                assert_eq!(s_seq, ms.total, "stats n={n} lm={lm} la={la} {backend:?}");
             }
         }
     }
@@ -482,18 +439,12 @@ mod tests {
     fn batched_stream_flags_match() {
         let a = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
         let b = Matrix::from_f64(F, 2, 2, &[f32::MAX as f64; 4]);
-        let run = |batched: bool| {
-            let mut arr = LinearArray::new(F, RM, 3, 4, 2, 2, UnitBackend::Fast);
-            arr.load_b_tile(false, &b, 2);
-            if batched {
-                arr.stream_a_batched(&a);
-            } else {
-                arr.stream_a(&a);
-            }
-            arr.flags()
-        };
-        assert_eq!(run(false), run(true));
-        assert!(run(true).overflow);
+        let mut arr = LinearArray::new(F, RM, 3, 4, 2, 2, UnitBackend::Fast);
+        arr.load_b_tile(false, &b, 2);
+        arr.stream_a(&a);
+        let (_, ms) = planned(3, 4, &a, &b);
+        assert_eq!(arr.flags(), ms.flags);
+        assert!(ms.flags.overflow);
     }
 
     #[test]

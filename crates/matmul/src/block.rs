@@ -21,6 +21,7 @@
 
 use crate::array::{ArrayStats, LinearArray};
 use crate::matrix::Matrix;
+use crate::multi::{MatrixTiles, TileSource};
 use crate::pe::UnitBackend;
 use crate::schedule::Schedule;
 use fpfpga_softfp::{Flags, FpFormat, RoundMode};
@@ -102,6 +103,20 @@ impl BlockMatMul {
     /// The classic square plan of Figure 6: `N×N` with block size `b`.
     pub fn square(n: u32, b: u32, pl: u32) -> Result<BlockMatMul, PlanError> {
         BlockMatMul::new(n, n, n, b, pl)
+    }
+
+    /// The block size the paper's cycle model favours: the plan whose
+    /// `b ∈ 1..=max(M, K, N)` minimises [`BlockMatMul::total_cycles`],
+    /// ties going to fewer [`BlockMatMul::pad_macs`], then to the
+    /// smaller `b`. A square `N×N` problem gets `b = N` (one tile, no
+    /// ragged edges). Zero parameters are the same typed errors as
+    /// [`BlockMatMul::new`].
+    pub fn cheapest(m: u32, k: u32, n: u32, pl: u32) -> Result<BlockMatMul, PlanError> {
+        let base = BlockMatMul::new(m, k, n, 1, pl)?;
+        Ok((1..=m.max(k).max(n))
+            .map(|b| BlockMatMul { b, ..base })
+            .min_by_key(|plan| (plan.total_cycles(), plan.pad_macs(), plan.b))
+            .expect("the block range is nonempty"))
     }
 
     /// Tile rows ⌈M/b⌉.
@@ -210,6 +225,15 @@ impl BlockMatMul {
 
     /// Check `a`/`b` against the plan's shapes and format.
     pub fn check_operands(&self, a: &Matrix, b: &Matrix) -> Result<(), PlanError> {
+        self.check_sources(&MatrixTiles(a), &MatrixTiles(b))
+    }
+
+    /// [`BlockMatMul::check_operands`] for streamed operands.
+    pub fn check_sources<A: TileSource + ?Sized, B: TileSource + ?Sized>(
+        &self,
+        a: &A,
+        b: &B,
+    ) -> Result<(), PlanError> {
         if a.rows() != self.m as usize || a.cols() != self.k as usize {
             return Err(PlanError::Shape(format!(
                 "A is {}×{}, plan expects {}×{}",
@@ -478,6 +502,28 @@ mod tests {
         );
         assert_eq!(BlockMatMul::new(3, 3, 3, 0, 7), Err(PlanError::ZeroBlock));
         assert_eq!(BlockMatMul::new(3, 3, 3, 2, 0), Err(PlanError::ZeroLatency));
+    }
+
+    #[test]
+    fn cheapest_is_the_brute_force_argmin() {
+        let shapes =
+            (1u32..=24).flat_map(|m| (1..=24).flat_map(move |k| (1..=24).map(move |n| (m, k, n))));
+        for ((m, k, n), pl) in shapes.flat_map(|s| [1u32, 9, 25].map(|pl| (s, pl))) {
+            let top = m.max(k).max(n);
+            let mut best = BlockMatMul::new(m, k, n, 1, pl).unwrap();
+            for b in 2..=top {
+                let cand = BlockMatMul::new(m, k, n, b, pl).unwrap();
+                if (cand.total_cycles(), cand.pad_macs()) < (best.total_cycles(), best.pad_macs()) {
+                    best = cand;
+                }
+            }
+            let plan = BlockMatMul::cheapest(m, k, n, pl).unwrap();
+            assert_eq!(plan, best, "m={m} k={k} n={n} pl={pl}");
+            assert!(plan.b <= top);
+            if m == k && k == n {
+                assert_eq!(plan.b, n, "square n={n} pl={pl}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!
 //! Doolittle form, no pivoting: intended for diagonally dominant or
 //! pre-pivoted systems (the hardware the companion paper describes makes
-//! the same assumption).
+//! the same assumption). A pivot that is or becomes zero is divided by
+//! like any other, as that hardware would: the multipliers come out ±∞
+//! with `div_by_zero` raised, or NaN with `invalid` for 0/0.
 
 use crate::matrix::Matrix;
 use fpfpga_fpu::mac::FusedMacUnit;
@@ -70,7 +72,7 @@ impl LuEngine {
         }
     }
 
-    /// Factor `a` in place (cycle-accurately). Panics on a zero pivot.
+    /// Factor `a` in place (cycle-accurately).
     pub fn factor(&self, a: &Matrix) -> LuResult {
         let n = a.rows();
         assert_eq!(a.cols(), n, "LU needs a square matrix");
@@ -87,10 +89,6 @@ impl LuEngine {
 
         for k in 0..n {
             let pivot = m.get(k, k);
-            assert!(
-                !SoftFloat::from_bits(self.fmt, pivot).is_zero(),
-                "zero pivot at step {k} (no pivoting)"
-            );
             let rows: Vec<usize> = (k + 1..n).collect();
             if rows.is_empty() {
                 break;
@@ -198,10 +196,6 @@ impl LuEngine {
 
         for k in 0..n {
             let pivot = m.get(k, k);
-            assert!(
-                !SoftFloat::from_bits(self.fmt, pivot).is_zero(),
-                "zero pivot at step {k} (no pivoting)"
-            );
             let rows: Vec<usize> = (k + 1..n).collect();
             if rows.is_empty() {
                 break;
@@ -423,10 +417,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero pivot")]
-    fn zero_pivot_panics() {
-        let mut a = dd_matrix(4);
-        a.set(0, 0, 0);
-        LuEngine::new(F, RM, 4, 3, 1).factor(&a);
+    fn zero_pivot_gives_ieee_results() {
+        // The last pivot vanishes (nothing left to divide); a mid pivot
+        // vanishes over a nonzero column (1/0), or over a zero one (0/0).
+        let x_over_0 = [1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 3.0];
+        let zero_over_0 = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0];
+        for (n, entries, div_by_zero, invalid) in [
+            (2, &[1.0; 4][..], false, false),
+            (3, &x_over_0[..], true, false),
+            (3, &zero_over_0[..], false, true),
+        ] {
+            let a = Matrix::from_f64(F, n, n, entries);
+            let eng = LuEngine::new(F, RM, 4, 3, 2);
+            let (r, s) = (eng.factor_batched(&a), eng.factor(&a));
+            let summary = |r: &LuResult| (r.lu.clone(), r.cycles, r.divs, r.macs, r.flags);
+            assert_eq!(summary(&r), summary(&s));
+            assert_eq!(r.lu, eng.reference(&a));
+            assert_eq!(r.flags.div_by_zero, div_by_zero);
+            assert_eq!(r.flags.invalid, invalid);
+        }
     }
 }

@@ -213,9 +213,10 @@ pub fn mixed_matmul(
 /// hardware MVM engine's MAC bank.
 ///
 /// Returns the result vector (in `policy.storage`), the accumulated
-/// flags, and the cycle charge of the slowest row chain as if the rows
-/// were issued back to back on one dot unit (the sum of per-row cycle
-/// charges, matching the serial engine's accounting).
+/// flags, and the cycles of issuing the rows back to back on one dot
+/// unit (the sum of the per-row [`mixed_dot`] charges). That charge is
+/// not [`crate::MvmEngine`]'s: it ignores the engine's PE count `p` and
+/// its bank fold, so it differs from the uniform path's cycles.
 pub fn mixed_mvm(
     policy: PrecisionPolicy,
     mode: RoundMode,

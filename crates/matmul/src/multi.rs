@@ -179,7 +179,6 @@ impl MultiMatMul {
         b: &Matrix,
         threads: usize,
     ) -> Result<(Matrix, MultiStats), PlanError> {
-        self.plan.check_operands(a, b)?;
         self.run_streamed(
             mode,
             mult_stages,
@@ -213,7 +212,7 @@ impl MultiMatMul {
             "unit latencies must sum to PL"
         );
         let plan = self.plan;
-        self.check_sources(a, b)?;
+        plan.check_sources(a, b)?;
         let fmt = a.format();
         let bs = plan.b as usize;
         let tk = plan.tiles_k() as usize;
@@ -286,40 +285,6 @@ impl MultiMatMul {
             }
         }
         Ok((c, multi))
-    }
-
-    fn check_sources<A: TileSource + ?Sized, B: TileSource + ?Sized>(
-        &self,
-        a: &A,
-        b: &B,
-    ) -> Result<(), PlanError> {
-        let plan = &self.plan;
-        if a.rows() != plan.m as usize || a.cols() != plan.k as usize {
-            return Err(PlanError::Shape(format!(
-                "A source is {}×{}, plan expects {}×{}",
-                a.rows(),
-                a.cols(),
-                plan.m,
-                plan.k
-            )));
-        }
-        if b.rows() != plan.k as usize || b.cols() != plan.n as usize {
-            return Err(PlanError::Shape(format!(
-                "B source is {}×{}, plan expects {}×{}",
-                b.rows(),
-                b.cols(),
-                plan.k,
-                plan.n
-            )));
-        }
-        if a.format() != b.format() {
-            return Err(PlanError::Shape(format!(
-                "operand formats differ: {:?} vs {:?}",
-                a.format(),
-                b.format()
-            )));
-        }
-        Ok(())
     }
 }
 

@@ -22,55 +22,18 @@ use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::{
-    array::ArrayStats, mixed, BlockMatMul, Cplx, DotProductUnit, FftEngine, LinearArray, LuEngine,
-    Matrix, MultiMatMul, MvmEngine, PlanError,
+    array::ArrayStats, mixed, BlockMatMul, Cplx, DotProductUnit, FftEngine, LuEngine, Matrix,
+    MultiMatMul, MvmEngine, PlanError,
 };
 use fpfpga_softfp::limb::{limb_add, limb_fma, limb_mul, limb_sub, LimbFormat};
-use fpfpga_softfp::{convert, Flags, FpFormat, PrecisionPolicy, RoundMode, SoftFloat};
+use fpfpga_softfp::{convert, Flags, FpFormat, PrecisionPolicy, RoundMode};
 
-/// Uniform square matmuls up to this size run on the classic single
-/// n-PE array; anything larger — or any non-square problem, which the
-/// square array cannot run at all — routes to the multi-array blocked
-/// planner ([`MultiMatMul`]).
-pub const MULTI_ARRAY_THRESHOLD: usize = 64;
-
-/// Block (and per-array PE count) the serving layer tiles multi-array
-/// problems with. 32 keeps the padded period at the array size for
-/// every unit set in the paper (PL ≤ 25 < 32).
-pub const MULTI_ARRAY_BLOCK: u32 = 32;
-
-/// Cap on simulated arrays per job: enough to cover
-/// [`MULTI_ARRAY_THRESHOLD`]-busting problems without letting one job
-/// fan out unboundedly.
-pub const MULTI_ARRAY_MAX_ARRAYS: u32 = 8;
-
-/// Does this (uniform-policy) matmul take the multi-array path?
-pub fn matmul_routes_to_multi(a: &Matrix, b: &Matrix) -> bool {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    !(m == k && k == n) || m > MULTI_ARRAY_THRESHOLD
-}
-
-/// The multi-array plan the serving layer would run this problem with:
-/// block size [`MULTI_ARRAY_BLOCK`], one array per output tile up to
-/// [`MULTI_ARRAY_MAX_ARRAYS`]. Zero dimensions or zero combined stage
-/// count are typed [`PlanError`]s — `validate` maps them to
-/// `SubmitError::Invalid` so they can never panic a worker.
-pub fn matmul_multi_plan(
-    mult_stages: u32,
-    add_stages: u32,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<MultiMatMul, PlanError> {
-    let plan = BlockMatMul::new(
-        a.rows() as u32,
-        a.cols() as u32,
-        b.cols() as u32,
-        MULTI_ARRAY_BLOCK,
-        mult_stages + add_stages,
-    )?;
-    let arrays = plan.output_tiles().min(MULTI_ARRAY_MAX_ARRAYS as u64) as u32;
-    Ok(MultiMatMul { plan, arrays })
-}
+/// Deepest pipe a served job may ask for, in stages, for every pipe of
+/// every kernel. The deepest core the fabric model builds for the
+/// paper's formats sits well below it (pinned by a test). Delay lines
+/// are allocated up front, so without a bound one request could ask for
+/// gigabytes of pipe.
+pub const MAX_PIPE_STAGES: u32 = 256;
 
 /// Elementwise operation of a coalescible eltwise stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -157,7 +120,9 @@ pub enum Kernel {
         /// Right vector.
         y: Vec<u64>,
     },
-    /// Square matrix multiply on the linear PE array.
+    /// Matrix multiply `A(M×K)·B(K×N)`, any shape, blocked onto the
+    /// linear PE array with the block size the cycle model favours
+    /// ([`BlockMatMul::cheapest`]).
     MatMul {
         /// Multiplier pipeline depth.
         mult_stages: u32,
@@ -442,12 +407,44 @@ impl Job {
                 ))
             }
         };
-        match &self.kernel {
-            Kernel::Eltwise { stages, .. } => {
-                if *stages == 0 {
-                    return Err("eltwise unit needs at least 1 stage".into());
-                }
+        // Every pipe the kernel builds is allocated up front, so its
+        // depth is bounded before anything else is looked at.
+        let pipes = match &self.kernel {
+            Kernel::Eltwise { stages, .. } => vec![*stages],
+            Kernel::Dot {
+                mult_stages,
+                add_stages,
+                ..
             }
+            | Kernel::MatMul {
+                mult_stages,
+                add_stages,
+                ..
+            }
+            | Kernel::Mvm {
+                mult_stages,
+                add_stages,
+                ..
+            }
+            | Kernel::Fft {
+                mult_stages,
+                add_stages,
+                ..
+            } => vec![*mult_stages, *add_stages],
+            Kernel::Lu {
+                div_stages,
+                mac_stages,
+                ..
+            } => vec![*div_stages, *mac_stages],
+            Kernel::Apfloat { .. } | Kernel::Sweep { .. } => vec![],
+        };
+        if let Some(bad) = pipes.iter().find(|d| !(1..=MAX_PIPE_STAGES).contains(*d)) {
+            return Err(format!(
+                "pipe depth {bad} is outside 1..={MAX_PIPE_STAGES} stages"
+            ));
+        }
+        match &self.kernel {
+            Kernel::Eltwise { .. } => {}
             Kernel::Dot { x, y, .. } => {
                 covering()?;
                 if x.len() != y.len() {
@@ -467,28 +464,12 @@ impl Job {
             } => {
                 covering()?;
                 storage_matrix("a", a)?;
-                storage_matrix("b", b)?;
-                if a.cols() != b.rows() {
-                    return Err(format!(
-                        "matmul inner dimensions differ: {}×{} · {}×{}",
-                        a.rows(),
-                        a.cols(),
-                        b.rows(),
-                        b.cols()
-                    ));
-                }
-                if a.rows() == 0 || a.cols() == 0 || b.cols() == 0 {
-                    return Err("matmul needs nonzero dimensions".into());
-                }
-                if mult_stages + add_stages == 0 {
-                    return Err("matmul needs at least 1 pipeline stage".into());
-                }
-                if self.policy.is_uniform() && matmul_routes_to_multi(a, b) {
-                    // Surface any remaining planner refusal as a typed
-                    // submission error, never a worker panic.
-                    matmul_multi_plan(*mult_stages, *add_stages, a, b)
-                        .map_err(|e| e.to_string())?;
-                }
+                // The plan a uniform job runs; every policy must admit
+                // it, so shape refusals (and `b`'s format, which must be
+                // `a`'s) are the planner's typed errors.
+                matmul_plan(*mult_stages + *add_stages, a, b)
+                    .and_then(|plan| plan.check_operands(a, b))
+                    .map_err(|e| format!("matmul: {e}"))?;
             }
             Kernel::Mvm { a, x, p: pes, .. } => {
                 covering()?;
@@ -513,11 +494,6 @@ impl Job {
                 }
                 if *pes == 0 {
                     return Err("LU needs at least 1 update PE".into());
-                }
-                for k in 0..a.rows() {
-                    if SoftFloat::from_bits(p.compute, a.get(k, k)).is_zero() {
-                        return Err(format!("zero pivot at row {k} (no pivoting)"));
-                    }
                 }
             }
             Kernel::Fft { data, .. } => {
@@ -619,30 +595,14 @@ impl Job {
                 b,
             } => {
                 if p.is_uniform() {
-                    if matmul_routes_to_multi(a, b) {
-                        // Over-threshold or non-square: blocked multi-array
-                        // path. The job itself stays single-threaded
-                        // (threads = 1) — the pool's workers are the
-                        // parallelism — and the result is thread-count
-                        // invariant anyway, so run_serial agrees bit for
-                        // bit. Stats are summed across arrays.
-                        let mm = matmul_multi_plan(*mult_stages, *add_stages, a, b)
-                            .expect("matmul plan was validated at submission");
-                        let (c, ms) = mm
-                            .run(mode, *mult_stages, *add_stages, a, b, 1)
-                            .expect("operands match the plan built from them");
-                        JobResult::MatMul { c, stats: ms.total }
-                    } else {
-                        let (c, stats) = LinearArray::multiply_batched(
-                            p.compute,
-                            mode,
-                            *mult_stages,
-                            *add_stages,
-                            a,
-                            b,
-                        );
-                        JobResult::MatMul { c, stats }
-                    }
+                    // One array: the pool's workers are the parallelism,
+                    // and the array count only splits per-array stats.
+                    let plan = matmul_plan(*mult_stages + *add_stages, a, b)
+                        .expect("matmul plan was validated at submission");
+                    let (c, ms) = MultiMatMul { plan, arrays: 1 }
+                        .run(mode, *mult_stages, *add_stages, a, b, 1)
+                        .expect("operands were checked against the plan at submission");
+                    JobResult::MatMul { c, stats: ms.total }
                 } else {
                     let (c, _flags) = mixed::mixed_matmul(p, mode, a, b);
                     let (n, m, cols) = (a.rows() as u64, a.cols() as u64, b.cols() as u64);
@@ -725,6 +685,16 @@ impl Job {
     }
 }
 
+/// The plan a matmul job is checked against and, under a uniform
+/// policy, runs: the block size the paper's cycle model favours for the
+/// job's shape and combined MAC latency `pl`.
+fn matmul_plan(pl: u32, a: &Matrix, b: &Matrix) -> Result<BlockMatMul, PlanError> {
+    let dim = |d: usize| {
+        u32::try_from(d).map_err(|_| PlanError::Shape(format!("dimension {d} exceeds u32")))
+    };
+    BlockMatMul::cheapest(dim(a.rows())?, dim(a.cols())?, dim(b.cols())?, pl)
+}
+
 /// Stream one eltwise payload through `unit` (which must be built in
 /// `policy.compute`), converting operands in from `policy.storage` and
 /// results back out, accumulating the conversion flags per element.
@@ -784,6 +754,7 @@ pub fn run_coalesced(key: CoalesceKey, batches: &[&[(u64, u64)]]) -> Vec<JobResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpfpga_softfp::SoftFloat;
 
     const RM: RoundMode = RoundMode::NearestEven;
 
@@ -985,7 +956,8 @@ mod tests {
         )
         .validate()
         .is_err());
-        // Zero diagonal → refused up front instead of a worker panic.
+        // A zero diagonal is accepted: the divider gives a zero pivot
+        // IEEE semantics instead of panicking a worker.
         let a = Matrix::zero(fmt, 3, 3);
         assert!(Job::uniform(
             Kernel::Lu {
@@ -998,7 +970,7 @@ mod tests {
             RM,
         )
         .validate()
-        .is_err());
+        .is_ok());
     }
 
     #[test]
@@ -1045,115 +1017,157 @@ mod tests {
         assert!(err.contains("policy stores"), "{err}");
     }
 
-    #[test]
-    fn matmul_zero_and_stageless_payloads_are_refused_not_panics() {
-        let fmt = FpFormat::SINGLE;
-        // 0×0 operands used to pass the square check and then panic in
-        // the worker at `pes[0]`.
-        let err = Job::uniform(
-            Kernel::MatMul {
-                mult_stages: 5,
-                add_stages: 4,
-                a: Matrix::zero(fmt, 0, 0),
-                b: Matrix::zero(fmt, 0, 0),
-            },
-            fmt,
-            RM,
-        )
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("nonzero"), "{err}");
-        // mult+add = 0 used to trip Schedule::new's assert on a worker.
-        let err = Job::uniform(
-            Kernel::MatMul {
-                mult_stages: 0,
-                add_stages: 0,
-                a: Matrix::identity(fmt, 2),
-                b: Matrix::identity(fmt, 2),
-            },
-            fmt,
-            RM,
-        )
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("stage"), "{err}");
-        // Mismatched inner dimensions are a typed refusal.
-        let err = Job::uniform(
-            Kernel::MatMul {
-                mult_stages: 5,
-                add_stages: 4,
-                a: Matrix::zero(fmt, 2, 3),
-                b: Matrix::zero(fmt, 2, 2),
-            },
-            fmt,
-            RM,
-        )
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("inner dimensions"), "{err}");
+    fn matmul_job(mult_stages: u32, add_stages: u32, a: &Matrix, b: &Matrix) -> Job {
+        let (a, b) = (a.clone(), b.clone());
+        let kernel = Kernel::MatMul {
+            mult_stages,
+            add_stages,
+            a,
+            b,
+        };
+        Job::uniform(kernel, FpFormat::SINGLE, RM)
     }
 
     #[test]
-    fn rectangular_uniform_matmul_routes_to_multi_and_matches_reference() {
+    fn matmul_zero_and_stageless_payloads_are_refused_not_panics() {
+        let fmt = FpFormat::SINGLE;
+        let id = Matrix::identity(fmt, 2);
+        // The planner's typed errors: a zero dimension (0×0 operands used
+        // to panic a worker at `pes[0]`) and mismatched inner dimensions.
+        let zero = Matrix::zero(fmt, 0, 0);
+        let err = matmul_job(5, 4, &zero, &zero).validate().unwrap_err();
+        assert!(err.contains("dimension M must be at least 1"), "{err}");
+        let err = matmul_job(5, 4, &Matrix::zero(fmt, 2, 3), &id)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("B is 2×2, plan expects 3×2"), "{err}");
+        // mult+add = 0 used to trip Schedule::new's assert on a worker.
+        let err = matmul_job(0, 0, &id, &id).validate().unwrap_err();
+        assert!(err.contains("pipe depth 0"), "{err}");
+    }
+
+    #[test]
+    fn served_square_matmul_equals_the_per_cycle_array() {
+        // Square jobs run the one-tile plan (b = n): values and every
+        // stats field equal the per-cycle single array.
+        let fmt = FpFormat::SINGLE;
+        let top = if cfg!(debug_assertions) { 24 } else { 64 };
+        let cache = SweepCache::new();
+        for (lm, la) in [(5u32, 4u32), (1, 1), (9, 12), (13, 12)] {
+            for n in 1..=top {
+                let a = Matrix::from_fn(fmt, n, n, |i, j| ((i * n + j) as f64 * 0.31).sin());
+                let b = Matrix::from_fn(fmt, n, n, |i, j| ((i + 3 * j) as f64 * 0.17).cos());
+                let job = matmul_job(lm, la, &a, &b);
+                job.validate().unwrap();
+                let backend = fpfpga_matmul::pe::UnitBackend::Fast;
+                let want = fpfpga_matmul::LinearArray::multiply(fmt, RM, lm, la, &a, &b, backend);
+                match job.run(&Tech::virtex2pro(), &cache) {
+                    JobResult::MatMul { c, stats } => assert_eq!((c, stats), want, "n={n}"),
+                    other => panic!("wrong result kind: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rectangular_matmul_runs_the_cheapest_plan() {
         let fmt = FpFormat::SINGLE;
         let a = Matrix::from_fn(fmt, 7, 3, |i, j| ((i * 3 + j) as f64 * 0.2).sin());
         let b = Matrix::from_fn(fmt, 3, 5, |i, j| ((i + 2 * j) as f64 * 0.3).cos());
-        assert!(matmul_routes_to_multi(&a, &b));
-        let job = Job::uniform(
-            Kernel::MatMul {
-                mult_stages: 5,
-                add_stages: 4,
-                a: a.clone(),
-                b: b.clone(),
-            },
-            fmt,
-            RM,
-        );
-        job.validate().expect("rectangular matmul is now valid");
-        let cache = SweepCache::new();
-        match job.run(&Tech::virtex2pro(), &cache) {
+        let plan = BlockMatMul::cheapest(7, 3, 5, 9).unwrap();
+        let job = matmul_job(5, 4, &a, &b);
+        job.validate().unwrap();
+        match job.run(&Tech::virtex2pro(), &SweepCache::new()) {
             JobResult::MatMul { c, stats } => {
-                let want = fpfpga_matmul::reference::reference_matmul(&a, &b, RM);
-                assert_eq!(c, want);
-                assert_eq!(stats.useful_macs, 7 * 3 * 5);
-                assert!(stats.cycles > 0, "multi path models array cycles");
+                assert_eq!(c, fpfpga_matmul::reference::reference_matmul(&a, &b, RM));
+                assert_eq!(stats.cycles, plan.total_cycles());
+                assert_eq!(stats.pad_macs, plan.pad_macs());
             }
             other => panic!("wrong result kind: {other:?}"),
         }
     }
 
     #[test]
-    fn over_threshold_square_matmul_matches_the_legacy_array() {
-        // A 80×80 uniform matmul routes to the multi-array path; the
-        // product must still be bit-identical (flags too, via stats
-        // equivalence tests in fpfpga-matmul) to the single flat array.
-        let fmt = FpFormat::SINGLE;
-        let n = MULTI_ARRAY_THRESHOLD + 16;
-        let a = Matrix::from_fn(fmt, n, n, |i, j| ((i * n + j) as f64 * 0.001).sin());
-        let b = Matrix::from_fn(fmt, n, n, |i, j| ((i + 3 * j) as f64 * 0.002).cos());
-        assert!(matmul_routes_to_multi(&a, &b));
-        assert!(!matmul_routes_to_multi(
-            &Matrix::identity(fmt, MULTI_ARRAY_THRESHOLD),
-            &Matrix::identity(fmt, MULTI_ARRAY_THRESHOLD)
-        ));
-        let job = Job::uniform(
-            Kernel::MatMul {
-                mult_stages: 5,
-                add_stages: 4,
-                a: a.clone(),
-                b: b.clone(),
-            },
-            fmt,
-            RM,
-        );
-        job.validate().unwrap();
-        let cache = SweepCache::new();
-        match job.run(&Tech::virtex2pro(), &cache) {
-            JobResult::MatMul { c, .. } => {
-                let (want, _) = LinearArray::multiply_batched(fmt, RM, 5, 4, &a, &b);
-                assert_eq!(c, want);
+    fn pipe_depth_bound_covers_the_fabric_models_deepest_core() {
+        use fpfpga_fpu::generator::{sweep_for, UnitOp};
+        let tech = Tech::virtex2pro();
+        for op in [
+            UnitOp::Add,
+            UnitOp::Mul,
+            UnitOp::Div,
+            UnitOp::Sqrt,
+            UnitOp::Mac,
+        ] {
+            for fmt in FpFormat::PAPER_PRECISIONS {
+                let deepest = sweep_for(op, fmt, &tech, SynthesisOptions::SPEED).len();
+                assert!(
+                    deepest as u32 <= MAX_PIPE_STAGES,
+                    "{op:?} {fmt:?}: {deepest}"
+                );
             }
-            other => panic!("wrong result kind: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_kernels_pipe_depths_are_bounded() {
+        let fmt = FpFormat::SINGLE;
+        let (one, id) = (enc(fmt, 1.0), Matrix::identity(fmt, 2));
+        // One job of each kernel kind with pipes, at depths (s1, s2).
+        let jobs = |s1: u32, s2: u32| {
+            [
+                Kernel::Eltwise {
+                    op: EltOp::Add,
+                    stages: s1,
+                    pairs: vec![(one, one)],
+                },
+                Kernel::Dot {
+                    mult_stages: s1,
+                    add_stages: s2,
+                    x: vec![one],
+                    y: vec![one],
+                },
+                Kernel::MatMul {
+                    mult_stages: s1,
+                    add_stages: s2,
+                    a: id.clone(),
+                    b: id.clone(),
+                },
+                Kernel::Mvm {
+                    mult_stages: s1,
+                    add_stages: s2,
+                    p: 1,
+                    a: id.clone(),
+                    x: vec![one; 2],
+                },
+                Kernel::Lu {
+                    div_stages: s1,
+                    mac_stages: s2,
+                    p: 1,
+                    a: id.clone(),
+                },
+                Kernel::Fft {
+                    mult_stages: s1,
+                    add_stages: s2,
+                    data: vec![Cplx::zero(); 2],
+                    inverse: false,
+                },
+            ]
+            .map(|kernel| Job::uniform(kernel, fmt, RM))
+        };
+        let cache = SweepCache::new();
+        for depth in [1, MAX_PIPE_STAGES] {
+            for job in jobs(depth, depth) {
+                job.validate().unwrap();
+                job.run(&Tech::virtex2pro(), &cache);
+            }
+        }
+        for bad in [0, MAX_PIPE_STAGES + 1, 1 << 22, u32::MAX] {
+            // Each pipe in turn; the eltwise unit has only the first.
+            let second = jobs(4, bad).into_iter().skip(1);
+            for job in jobs(bad, 4).into_iter().chain(second) {
+                let err = job.validate().unwrap_err();
+                assert!(err.contains(&format!("pipe depth {bad} ")), "{err}");
+            }
         }
     }
 

@@ -77,10 +77,7 @@ pub mod pool;
 pub mod trace;
 pub mod tuner;
 
-pub use job::{
-    matmul_multi_plan, matmul_routes_to_multi, ApOp, CoalesceKey, EltOp, Job, JobResult, Kernel,
-    MULTI_ARRAY_BLOCK, MULTI_ARRAY_MAX_ARRAYS, MULTI_ARRAY_THRESHOLD,
-};
+pub use job::{ApOp, CoalesceKey, EltOp, Job, JobResult, Kernel, MAX_PIPE_STAGES};
 pub use metrics::{Metrics, MetricsSnapshot, LATENCY_BUCKETS};
 pub use pool::{
     JobHandle, JobOutcome, JobSpec, PolicyBook, PolicySel, Priority, ServeConfig, ServePool,

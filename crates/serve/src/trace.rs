@@ -207,11 +207,11 @@ impl Synth {
                 Job::new(kernel, policy, mode)
             }
             70..=77 => {
-                // One matmul in three is rectangular/ragged, so uniform
-                // draws exercise the serving layer's multi-array path
-                // (any non-square problem routes there) and mixed draws
-                // exercise the rectangular mixed kernel — at every
-                // worker count, via the equivalence proptests.
+                // One matmul in three is rectangular, so uniform draws
+                // exercise blocked plans with ragged edge tiles (square
+                // ones run as one tile) and mixed draws exercise the
+                // rectangular mixed kernel — at every worker count, via
+                // the equivalence proptests.
                 let m = (2 + self.below(3) as usize) * self.scale;
                 let (k, n) = if self.below(3) == 0 {
                     (

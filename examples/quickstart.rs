@@ -44,18 +44,17 @@ fn main() {
     let n = 8;
     let a = Matrix::from_fn(fmt, n, n, |i, j| ((i * n + j) as f64 * 0.37).sin());
     let b = Matrix::from_fn(fmt, n, n, |i, j| ((i + j) as f64 * 0.11).cos());
-    let (c, stats) = LinearArray::multiply_batched(
-        fmt,
-        RoundMode::NearestEven,
-        7, // multiplier stages
-        9, // adder stages
-        &a,
-        &b,
-    );
+    let (mult_stages, add_stages) = (7, 9);
+    // The block size the paper's cycle model favours (one 8×8 tile).
+    let plan = BlockMatMul::cheapest(n as u32, n as u32, n as u32, mult_stages + add_stages)
+        .expect("nonzero shape and latency");
+    let (c, stats) = MultiMatMul { plan, arrays: 1 }
+        .run(RoundMode::NearestEven, mult_stages, add_stages, &a, &b, 1)
+        .expect("operands match the plan");
     let err = fpfpga::matmul::reference::error_vs_f64(&c, &a, &b);
     println!(
-        "\n{n}x{n} matmul: {} cycles, {} useful MACs, {} padded, max |err| vs f64 = {err:.2e}",
-        stats.cycles, stats.useful_macs, stats.pad_macs
+        "\n{n}x{n} matmul (b = {}): {} cycles, {} useful MACs, {} padded, max |err| vs f64 = {err:.2e}",
+        plan.b, stats.total.cycles, stats.total.useful_macs, stats.total.pad_macs
     );
     println!("c[0][0] = {:.6}", c.get_f64(0, 0));
 }
