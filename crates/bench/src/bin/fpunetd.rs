@@ -110,6 +110,10 @@ fn report_text(r: &ServerReport) {
         "  frames: {} in / {} out — {} requests, {} responses, {} rejects, {} protocol errors",
         n.frames_in, n.frames_out, n.requests, n.responses, n.rejects, n.protocol_errors
     );
+    println!(
+        "  socket calls: {} reads / {} writes (for {} frames in / {} out)",
+        n.read_calls, n.write_calls, n.frames_in, n.frames_out
+    );
     let m = &r.pool;
     let q = |p: f64| {
         m.latency_quantile_us(p)
@@ -254,6 +258,8 @@ fn main() {
                 "refused_conns": report.net.refused_conns,
                 "frames_in": report.net.frames_in,
                 "frames_out": report.net.frames_out,
+                "read_calls": report.net.read_calls,
+                "write_calls": report.net.write_calls,
                 "requests": report.net.requests,
                 "responses": report.net.responses,
                 "rejects": report.net.rejects,

@@ -4,10 +4,12 @@
 //! number in flight ([`NetClient::send`] / [`NetClient::recv`]); the
 //! server answers each connection in submission order, so `recv`
 //! returns ids in the order `send` issued them. [`NetClient::call`] is
-//! the one-shot convenience wrapper.
+//! the one-shot convenience wrapper. Answers are read through a
+//! buffered read half, so a burst the server coalesced into one write
+//! costs one `read`; `send` still writes one frame per call.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -76,7 +78,11 @@ impl From<FrameError> for NetError {
 
 /// One connection to an `fpunetd` server.
 pub struct NetClient {
+    /// The write half: one frame per `write`.
     stream: TcpStream,
+    /// The read half, buffered: one `read` takes in every answer the
+    /// server has coalesced into a burst.
+    reader: BufReader<TcpStream>,
     next_id: u64,
     /// Request answers that arrived while waiting for something else
     /// (a pong, say); [`NetClient::recv`] drains these first, so a
@@ -91,6 +97,7 @@ impl NetClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(NetClient {
+            reader: BufReader::new(stream.try_clone()?),
             stream,
             next_id: 1,
             pending: VecDeque::new(),
@@ -133,7 +140,7 @@ impl NetClient {
             return Ok(buffered);
         }
         loop {
-            let frame = read_frame(&mut self.stream)?;
+            let frame = read_frame(&mut self.reader)?;
             match frame.kind {
                 FrameKind::Response | FrameKind::Reject => return Self::answer(frame),
                 FrameKind::Goodbye => return Err(NetError::ServerClosed),
@@ -164,7 +171,7 @@ impl NetClient {
         let start = Instant::now();
         write_frame(&mut self.stream, &control_frame(FrameKind::Ping, req_id))?;
         loop {
-            let frame = read_frame(&mut self.stream)?;
+            let frame = read_frame(&mut self.reader)?;
             match frame.kind {
                 FrameKind::Pong if frame.req_id == req_id => return Ok(start.elapsed()),
                 FrameKind::Pong => continue,
@@ -185,7 +192,7 @@ impl NetClient {
     pub fn shutdown_server(mut self) -> Result<(), NetError> {
         write_frame(&mut self.stream, &control_frame(FrameKind::Shutdown, 0))?;
         loop {
-            match read_frame(&mut self.stream) {
+            match read_frame(&mut self.reader) {
                 Ok(f) if f.kind == FrameKind::Goodbye => return Ok(()),
                 Ok(f) if f.kind == FrameKind::Reject => {
                     // Rejects to earlier pipelined requests drain

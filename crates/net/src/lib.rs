@@ -17,9 +17,14 @@
 //! - **[`server`]** — the accept loop: connection limits with graceful
 //!   backpressure, idle timeouts, per-connection reader/writer threads
 //!   preserving response order, and a drain-on-shutdown path that
-//!   answers every accepted job before exiting.
+//!   answers every accepted job before exiting. Frame I/O is batched:
+//!   the reader parses every frame one buffered `read` took in, and
+//!   the writer coalesces ready replies into one `write`, counted in
+//!   [`NetStatsSnapshot::read_calls`] and
+//!   [`NetStatsSnapshot::write_calls`].
 //! - **[`client`]** — a blocking, pipelining-friendly client used by
-//!   the `fpunet` load generator and the test suites.
+//!   the `fpunet` load generator and the test suites; it reads answers
+//!   through a buffered read half.
 //! - **[`adaptive`]** — a feedback tuner driving the pool's live
 //!   coalescing window from the batch-occupancy metric.
 //!

@@ -15,6 +15,22 @@
 //! order. Backpressure is end-to-end — a slow reader of results slows
 //! its own submissions, nobody else's.
 //!
+//! ## Batched frame I/O
+//!
+//! Transport cost is paid per burst, not per frame. The reader reads
+//! through a 64 KiB buffer, so one `read` takes in every request the
+//! peer has pipelined and the frames already buffered parse without
+//! another syscall. The writer appends each resolved reply to one
+//! reused buffer and sends it with one `write_all` when the channel
+//! runs dry, when the next job is still running (so a ready frame is
+//! never held back behind a slow one), when a close is due, or when
+//! the buffer reaches 64 KiB. A frame larger than that goes out whole
+//! and the buffer then shrinks back, so a connection holds at most
+//! 64 KiB of read buffer plus 64 KiB and one frame of write buffer.
+//! [`NetStatsSnapshot::read_calls`] and
+//! [`NetStatsSnapshot::write_calls`] count the syscalls against
+//! `frames_in` and `frames_out`.
+//!
 //! ## Shutdown
 //!
 //! A [`FrameKind::Shutdown`] admin frame (or [`NetServer::stop_handle`])
@@ -31,10 +47,11 @@
 //! policy excludes gets a typed [`ErrorCode::Denied`] reject and its
 //! connection keeps serving.
 
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, TryRecvError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fpfpga_serve::{JobHandle, JobOutcome, MetricsSnapshot, ServeConfig, ServePool, SubmitError};
@@ -42,7 +59,7 @@ use fpfpga_serve::{JobHandle, JobOutcome, MetricsSnapshot, ServeConfig, ServePoo
 use crate::adaptive::{AdaptiveConfig, AdaptiveTuner};
 use crate::quota::{QuotaBook, QuotaConfig, TenantUsage};
 use crate::wire::{
-    control_frame, decode_spec, encode_reject, encode_result, read_frame_polled, write_frame,
+    append_frame, control_frame, decode_spec, encode_reject, encode_result, read_frame_polled,
     ErrorCode, Frame, FrameError, FrameKind, Polled, Reject, WireError, MAX_BODY_LEN,
 };
 
@@ -58,6 +75,15 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 /// a congested real-network path; a peer that cannot finish a ≤ 16 MiB
 /// frame in this long is gone or hostile.
 const FRAME_STALL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Per-connection read buffer: one `read` takes in up to this many
+/// bytes of pipelined request frames.
+const READ_BUF: usize = 64 << 10;
+
+/// Per-connection write buffer: replies coalesce up to this many bytes
+/// before a flush, and the buffer shrinks back to it after a larger
+/// frame.
+const WRITE_BUF: usize = 64 << 10;
 
 /// Retry hint sent with a connection-limit reject.
 const CONN_RETRY_AFTER: Duration = Duration::from_millis(25);
@@ -124,6 +150,8 @@ struct NetStats {
     responses: AtomicU64,
     rejects: AtomicU64,
     protocol_errors: AtomicU64,
+    read_calls: AtomicU64,
+    write_calls: AtomicU64,
 }
 
 /// A point-in-time copy of the transport counters.
@@ -145,6 +173,12 @@ pub struct NetStatsSnapshot {
     pub rejects: u64,
     /// Frames that failed to parse (stream then closed).
     pub protocol_errors: u64,
+    /// `read` calls on connection sockets, idle-tick timeouts and
+    /// end-of-stream included.
+    pub read_calls: u64,
+    /// `write` calls on connection sockets (connection-limit refusals
+    /// excluded, like their frames).
+    pub write_calls: u64,
 }
 
 impl NetStats {
@@ -158,6 +192,8 @@ impl NetStats {
             responses: self.responses.load(Ordering::Relaxed),
             rejects: self.rejects.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            read_calls: self.read_calls.load(Ordering::Relaxed),
+            write_calls: self.write_calls.load(Ordering::Relaxed),
         }
     }
 }
@@ -312,9 +348,10 @@ fn refuse_connection(mut stream: TcpStream) {
             detail: "connection limit reached".into(),
         }),
     };
-    let _ = write_frame(&mut stream, &reject);
-    let _ = write_frame(&mut stream, &control_frame(FrameKind::Goodbye, 0));
-    let _ = stream.flush();
+    let mut out = Vec::new();
+    let _ = append_frame(&mut out, &reject);
+    let _ = append_frame(&mut out, &control_frame(FrameKind::Goodbye, 0));
+    let _ = stream.write_all(&out);
 }
 
 /// What the reader hands the writer, in order.
@@ -361,17 +398,31 @@ impl ConnCtx {
         let wstats = self.stats.clone();
         let writer = std::thread::Builder::new()
             .name("fpunet-writer".into())
-            .spawn(move || writer_loop(write_half, rx, wstats))
+            .spawn(move || {
+                let sink = Metered {
+                    stream: write_half,
+                    stats: wstats.clone(),
+                };
+                writer_loop(&mut Outbox::new(sink), rx, &wstats)
+            })
             .expect("spawn writer thread");
 
-        self.reader_loop(stream, &tx, allow_shutdown);
+        let source = Metered {
+            stream,
+            stats: self.stats.clone(),
+        };
+        self.reader_loop(
+            BufReader::with_capacity(READ_BUF, source),
+            &tx,
+            allow_shutdown,
+        );
 
         drop(tx); // writer drains pending replies, then exits
         let _ = writer.join();
         self.active.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn reader_loop(&self, mut stream: TcpStream, tx: &mpsc::Sender<Reply>, allow_shutdown: bool) {
+    fn reader_loop(&self, mut stream: impl Read, tx: &mpsc::Sender<Reply>, allow_shutdown: bool) {
         let mut last_activity = Instant::now();
         loop {
             match read_frame_polled(&mut stream, FRAME_STALL_TIMEOUT) {
@@ -596,28 +647,116 @@ fn outcome_frame(req_id: u64, outcome: JobOutcome, stats: &NetStats) -> Frame {
     }
 }
 
+/// A connection socket that counts its `read` and `write` calls into
+/// the transport counters.
+struct Metered {
+    stream: TcpStream,
+    stats: Arc<NetStats>,
+}
+
+impl Read for Metered {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stats.read_calls.fetch_add(1, Ordering::Relaxed);
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Metered {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stats.write_calls.fetch_add(1, Ordering::Relaxed);
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// One connection's outgoing frames: appended to one reused buffer,
+/// sent with one `write_all` per flush.
+struct Outbox<W> {
+    sink: W,
+    buf: Vec<u8>,
+    /// Frames in `buf`.
+    frames: u64,
+}
+
+impl<W: Write> Outbox<W> {
+    fn new(sink: W) -> Outbox<W> {
+        Outbox {
+            sink,
+            buf: Vec::with_capacity(WRITE_BUF),
+            frames: 0,
+        }
+    }
+
+    /// Queue one frame. Fails only for a body over the frame cap.
+    fn push(&mut self, frame: &Frame, stats: &NetStats) -> io::Result<()> {
+        append_frame(&mut self.buf, frame)?;
+        self.frames += 1;
+        if frame.kind == FrameKind::Reject {
+            stats.rejects.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Send everything queued, then give back the capacity a frame
+    /// larger than [`WRITE_BUF`] grew the buffer to.
+    fn flush(&mut self, stats: &NetStats) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.sink.write_all(&self.buf)?;
+        stats.frames_out.fetch_add(self.frames, Ordering::Relaxed);
+        self.buf.clear();
+        self.buf.shrink_to(WRITE_BUF);
+        self.frames = 0;
+        Ok(())
+    }
+}
+
 /// Drain the reply channel in order, resolving job handles as they
 /// come due. FIFO delivery is the per-connection ordering guarantee.
-fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Reply>, stats: Arc<NetStats>) {
-    for reply in rx {
+/// Replies coalesce in `out` and are flushed when the channel is
+/// empty, before waiting on a job that is not done, on close, and at
+/// [`WRITE_BUF`] bytes. On a write error the peer is gone: return, and
+/// pending handles resolve unobserved.
+fn writer_loop<W: Write>(out: &mut Outbox<W>, rx: mpsc::Receiver<Reply>, stats: &NetStats) {
+    loop {
+        // Block only with nothing queued; otherwise an empty channel
+        // ends the burst and the queued frames go out now.
+        let reply = if out.buf.is_empty() {
+            match rx.recv() {
+                Ok(reply) => reply,
+                Err(_) => return,
+            }
+        } else {
+            match rx.try_recv() {
+                Ok(reply) => reply,
+                Err(e) => {
+                    if out.flush(stats).is_err() || e == TryRecvError::Disconnected {
+                        return;
+                    }
+                    continue;
+                }
+            }
+        };
         let (frame, close) = match reply {
             Reply::Now(f) => (Some(f), false),
             Reply::Job { req_id, handle } => {
-                (Some(outcome_frame(req_id, handle.wait(), &stats)), false)
+                if !handle.is_done() && out.flush(stats).is_err() {
+                    return;
+                }
+                (Some(outcome_frame(req_id, handle.wait(), stats)), false)
             }
             Reply::Close(f) => (f, true),
         };
-        if let Some(f) = &frame {
-            if f.kind == FrameKind::Reject {
-                stats.rejects.fetch_add(1, Ordering::Relaxed);
-            }
-            if write_frame(&mut stream, f).is_err() {
-                return; // peer gone; pending handles resolve unobserved
-            }
-            stats.frames_out.fetch_add(1, Ordering::Relaxed);
+        let queued = frame.map_or(Ok(()), |f| out.push(&f, stats));
+        if queued.is_err() || close {
+            let _ = out.flush(stats);
+            return;
         }
-        if close {
-            let _ = stream.flush();
+        if out.buf.len() >= WRITE_BUF && out.flush(stats).is_err() {
             return;
         }
     }
@@ -626,9 +765,175 @@ fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Reply>, stats: Arc<NetS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::decode_reject;
-    use fpfpga_serve::JobResult;
-    use fpfpga_softfp::Flags;
+    use crate::wire::{decode_reject, read_frame, write_frame};
+    use fpfpga_serve::{run_serial, EltOp, Job, JobResult, JobSpec, Kernel};
+    use fpfpga_softfp::{Flags, FpFormat, RoundMode};
+    use std::sync::Mutex;
+
+    /// A sink that records each `write` call; clones share the record,
+    /// so a test can watch a writer thread.
+    #[derive(Clone, Default)]
+    struct Calls(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Calls {
+        fn writes(&self) -> Vec<Vec<u8>> {
+            self.0.lock().unwrap().clone()
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            self.writes().concat()
+        }
+    }
+
+    /// The frames as back-to-back `write_frame` encodings.
+    fn encoded(frames: &[Frame]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in frames {
+            write_frame(&mut out, f).unwrap();
+        }
+        out
+    }
+
+    fn pong(req_id: u64) -> Frame {
+        control_frame(FrameKind::Pong, req_id)
+    }
+
+    fn add_spec(i: u64) -> JobSpec {
+        let kernel = Kernel::Eltwise {
+            op: EltOp::Add,
+            stages: 6,
+            pairs: vec![(0x3f80_0000 + i, 0x4000_0000), (i, i)],
+        };
+        JobSpec::new(Job::uniform(
+            kernel,
+            FpFormat::SINGLE,
+            RoundMode::NearestEven,
+        ))
+    }
+
+    fn response(req_id: u64, result: &JobResult) -> Frame {
+        Frame {
+            kind: FrameKind::Response,
+            req_id,
+            body: encode_result(result),
+        }
+    }
+
+    fn until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn burst_of_resolved_replies_goes_out_in_one_write() {
+        let config = ServeConfig::with_workers(1);
+        let specs: Vec<JobSpec> = (0..4).map(add_spec).collect();
+        let want = run_serial(&specs, &config.tech);
+        let pool = ServePool::new(config);
+        let handles: Vec<JobHandle> = specs.into_iter().map(|s| pool.submit(s).unwrap()).collect();
+        until("jobs to finish", || handles.iter().all(JobHandle::is_done));
+
+        let (tx, rx) = mpsc::channel();
+        let mut expect = Vec::new();
+        for ((req_id, handle), result) in (0..).zip(handles).zip(&want) {
+            tx.send(Reply::Now(pong(100 + req_id))).unwrap();
+            tx.send(Reply::Job { req_id, handle }).unwrap();
+            expect.extend([pong(100 + req_id), response(req_id, result)]);
+        }
+        drop(tx);
+        let (sink, stats) = (Calls::default(), NetStats::default());
+        writer_loop(&mut Outbox::new(sink.clone()), rx, &stats);
+        assert_eq!(sink.writes().len(), 1, "one write for the whole burst");
+        assert_eq!(sink.bytes(), encoded(&expect));
+        assert_eq!(stats.frames_out.load(Ordering::Relaxed), 8);
+        assert_eq!(stats.responses.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn frames_ahead_of_a_pending_job_go_out_before_it_resolves() {
+        let config = ServeConfig::with_workers(1);
+        let want = run_serial(&[add_spec(3)], &config.tech);
+        let pool = ServePool::new(config);
+        pool.pause();
+        let handle = pool.submit(add_spec(3)).unwrap();
+        let (tx, rx) = mpsc::channel();
+        tx.send(Reply::Now(pong(1))).unwrap();
+        tx.send(Reply::Now(pong(2))).unwrap();
+        tx.send(Reply::Job { req_id: 3, handle }).unwrap();
+        tx.send(Reply::Now(pong(4))).unwrap();
+        drop(tx);
+
+        let sink = Calls::default();
+        let writer = {
+            let sink = sink.clone();
+            std::thread::spawn(move || {
+                writer_loop(&mut Outbox::new(sink), rx, &NetStats::default())
+            })
+        };
+        let ahead = encoded(&[pong(1), pong(2)]);
+        until("the frames ahead of the job", || sink.bytes() == ahead);
+        assert_eq!(sink.writes(), vec![ahead], "sent in one write");
+        assert_eq!(pool.metrics().completed, 0, "the job is still pending");
+        pool.resume();
+        writer.join().unwrap();
+        let all = [pong(1), pong(2), response(3, &want[0]), pong(4)];
+        assert_eq!(sink.bytes(), encoded(&all));
+    }
+
+    #[test]
+    fn close_flushes_everything_queued_before_it() {
+        let (tx, rx) = mpsc::channel();
+        let bye = control_frame(FrameKind::Goodbye, 0);
+        tx.send(Reply::Now(pong(1))).unwrap();
+        tx.send(Reply::Now(pong(2))).unwrap();
+        tx.send(Reply::Close(Some(bye.clone()))).unwrap();
+        tx.send(Reply::Now(pong(3))).unwrap();
+        // The sender stays open: only the close ends the writer.
+        let sink = Calls::default();
+        writer_loop(&mut Outbox::new(sink.clone()), rx, &NetStats::default());
+        assert_eq!(sink.writes(), vec![encoded(&[pong(1), pong(2), bye])]);
+        drop(tx);
+    }
+
+    #[test]
+    fn large_frame_arrives_intact_and_the_buffer_shrinks_back() {
+        let big = Frame {
+            kind: FrameKind::Response,
+            req_id: 1,
+            body: (0..3u32 << 20).map(|i| (i % 251) as u8).collect(),
+        };
+        let frames = [big, pong(2), pong(3), pong(4)];
+        let (tx, rx) = mpsc::channel();
+        for f in &frames {
+            tx.send(Reply::Now(f.clone())).unwrap();
+        }
+        drop(tx);
+        let sink = Calls::default();
+        let mut out = Outbox::new(sink.clone());
+        writer_loop(&mut out, rx, &NetStats::default());
+        let bytes = sink.bytes();
+        let mut wire = bytes.as_slice();
+        for f in &frames {
+            assert_eq!(&read_frame(&mut wire).unwrap(), f);
+        }
+        assert!(wire.is_empty());
+        assert_eq!(sink.writes().len(), 2, "the big frame, then the small ones");
+        assert!(out.buf.capacity() <= WRITE_BUF, "{}", out.buf.capacity());
+    }
 
     #[test]
     fn oversized_result_becomes_typed_toolarge_reject() {

@@ -1018,12 +1018,13 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// Serialize one frame to `w` (single `write_all`; the length prefix
-/// makes the stream self-delimiting). A body over [`MAX_BODY_LEN`] is
-/// refused with `InvalidInput` — sending it would either desync the
-/// receiver (which must reject the oversized length) or, past 4 GiB,
-/// silently wrap the `u32` prefix and corrupt the framing.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+/// Append one encoded frame to `out` (the length prefix makes the
+/// stream self-delimiting, so frames concatenate). A body over
+/// [`MAX_BODY_LEN`] is refused with `InvalidInput` and `out` is left
+/// untouched — sending it would either desync the receiver (which
+/// must reject the oversized length) or, past 4 GiB, silently wrap
+/// the `u32` prefix and corrupt the framing.
+pub fn append_frame(out: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
     if frame.body.len() > MAX_BODY_LEN as usize {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -1035,12 +1036,20 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
         ));
     }
     let len = HEADER_AFTER_LEN + frame.body.len() as u32;
-    let mut out = Vec::with_capacity(4 + len as usize);
+    out.reserve(4 + len as usize);
     out.extend_from_slice(&len.to_le_bytes());
     out.push(WIRE_VERSION);
     out.push(frame.kind as u8);
     out.extend_from_slice(&frame.req_id.to_le_bytes());
     out.extend_from_slice(&frame.body);
+    Ok(())
+}
+
+/// Serialize one frame to `w` in a single `write_all` (see
+/// [`append_frame`] for the size cap).
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    let mut out = Vec::new();
+    append_frame(&mut out, frame)?;
     w.write_all(&out)
 }
 
@@ -1058,7 +1067,7 @@ fn check_frame_len(len: u32) -> Result<(), FrameError> {
 
 /// Parse the bytes after the length prefix (version, kind, request id,
 /// body). `rest.len()` is the already-validated `len`, ≥ 10.
-fn parse_frame_tail(rest: Vec<u8>) -> Result<Frame, FrameError> {
+fn parse_frame_tail(mut rest: Vec<u8>) -> Result<Frame, FrameError> {
     let ver = rest[0];
     if ver != WIRE_VERSION {
         return Err(FrameError::Wire(WireError::BadVersion(ver)));
@@ -1066,10 +1075,11 @@ fn parse_frame_tail(rest: Vec<u8>) -> Result<Frame, FrameError> {
     let kind = FrameKind::from_u8(rest[1])
         .ok_or_else(|| FrameError::Wire(bad(format!("frame kind {}", rest[1]))))?;
     let req_id = u64::from_le_bytes(rest[2..10].try_into().unwrap());
+    rest.drain(..10);
     Ok(Frame {
         kind,
         req_id,
-        body: rest[10..].to_vec(),
+        body: rest,
     })
 }
 
@@ -1161,7 +1171,9 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], deadline: Instant) -> Result<(),
 /// The deadline is only enforced when the underlying reads time out,
 /// so it relies on the stream's read timeout to wake up; `r` should be
 /// a blocking stream with a short read timeout, not a nonblocking
-/// socket (which would spin).
+/// socket (which would spin). Wrapped in a `BufReader`, every frame
+/// already buffered parses without a syscall; a timed-out fill leaves
+/// the buffer as it was, so the semantics above hold unchanged.
 pub fn read_frame_polled(r: &mut impl Read, stall_timeout: Duration) -> Result<Polled, FrameError> {
     let mut first = [0u8; 1];
     loop {
@@ -1342,6 +1354,12 @@ mod tests {
         let err = write_frame(&mut buf, &frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(buf.is_empty(), "nothing hit the wire");
+        // Appending to a batch refuses it the same way and leaves the
+        // frames already queued intact.
+        let mut batch = vec![1, 2, 3];
+        let err = append_frame(&mut batch, &frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(batch, [1, 2, 3]);
         // Exactly at the cap is fine.
         let frame = Frame {
             body: vec![0u8; MAX_BODY_LEN as usize],
