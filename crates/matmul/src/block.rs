@@ -206,6 +206,30 @@ impl BlockMatMul {
             - self.useful_macs()
     }
 
+    /// The run statistics [`BlockMatMul::run`] simulates, from the
+    /// plan alone: its cycles, useful and pad MACs; one drain per
+    /// output tile, idling each of the tile's `p` real-column PEs for
+    /// the `p + PL + 1` drain cycles; and per-PE BRAM traffic of three
+    /// accesses per useful MAC (`B` read, `C` read, `C` write) plus one
+    /// full-height `B` column load per PE per block product.
+    pub fn stats(&self) -> ArrayStats {
+        let (tiles_m, tiles_k) = (self.tiles_m() as u64, self.tiles_k() as u64);
+        let drains: u64 = (0..self.tiles_n() as usize)
+            .map(|tj| {
+                let cols = self.tile_cols(tj) as u64;
+                cols * (cols + self.pl as u64 + 1)
+            })
+            .sum();
+        let useful_macs = self.useful_macs();
+        ArrayStats {
+            cycles: self.total_cycles(),
+            useful_macs,
+            pad_macs: self.pad_macs(),
+            idle_cycles: tiles_m * drains,
+            bram_accesses: 3 * useful_macs + tiles_m * tiles_k * self.n as u64 * self.b as u64,
+        }
+    }
+
     /// Fraction of issue slots wasted on padding.
     pub fn waste_fraction(&self) -> f64 {
         self.pad_cycles() as f64
@@ -451,6 +475,31 @@ mod tests {
             );
             assert_eq!(stats.useful_macs, plan.useful_macs());
             assert_eq!(stats.pad_macs, plan.pad_macs());
+        }
+    }
+
+    #[test]
+    fn analytic_stats_equal_both_simulators() {
+        use crate::multi::MultiMatMul;
+        for (m, k, n) in
+            (1u32..=9).flat_map(|m| (1..=9).flat_map(move |k| (1..=9).map(move |n| (m, k, n))))
+        {
+            let a = sample(m as usize, k as usize, 0.5);
+            let b = sample(k as usize, n as usize, 1.5);
+            for bs in 1..=m.max(k).max(n) {
+                for (ms, asl) in [(1u32, 1u32), (5, 4), (9, 12)] {
+                    let plan = BlockMatMul::new(m, k, n, bs, ms + asl).unwrap();
+                    let want = plan.stats();
+                    let (_, multi) = MultiMatMul { plan, arrays: 1 }
+                        .run(RM, ms, asl, &a, &b, 1)
+                        .unwrap();
+                    let (_, cycle, _) =
+                        plan.run(F, RM, ms, asl, &a, &b, UnitBackend::Fast).unwrap();
+                    let at = format!("m={m} k={k} n={n} b={bs} PL={ms}+{asl}");
+                    assert_eq!(multi.total, want, "batched {at}");
+                    assert_eq!(cycle, want, "per-cycle {at}");
+                }
+            }
         }
     }
 

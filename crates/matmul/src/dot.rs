@@ -130,64 +130,6 @@ impl DotProductUnit {
         }
         (live[0], self.cycles - start)
     }
-
-    /// [`DotProductUnit::dot`] through the pipes' batched fast path
-    /// ([`FpPipe::run_batch`]): all products in one bulk call, then
-    /// accumulation in rounds of `La` independent adds (one per bank
-    /// slot — exactly the round-robin recurrence), then the same
-    /// pairwise fold. Result bits, flags and the cycle charge are
-    /// identical to the per-cycle path.
-    pub fn dot_batched(&mut self, x: &[u64], y: &[u64]) -> (u64, u64) {
-        assert_eq!(x.len(), y.len(), "vector lengths must agree");
-        let start = self.cycles;
-        self.bank.fill(0);
-        let la = self.bank.len();
-        let pairs: Vec<(u64, u64)> = x.iter().zip(y).map(|(&a, &b)| (a, b)).collect();
-        let mut products = Vec::with_capacity(pairs.len());
-        self.mult.run_batch_into(&pairs, &mut products);
-        // Round buffers are reused across all `n / La` accumulation
-        // rounds — the inner loop allocates nothing.
-        let mut add_inputs: Vec<(u64, u64)> = Vec::with_capacity(la);
-        let mut sums: Vec<(u64, Flags)> = Vec::with_capacity(la);
-        for round in products.chunks(la) {
-            add_inputs.clear();
-            add_inputs.extend(round.iter().enumerate().map(|(s, &(p, pf))| {
-                self.flags |= pf;
-                (p, self.bank[s])
-            }));
-            sums.clear();
-            self.add.run_batch_into(&add_inputs, &mut sums);
-            for (s, &(v, sf)) in sums.iter().enumerate() {
-                self.flags |= sf;
-                self.bank[s] = v;
-            }
-        }
-        self.issue_slot = pairs.len() % la;
-        // Stream + drain, as the per-cycle path charges them.
-        self.cycles +=
-            pairs.len() as u64 + self.mult.latency() as u64 + self.add.latency() as u64 + 1;
-        // Pairwise fold; each pair-add waits out the adder latency.
-        let mut live = self.bank.clone();
-        while live.len() > 1 {
-            let mut next = Vec::with_capacity(live.len().div_ceil(2));
-            let mut i = 0;
-            while i + 1 < live.len() {
-                sums.clear();
-                self.add
-                    .run_batch_into(&[(live[i], live[i + 1])], &mut sums);
-                let (s, sf) = sums[0];
-                self.flags |= sf;
-                self.cycles += self.add.latency() as u64 + 1;
-                next.push(s);
-                i += 2;
-            }
-            if i < live.len() {
-                next.push(live[i]);
-            }
-            live = next;
-        }
-        (live[0], self.cycles - start)
-    }
 }
 
 /// The exact accumulation order of [`DotProductUnit::dot`]: products
@@ -264,16 +206,16 @@ mod tests {
 
     #[test]
     fn batched_matches_per_cycle_bit_exact() {
+        let policy = fpfpga_softfp::PrecisionPolicy::uniform(F);
         for (lm, la) in [(3u32, 4u32), (7, 9), (5, 12)] {
             for n in [0usize, 1, 2, 7, 31, 64] {
                 let (x, y) = vecs(n);
                 let mut seq = DotProductUnit::new(F, RM, lm, la);
-                let mut bat = DotProductUnit::new(F, RM, lm, la);
                 let (want, want_cycles) = seq.dot(&x, &y);
-                let (got, got_cycles) = bat.dot_batched(&x, &y);
-                assert_eq!(got, want, "value n={n} lm={lm} la={la}");
-                assert_eq!(got_cycles, want_cycles, "cycles n={n} lm={lm} la={la}");
-                assert_eq!(bat.flags, seq.flags, "flags n={n} lm={lm} la={la}");
+                let got = crate::mixed::mixed_dot(policy, RM, &x, &y, lm, la);
+                assert_eq!(got.bits, want, "value n={n} lm={lm} la={la}");
+                assert_eq!(got.cycles, want_cycles, "cycles n={n} lm={lm} la={la}");
+                assert_eq!(got.flags, seq.flags, "flags n={n} lm={lm} la={la}");
             }
         }
     }

@@ -1,42 +1,51 @@
-//! Mixed-precision kernels: multiply narrow, accumulate wide.
+//! Precision-policy kernels: multiply narrow, accumulate wide.
 //!
 //! The paper fixes one format per core at design time; Merchant et al.'s
 //! mixed-precision BLAS (and Arish & Sharma's run-time multi-precision IP
 //! core) show the profitable configuration is usually *asymmetric* — a
 //! cheap narrow multiplier feeding a wider accumulator, with data at rest
 //! in a third (storage) format. These kernels implement that split on top
-//! of the existing softfp fast lanes, driven by a
-//! [`PrecisionPolicy`]:
+//! of the softfp batched fast lanes, driven by a [`PrecisionPolicy`]:
 //!
 //! 1. operands are converted `storage → compute` (exact when widening),
-//! 2. products are formed in the compute format via the batched fast
-//!    lanes,
+//! 2. products are formed in the compute format on the batched lanes,
 //! 3. each product is converted `compute → accumulate` (exact and
 //!    flag-free on the fields whenever the accumulate format covers the
 //!    compute format, a rounding conversion otherwise) and added into the
-//!    running sum in the accumulate format on the fast lane,
+//!    running sums in the accumulate format on the batched lanes,
 //! 4. the final value is rounded `accumulate → storage`.
 //!
-//! [`mixed_matmul`] runs its products and sums on the batched wide
-//! lanes: `B` is converted once per call, and each (row `i`, step `k`)
-//! is one [`mul_bcast_bits`] over row `k` of `B` and one
-//! [`add_acc_bits`] into row `i`'s accumulators — every `C` element
-//! still sums its products in ascending `k`, so the result is the
-//! per-element triple loop's, flags included.
+//! A **uniform** policy is the degenerate case: every conversion whose
+//! source and destination formats are equal is skipped (checked once
+//! per call, never per element), which is exact — the identity
+//! conversion only canonicalizes flushed subnormal and ∞ patterns,
+//! which every operation reads the same way, and raises no flag. So
+//! [`mixed_dot`] equals [`DotProductUnit::dot`](crate::dot::DotProductUnit::dot),
+//! [`mixed_mvm`] equals [`MvmEngine::multiply`](crate::mvm::MvmEngine::multiply)
+//! and [`mixed_matmul`] equals the blocked linear array, values, flags
+//! and cycles, and these kernels are the one served implementation of
+//! all three under every policy.
 //!
-//! For a **uniform** policy every conversion is the identity and
-//! [`mixed_dot`] reproduces [`interleaved_reference`](crate::dot::interleaved_reference) — and therefore the
-//! cycle-accurate [`DotProductUnit`](crate::dot::DotProductUnit) — bit
-//! for bit. [`mixed_matmul`] and [`mixed_mvm`] are pinned against a
-//! per-element oracle on the generic ops (`tests/mixed_oracle.rs`),
-//! values and flags.
+//! [`mixed_matmul`] and [`mixed_mvm`] share one rank-1 core. Operands
+//! are converted once per call, and step `k` is one [`mul_bcast_bits`]
+//! of a row (row `k` of `B`, or column `k` of `A`) against one
+//! broadcast element, then one [`add_acc_bits`] into a row of
+//! accumulators (row `i` of `C`, or bank slot `k % La` of every MVM row
+//! at once), product first as the engines add. Every sum takes its
+//! products in ascending `k`, so matmul is the per-element triple loop
+//! and MVM the engine's banked order, flags included; the MVM banks
+//! then fold pairwise as the hardware's sequencer does. [`mixed_dot`]
+//! forms its products in one [`mul_bits_batch`] call and accumulates
+//! them in `La`-wide [`add_acc_bits`] rounds, one per pass over the
+//! bank. Matmul and MVM are pinned against a per-element oracle on the
+//! generic ops (`tests/mixed_oracle.rs`), values and flags.
 
 use crate::matrix::Matrix;
 use fpfpga_softfp::convert::convert;
-use fpfpga_softfp::fastpath::add_bits;
 use fpfpga_softfp::{
-    add_acc_bits, mul_bcast_bits, mul_pairs_batch, Flags, FpFormat, PrecisionPolicy, RoundMode,
+    add_acc_bits, mul_bcast_bits, mul_bits_batch, Flags, FpFormat, PrecisionPolicy, RoundMode,
 };
+use std::borrow::Cow;
 
 /// Result of a mixed-precision dot product.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,37 +55,91 @@ pub struct MixedDot {
     /// Exception flags accumulated across conversions, multiplies, adds
     /// and the final narrowing.
     pub flags: Flags,
-    /// Cycle charge under the same model as
-    /// [`DotProductUnit`](crate::dot::DotProductUnit): stream + drain of
-    /// the two pipes, then one adder pass per pairwise-fold step. The
-    /// format converters sit in-line with the streaming operands and add
-    /// no cycles.
+    /// Cycle charge of [`DotProductUnit`](crate::dot::DotProductUnit):
+    /// stream + drain of the two pipes, then one adder pass per
+    /// pairwise-fold step. The format converters sit in-line with the
+    /// streaming operands and add no cycles.
     pub cycles: u64,
 }
 
-/// Convert a slice of encodings between formats, accumulating flags.
-fn convert_slice(src: FpFormat, bits: &[u64], dst: FpFormat, mode: RoundMode) -> (Vec<u64>, Flags) {
-    let mut flags = Flags::NONE;
-    let out = bits
-        .iter()
-        .map(|&b| {
-            let (v, f) = convert(src, b, dst, mode);
-            flags |= f;
-            v
-        })
-        .collect();
-    (out, flags)
+/// `bits` as `dst` encodings: borrowed untouched when `src == dst`,
+/// converted otherwise. Returns them and the conversion flags.
+fn in_format(
+    src: FpFormat,
+    bits: &[u64],
+    dst: FpFormat,
+    mode: RoundMode,
+) -> (Cow<'_, [u64]>, Flags) {
+    if src == dst {
+        return (Cow::Borrowed(bits), Flags::NONE);
+    }
+    let mut owned = bits.to_vec();
+    let flags = convert_in_place(src, dst, mode, &mut owned);
+    (Cow::Owned(owned), flags)
 }
 
-/// Convert compute-format products into the accumulate format in place
-/// (exact and flag-free when accumulate covers compute). Returns the
-/// flags.
-fn to_accumulate(policy: PrecisionPolicy, mode: RoundMode, products: &mut [u64]) -> Flags {
+/// Convert `bits` from `src` to `dst` in place (a no-op when the
+/// formats are equal). Returns the flags.
+fn convert_in_place(src: FpFormat, dst: FpFormat, mode: RoundMode, bits: &mut [u64]) -> Flags {
     let mut flags = Flags::NONE;
-    for p in products {
-        let (v, f) = convert(policy.compute, *p, policy.accumulate, mode);
-        flags |= f;
-        *p = v;
+    if src != dst {
+        for b in bits {
+            let (v, f) = convert(src, *b, dst, mode);
+            flags |= f;
+            *b = v;
+        }
+    }
+    flags
+}
+
+/// The rank-1 steps `bank[k % la] += lhs[k] · rhs[k]` in ascending `k`:
+/// `rhs[k]` is row `k` of a compute-format matrix as wide as each of
+/// the `la` accumulate-format banks packed in `banks`. Each step is one
+/// [`mul_bcast_bits`], the widening, and one [`add_acc_bits`] (product
+/// first, as the engines add). Returns the flags.
+fn rank1_steps(
+    policy: PrecisionPolicy,
+    mode: RoundMode,
+    lhs: &[u64],
+    rhs: &[u64],
+    banks: &mut [u64],
+    la: usize,
+) -> Flags {
+    let p = banks.len() / la;
+    let mut flags = Flags::NONE;
+    let mut prod = vec![0u64; p];
+    for (k, &l) in lhs.iter().enumerate() {
+        flags |= mul_bcast_bits(policy.compute, &rhs[k * p..(k + 1) * p], l, mode, &mut prod);
+        flags |= convert_in_place(policy.compute, policy.accumulate, mode, &mut prod);
+        let s = k % la;
+        flags |= add_acc_bits(
+            policy.accumulate,
+            &prod,
+            &mut banks[s * p..(s + 1) * p],
+            mode,
+        );
+    }
+    flags
+}
+
+/// Fold the `la` equal-width banks packed in `banks` pairwise, as the
+/// hardware's fold sequencer does: level by level, bank `i` takes bank
+/// `2i` plus bank `2i + 1`, and an odd last bank moves up. The sums end
+/// in the first bank. Returns the flags.
+fn fold_banks(fmt: FpFormat, mode: RoundMode, banks: &mut [u64], la: usize) -> Flags {
+    let p = banks.len() / la;
+    let mut flags = Flags::NONE;
+    let mut live = la;
+    while live > 1 {
+        for i in 0..live / 2 {
+            let (lo, hi) = banks.split_at_mut((2 * i + 1) * p);
+            flags |= add_acc_bits(fmt, &lo[2 * i * p..], &mut hi[..p], mode);
+            banks.copy_within((2 * i + 1) * p..(2 * i + 2) * p, i * p);
+        }
+        if live % 2 == 1 {
+            banks.copy_within((live - 1) * p..live * p, live / 2 * p);
+        }
+        live = live.div_ceil(2);
     }
     flags
 }
@@ -92,7 +155,8 @@ fn to_accumulate(policy: PrecisionPolicy, mode: RoundMode, products: &mut [u64])
 /// rounded back to `policy.storage`.
 ///
 /// With a uniform policy this is bit-identical to
-/// [`interleaved_reference`](crate::dot::interleaved_reference).
+/// [`DotProductUnit::dot`](crate::dot::DotProductUnit::dot): value,
+/// flags and cycles.
 pub fn mixed_dot(
     policy: PrecisionPolicy,
     mode: RoundMode,
@@ -103,18 +167,11 @@ pub fn mixed_dot(
 ) -> MixedDot {
     assert_eq!(x.len(), y.len(), "vector lengths must agree");
     assert!(add_stages >= 1, "adder must have at least one stage");
-    let mut flags = Flags::NONE;
-
-    // storage -> compute
-    let (xc, fx) = convert_slice(policy.storage, x, policy.compute, mode);
-    let (yc, fy) = convert_slice(policy.storage, y, policy.compute, mode);
-    flags |= fx;
-    flags |= fy;
-
-    // products in the compute format, via the monomorphized fast lane
-    let pairs: Vec<(u64, u64)> = xc.into_iter().zip(yc).collect();
-    let mut products: Vec<(u64, Flags)> = Vec::new();
-    mul_pairs_batch(policy.compute, &pairs, mode, &mut products);
+    let (xc, xf) = in_format(policy.storage, x, policy.compute, mode);
+    let (yc, yf) = in_format(policy.storage, y, policy.compute, mode);
+    let mut flags = xf | yf;
+    let mut products = Vec::with_capacity(x.len());
+    mul_bits_batch(policy.compute, &xc, &yc, mode, &mut products);
     let mut wide: Vec<u64> = products
         .iter()
         .map(|&(p, pf)| {
@@ -122,47 +179,22 @@ pub fn mixed_dot(
             p
         })
         .collect();
-    flags |= to_accumulate(policy, mode, &mut wide);
-
-    // accumulate round-robin in `add_stages` banks
+    flags |= convert_in_place(policy.compute, policy.accumulate, mode, &mut wide);
+    // Product `r·La + s` goes to bank slot `s`: each round of `La`
+    // products is `La` independent adds.
     let la = add_stages as usize;
     let mut bank = vec![policy.accumulate.zero(); la];
-    for (i, &w) in wide.iter().enumerate() {
-        let (s, sf) = add_bits(policy.accumulate, bank[i % la], w, mode);
-        flags |= sf;
-        bank[i % la] = s;
+    for round in wide.chunks(la) {
+        flags |= add_acc_bits(policy.accumulate, round, &mut bank[..round.len()], mode);
     }
-
-    // pairwise fold (the hardware reuses the adder with a sequencer)
-    let mut fold_adds = 0u64;
-    let mut live = bank;
-    while live.len() > 1 {
-        let mut next = Vec::with_capacity(live.len().div_ceil(2));
-        let mut i = 0;
-        while i + 1 < live.len() {
-            let (s, sf) = add_bits(policy.accumulate, live[i], live[i + 1], mode);
-            flags |= sf;
-            fold_adds += 1;
-            next.push(s);
-            i += 2;
-        }
-        if i < live.len() {
-            next.push(live[i]);
-        }
-        live = next;
-    }
-
-    // accumulate -> storage
-    let (bits, nf) = convert(policy.accumulate, live[0], policy.storage, mode);
-    flags |= nf;
-
-    let cycles = pairs.len() as u64
-        + mult_stages as u64
-        + add_stages as u64
-        + 1
-        + fold_adds * (add_stages as u64 + 1);
+    flags |= fold_banks(policy.accumulate, mode, &mut bank, la);
+    flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut bank[..1]);
+    // Stream + drain, then `La − 1` fold adds, each waiting out the
+    // adder latency.
+    let la = la as u64;
+    let cycles = x.len() as u64 + mult_stages as u64 + la + 1 + (la - 1) * (la + 1);
     MixedDot {
-        bits,
+        bits: bank[0],
         flags,
         cycles,
     }
@@ -183,40 +215,31 @@ pub fn mixed_matmul(
     check_storage(policy, &[a, b]);
     let (n, m, p) = (a.rows(), a.cols(), b.cols());
     assert_eq!(b.rows(), m, "inner dimensions must agree");
-    // `B` is converted once per call; its flags count once there is a
-    // row of `C` that reads it.
-    let (bc, bf) = convert_slice(policy.storage, b.data(), policy.compute, mode);
-    let mut flags = if n > 0 { bf } else { Flags::NONE };
+    let (ac, af) = in_format(policy.storage, a.data(), policy.compute, mode);
+    let (bc, bf) = in_format(policy.storage, b.data(), policy.compute, mode);
+    // `B`'s flags count once there is a row of `C` that reads it.
+    let mut flags = af | if n > 0 { bf } else { Flags::NONE };
     let mut data = vec![policy.accumulate.zero(); n * p];
-    let mut prod = vec![0u64; p];
     for i in 0..n {
-        let acc = &mut data[i * p..(i + 1) * p];
-        for k in 0..m {
-            let (ax, af) = convert(policy.storage, a.get(i, k), policy.compute, mode);
-            flags |= af;
-            let b_row = &bc[k * p..(k + 1) * p];
-            flags |= mul_bcast_bits(policy.compute, b_row, ax, mode, &mut prod);
-            flags |= to_accumulate(policy, mode, &mut prod);
-            flags |= add_acc_bits(policy.accumulate, &prod, acc, mode);
-        }
-        for v in acc.iter_mut() {
-            let (bits, nf) = convert(policy.accumulate, *v, policy.storage, mode);
-            flags |= nf;
-            *v = bits;
-        }
+        let (a_row, c_row) = (&ac[i * m..(i + 1) * m], &mut data[i * p..(i + 1) * p]);
+        flags |= rank1_steps(policy, mode, a_row, &bc, c_row, 1);
     }
+    flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut data);
     (Matrix::from_bits(policy.storage, n, p, data), flags)
 }
 
-/// Mixed-precision matrix-vector multiply `y = A·x`: one [`mixed_dot`]
-/// per row, so each row sees the banked accumulation order of the
-/// hardware MVM engine's MAC bank.
+/// Mixed-precision matrix-vector multiply `y = A·x` on a `p`-PE
+/// engine, every row in the hardware MVM engine's accumulation order:
+/// product `k` of a row lands in bank slot `k % add_stages`, and the
+/// slots fold pairwise (the order of [`mixed_dot`]).
 ///
-/// Returns the result vector (in `policy.storage`), the accumulated
-/// flags, and the cycles of issuing the rows back to back on one dot
-/// unit (the sum of the per-row [`mixed_dot`] charges). That charge is
-/// not [`crate::MvmEngine`]'s: it ignores the engine's PE count `p` and
-/// its bank fold, so it differs from the uniform path's cycles.
+/// All rows advance together, one column of `A` at a time: `x` and `A`
+/// are converted once, and column `k` is one rank-1 step of width
+/// `rows` into bank slot `k % add_stages`. Returns the result vector
+/// (in `policy.storage`), the accumulated flags, and
+/// [`MvmEngine`](crate::mvm::MvmEngine)'s cycle charge: `x` streams one
+/// column per `⌈rows/p⌉` cycles, then the pipes drain and the banks
+/// fold.
 pub fn mixed_mvm(
     policy: PrecisionPolicy,
     mode: RoundMode,
@@ -224,20 +247,33 @@ pub fn mixed_mvm(
     x: &[u64],
     mult_stages: u32,
     add_stages: u32,
+    p: usize,
 ) -> (Vec<u64>, Flags, u64) {
     check_storage(policy, &[a]);
-    assert_eq!(a.cols(), x.len(), "dimension mismatch");
-    let mut flags = Flags::NONE;
-    let mut cycles = 0;
-    let mut y = Vec::with_capacity(a.rows());
-    for i in 0..a.rows() {
-        let row: Vec<u64> = (0..a.cols()).map(|k| a.get(i, k)).collect();
-        let r = mixed_dot(policy, mode, &row, x, mult_stages, add_stages);
-        flags |= r.flags;
-        cycles += r.cycles;
-        y.push(r.bits);
+    let (n, m) = (a.rows(), a.cols());
+    assert_eq!(m, x.len(), "dimension mismatch");
+    assert!(p >= 1, "an MVM engine needs at least one PE");
+    assert!(add_stages >= 1, "adder must have at least one stage");
+    let (ac, af) = in_format(policy.storage, a.data(), policy.compute, mode);
+    let (xc, xf) = in_format(policy.storage, x, policy.compute, mode);
+    // `x`'s flags count once there is a row that reads it.
+    let mut flags = af | if n > 0 { xf } else { Flags::NONE };
+    let mut a_t = vec![0u64; n * m];
+    for i in 0..n {
+        for k in 0..m {
+            a_t[k * n + i] = ac[i * m + k];
+        }
     }
-    (y, flags, cycles)
+    let la = add_stages as usize;
+    let mut banks = vec![policy.accumulate.zero(); la * n];
+    flags |= rank1_steps(policy, mode, &xc, &a_t, &mut banks, la);
+    flags |= fold_banks(policy.accumulate, mode, &mut banks, la);
+    banks.truncate(n);
+    flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut banks);
+    let cycles = m as u64 * n.div_ceil(p) as u64
+        + (mult_stages + add_stages + 2) as u64
+        + crate::mvm::fold_cycles(add_stages);
+    (banks, flags, cycles)
 }
 
 fn check_storage(policy: PrecisionPolicy, mats: &[&Matrix]) {
@@ -400,7 +436,7 @@ mod tests {
             ((i * 33 + j) as f64 * 0.11).sin()
         });
         let (x, _) = vecs(policy.storage, 33);
-        let (y, _, _) = mixed_mvm(policy, RM, &a, &x, 5, 9);
+        let (y, _, _) = mixed_mvm(policy, RM, &a, &x, 5, 9, 3);
         for (i, &got) in y.iter().enumerate() {
             let row: Vec<u64> = (0..33).map(|k| a.get(i, k)).collect();
             let want = mixed_dot(policy, RM, &row, &x, 5, 9);

@@ -161,53 +161,7 @@ impl MvmEngine {
                 y[i] = folded;
             }
         }
-        cycles += (self.la as u64) * (self.la as f64).log2().ceil() as u64;
-        (y, cycles)
-    }
-
-    /// [`MvmEngine::multiply`] through the pipes' batched fast path
-    /// ([`FpPipe::run_batch`]): each matrix row computes its products in
-    /// one bulk call and its round-robin accumulation in rounds of `La`
-    /// independent adds — the exact per-cycle recurrence without the
-    /// delay-line shuffle. Result bits and the cycle charge are
-    /// identical to the per-cycle path.
-    pub fn multiply_batched(&self, a: &Matrix, x: &[u64]) -> (Vec<u64>, u64) {
-        let n = a.rows();
-        assert_eq!(a.cols(), x.len(), "dimension mismatch");
-        let la = self.la as usize;
-        let mut mult = DelayLineUnit::new(self.fmt, self.mode, DelayOp::Mul, self.lm);
-        let mut add = DelayLineUnit::new(self.fmt, self.mode, DelayOp::Add, self.la);
-        let mut y = vec![0u64; n];
-        // Per-row buffers hoisted out of the loop: one multiply batch,
-        // `La`-wide accumulation rounds, no allocation per row.
-        let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(a.cols());
-        let mut products: Vec<(u64, Flags)> = Vec::with_capacity(a.cols());
-        let mut inputs: Vec<(u64, u64)> = Vec::with_capacity(la);
-        let mut sums: Vec<(u64, Flags)> = Vec::with_capacity(la);
-        let mut bank = vec![0u64; la];
-        for (i, yi) in y.iter_mut().enumerate() {
-            pairs.clear();
-            pairs.extend((0..a.cols()).map(|k| (x[k], a.get(i, k))));
-            products.clear();
-            mult.run_batch_into(&pairs, &mut products);
-            bank.fill(0);
-            for round in products.chunks(la) {
-                inputs.clear();
-                inputs.extend(round.iter().enumerate().map(|(s, &(p, _))| (p, bank[s])));
-                sums.clear();
-                add.run_batch_into(&inputs, &mut sums);
-                for (s, &(v, _)) in sums.iter().enumerate() {
-                    bank[s] = v;
-                }
-            }
-            *yi = fold_bank(self.fmt, self.mode, &bank);
-        }
-        // The same clock count the per-cycle array spends: stream +
-        // drain + fold sequencer.
-        let rows_per_pe = n.div_ceil(self.p) as u64;
-        let cycles = a.cols() as u64 * rows_per_pe
-            + (self.lm + self.la + 2) as u64
-            + (self.la as u64) * (self.la as f64).log2().ceil() as u64;
+        cycles += fold_cycles(self.la);
         (y, cycles)
     }
 
@@ -221,6 +175,11 @@ impl MvmEngine {
             })
             .collect()
     }
+}
+
+/// The bank-fold sequencer's charge: `La` cycles per fold level.
+pub(crate) fn fold_cycles(la: u32) -> u64 {
+    la as u64 * (la as f64).log2().ceil() as u64
 }
 
 /// Pairwise fold of a partial-sum bank (same order as the dot kernel).
@@ -269,6 +228,7 @@ mod tests {
 
     #[test]
     fn batched_matches_per_cycle_bit_exact() {
+        let policy = fpfpga_softfp::PrecisionPolicy::uniform(F);
         for (n, m, p) in [
             (6usize, 6usize, 2usize),
             (8, 8, 4),
@@ -279,9 +239,9 @@ mod tests {
             let (a, x) = sample(n, m);
             let eng = MvmEngine::new(F, RM, 4, 5, p);
             let (y_seq, c_seq) = eng.multiply(&a, &x);
-            let (y_bat, c_bat) = eng.multiply_batched(&a, &x);
-            assert_eq!(y_bat, y_seq, "values n={n} m={m} p={p}");
-            assert_eq!(c_bat, c_seq, "cycles n={n} m={m} p={p}");
+            let (y_pol, _, c_pol) = crate::mixed::mixed_mvm(policy, RM, &a, &x, 4, 5, p);
+            assert_eq!(y_pol, y_seq, "values n={n} m={m} p={p}");
+            assert_eq!(c_pol, c_seq, "cycles n={n} m={m} p={p}");
         }
     }
 

@@ -182,7 +182,7 @@ proptest! {
         let policy = POLICIES[policy_ix];
         let a = matrix(policy.storage, n, m, seed, special_pct);
         let x = matrix(policy.storage, 1, m, seed ^ 0xfeed, special_pct).data().to_vec();
-        let (y, flags, _) = mixed_mvm(policy, mode, &a, &x, 5, la);
+        let (y, flags, _) = mixed_mvm(policy, mode, &a, &x, 5, la, 2);
         let mut want_flags = Flags::NONE;
         let want: Vec<u64> = (0..n)
             .map(|i| {

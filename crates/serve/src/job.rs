@@ -4,9 +4,11 @@
 //! and rounding mode it executes under. The policy names three
 //! formats — compute, accumulate, storage — so one request can, say,
 //! store single-precision operands, multiply in single and accumulate
-//! in double (the classic mixed-precision dot product). Uniform
-//! policies take the exact code paths the crate always had; mixed
-//! policies dispatch to the `fpfpga-matmul` mixed kernels.
+//! in double (the classic mixed-precision dot product). Dot, MVM and
+//! matmul run the `fpfpga-matmul` policy kernels under every policy: a
+//! uniform policy is the case where every format conversion is skipped,
+//! and the cycle and MAC statistics come from the engines' cost models,
+//! which do not depend on the policy.
 //!
 //! Execution is a pure function of the job payload: [`Job::run`] on
 //! any thread, against any (warm or cold) [`SweepCache`], returns
@@ -22,8 +24,7 @@ use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::{
-    array::ArrayStats, mixed, BlockMatMul, Cplx, DotProductUnit, FftEngine, LuEngine, Matrix,
-    MultiMatMul, MvmEngine, PlanError,
+    array::ArrayStats, mixed, BlockMatMul, Cplx, FftEngine, LuEngine, Matrix, PlanError,
 };
 use fpfpga_softfp::limb::{limb_add, limb_fma, limb_mul, limb_sub, LimbFormat};
 use fpfpga_softfp::{convert, Flags, FpFormat, PrecisionPolicy, RoundMode};
@@ -229,9 +230,9 @@ pub enum JobResult {
     MatMul {
         /// C = A·B.
         c: Matrix,
-        /// Cycle/MAC statistics of the run. The mixed-precision path
-        /// counts useful MACs but does not model array cycles
-        /// (`cycles` = 0 there).
+        /// Cycle/MAC statistics of the run on one linear array, from the
+        /// plan the job was validated against
+        /// ([`BlockMatMul::stats`]).
         stats: ArrayStats,
     },
     /// Result vector and cycles.
@@ -464,9 +465,9 @@ impl Job {
             } => {
                 covering()?;
                 storage_matrix("a", a)?;
-                // The plan a uniform job runs; every policy must admit
-                // it, so shape refusals (and `b`'s format, which must be
-                // `a`'s) are the planner's typed errors.
+                // The plan every job is charged by must exist, so shape
+                // refusals (and `b`'s format, which must be `a`'s) are
+                // the planner's typed errors.
                 matmul_plan(*mult_stages + *add_stages, a, b)
                     .and_then(|plan| plan.check_operands(a, b))
                     .map_err(|e| format!("matmul: {e}"))?;
@@ -551,10 +552,12 @@ impl Job {
     /// [`Kernel::Sweep`] synthesis (identical results warm or cold),
     /// and every kernel starts from freshly built, empty pipelines, so
     /// the result is bit-identical no matter which thread, worker count
-    /// or batch the job ran in. Uniform policies take the crate's
-    /// original kernel paths; mixed policies take the
-    /// [`fpfpga_matmul::mixed`] kernels (whose uniform degeneration is
-    /// itself property-tested).
+    /// or batch the job ran in. Dot, MVM and matmul run the
+    /// [`fpfpga_matmul::mixed`] policy kernels under every policy (a
+    /// uniform policy skips every conversion, and the result equals the
+    /// per-cycle engines', tested); matmul's statistics are the
+    /// validated plan's analytic [`BlockMatMul::stats`], so no simulated
+    /// array is built.
     pub fn run(&self, tech: &Tech, cache: &SweepCache) -> JobResult {
         let p = self.policy;
         let mode = self.mode;
@@ -571,21 +574,11 @@ impl Job {
                 x,
                 y,
             } => {
-                if p.is_uniform() {
-                    let mut unit = DotProductUnit::new(p.compute, mode, *mult_stages, *add_stages);
-                    let (value, cycles) = unit.dot_batched(x, y);
-                    JobResult::Dot {
-                        value,
-                        flags: unit.flags,
-                        cycles,
-                    }
-                } else {
-                    let d = mixed::mixed_dot(p, mode, x, y, *mult_stages, *add_stages);
-                    JobResult::Dot {
-                        value: d.bits,
-                        flags: d.flags,
-                        cycles: d.cycles,
-                    }
+                let d = mixed::mixed_dot(p, mode, x, y, *mult_stages, *add_stages);
+                JobResult::Dot {
+                    value: d.bits,
+                    flags: d.flags,
+                    cycles: d.cycles,
                 }
             }
             Kernel::MatMul {
@@ -594,25 +587,12 @@ impl Job {
                 a,
                 b,
             } => {
-                if p.is_uniform() {
-                    // One array: the pool's workers are the parallelism,
-                    // and the array count only splits per-array stats.
-                    let plan = matmul_plan(*mult_stages + *add_stages, a, b)
-                        .expect("matmul plan was validated at submission");
-                    let (c, ms) = MultiMatMul { plan, arrays: 1 }
-                        .run(mode, *mult_stages, *add_stages, a, b, 1)
-                        .expect("operands were checked against the plan at submission");
-                    JobResult::MatMul { c, stats: ms.total }
-                } else {
-                    let (c, _flags) = mixed::mixed_matmul(p, mode, a, b);
-                    let (n, m, cols) = (a.rows() as u64, a.cols() as u64, b.cols() as u64);
-                    // The mixed path has no array-cycle model; report
-                    // MAC counts only.
-                    let stats = ArrayStats {
-                        useful_macs: n * m * cols,
-                        ..ArrayStats::default()
-                    };
-                    JobResult::MatMul { c, stats }
+                let (c, _flags) = mixed::mixed_matmul(p, mode, a, b);
+                let plan = matmul_plan(*mult_stages + *add_stages, a, b)
+                    .expect("matmul plan was validated at submission");
+                JobResult::MatMul {
+                    c,
+                    stats: plan.stats(),
                 }
             }
             Kernel::Mvm {
@@ -622,15 +602,9 @@ impl Job {
                 a,
                 x,
             } => {
-                if p.is_uniform() {
-                    let engine = MvmEngine::new(p.compute, mode, *mult_stages, *add_stages, *pes);
-                    let (y, cycles) = engine.multiply_batched(a, x);
-                    JobResult::Mvm { y, cycles }
-                } else {
-                    let (y, _flags, cycles) =
-                        mixed::mixed_mvm(p, mode, a, x, *mult_stages, *add_stages);
-                    JobResult::Mvm { y, cycles }
-                }
+                let (y, _flags, cycles) =
+                    mixed::mixed_mvm(p, mode, a, x, *mult_stages, *add_stages, *pes);
+                JobResult::Mvm { y, cycles }
             }
             Kernel::Lu {
                 div_stages,
@@ -685,9 +659,9 @@ impl Job {
     }
 }
 
-/// The plan a matmul job is checked against and, under a uniform
-/// policy, runs: the block size the paper's cycle model favours for the
-/// job's shape and combined MAC latency `pl`.
+/// The plan a matmul job is checked against and charged by: the block
+/// size the paper's cycle model favours for the job's shape and
+/// combined MAC latency `pl`.
 fn matmul_plan(pl: u32, a: &Matrix, b: &Matrix) -> Result<BlockMatMul, PlanError> {
     let dim = |d: usize| {
         u32::try_from(d).map_err(|_| PlanError::Shape(format!("dimension {d} exceeds u32")))

@@ -1,0 +1,242 @@
+//! Under a uniform policy the served dot, MVM and matmul kernels equal
+//! the per-cycle engines — `DotProductUnit::dot`, `MvmEngine::multiply`
+//! and the cheapest plan's `BlockMatMul::run` — in values, flags, cycles
+//! and every `ArrayStats` field. The jobs are the trace's own, each run
+//! plain and with ±0, flushed-subnormal, ∞ and ∞-with-payload operands
+//! spliced in, under both rounding modes. Scale 8 runs in release only:
+//! the per-cycle array is slow in debug.
+
+use fpfpga_fabric::tech::Tech;
+use fpfpga_fpu::SweepCache;
+use fpfpga_matmul::pe::UnitBackend;
+use fpfpga_matmul::{mixed_matmul, BlockMatMul, DotProductUnit, Matrix, MvmEngine};
+use fpfpga_serve::{synth_trace, Job, JobResult, Kernel, TraceConfig};
+use fpfpga_softfp::{FpFormat, PrecisionPolicy, RoundMode};
+
+/// Which operands a variant overwrites, and with what.
+#[derive(Clone, Copy, Debug)]
+enum Splice {
+    Plain,
+    Zero,
+    Subnormal,
+    Inf,
+    InfPayload,
+    /// All four specials in turn, so `0·∞` and `∞ − ∞` occur.
+    Cycle,
+}
+
+impl Splice {
+    const ALL: [Splice; 6] = [
+        Splice::Plain,
+        Splice::Zero,
+        Splice::Subnormal,
+        Splice::Inf,
+        Splice::InfPayload,
+        Splice::Cycle,
+    ];
+
+    /// Overwrite every `stride`-th element (from `offset`) with this
+    /// variant's special, alternating signs.
+    fn apply(self, fmt: FpFormat, bits: &mut [u64], stride: usize, offset: usize) {
+        let inf = fmt.inf_biased_exp();
+        for (n, i) in (offset..bits.len()).step_by(stride).enumerate() {
+            let sign = n % 2 == 1;
+            let kind = match self {
+                Splice::Plain => return,
+                Splice::Cycle => [
+                    Splice::Zero,
+                    Splice::Subnormal,
+                    Splice::Inf,
+                    Splice::InfPayload,
+                ][n % 4],
+                other => other,
+            };
+            bits[i] = match kind {
+                Splice::Zero => fmt.pack(sign, 0, 0),
+                Splice::Subnormal => fmt.pack(sign, 0, 1 + n as u64),
+                Splice::Inf => fmt.pack(sign, inf, 0),
+                _ => fmt.pack(sign, inf, 1 + n as u64),
+            };
+        }
+    }
+
+    fn vector(self, fmt: FpFormat, v: &[u64], stride: usize, offset: usize) -> Vec<u64> {
+        let mut v = v.to_vec();
+        self.apply(fmt, &mut v, stride, offset);
+        v
+    }
+
+    fn matrix(self, m: &Matrix, stride: usize, offset: usize) -> Matrix {
+        let data = self.vector(m.format(), m.data(), stride, offset);
+        Matrix::from_bits(m.format(), m.rows(), m.cols(), data)
+    }
+}
+
+/// `job`'s kernel with `splice` applied to its operands.
+fn spliced(kernel: &Kernel, fmt: FpFormat, splice: Splice) -> Kernel {
+    let mut kernel = kernel.clone();
+    match &mut kernel {
+        Kernel::Dot { x, y, .. } => {
+            *x = splice.vector(fmt, x, 3, 0);
+            *y = splice.vector(fmt, y, 2, 1);
+        }
+        Kernel::Mvm { a, x, .. } => {
+            *a = splice.matrix(a, 5, 2);
+            *x = splice.vector(fmt, x, 3, 0);
+        }
+        Kernel::MatMul { a, b, .. } => {
+            *a = splice.matrix(a, 4, 1);
+            *b = splice.matrix(b, 3, 0);
+        }
+        _ => unreachable!("only accumulating kernels are spliced"),
+    }
+    kernel
+}
+
+/// The per-cycle engines' result for a uniform `job`.
+fn per_cycle(job: &Job) -> JobResult {
+    let (fmt, mode) = (job.policy.storage, job.mode);
+    match &job.kernel {
+        Kernel::Dot {
+            mult_stages,
+            add_stages,
+            x,
+            y,
+        } => {
+            let mut unit = DotProductUnit::new(fmt, mode, *mult_stages, *add_stages);
+            let (value, cycles) = unit.dot(x, y);
+            JobResult::Dot {
+                value,
+                flags: unit.flags,
+                cycles,
+            }
+        }
+        Kernel::Mvm {
+            mult_stages,
+            add_stages,
+            p,
+            a,
+            x,
+        } => {
+            let engine = MvmEngine::new(fmt, mode, *mult_stages, *add_stages, *p);
+            let (y, cycles) = engine.multiply(a, x);
+            JobResult::Mvm { y, cycles }
+        }
+        Kernel::MatMul {
+            mult_stages,
+            add_stages,
+            a,
+            b,
+        } => {
+            let dim = |d: usize| d as u32;
+            let pl = mult_stages + add_stages;
+            let plan = BlockMatMul::cheapest(dim(a.rows()), dim(a.cols()), dim(b.cols()), pl)
+                .expect("trace shapes are valid");
+            let (c, stats, flags) = plan
+                .run(
+                    fmt,
+                    mode,
+                    *mult_stages,
+                    *add_stages,
+                    a,
+                    b,
+                    UnitBackend::Fast,
+                )
+                .expect("trace operands fit their plan");
+            // The served result has no flags; the policy kernel's must
+            // still equal the array's.
+            let (_, kernel_flags) = mixed_matmul(job.policy, mode, a, b);
+            assert_eq!(kernel_flags, flags, "matmul flags");
+            JobResult::MatMul { c, stats }
+        }
+        _ => unreachable!("only accumulating kernels are compared"),
+    }
+}
+
+fn check_scale(scale: usize, jobs: usize) -> usize {
+    let cfg = TraceConfig {
+        seed: 11,
+        jobs,
+        payload_scale: scale,
+        ..TraceConfig::default()
+    };
+    let (tech, cache) = (Tech::virtex2pro(), SweepCache::new());
+    let mut checked = 0;
+    for event in synth_trace(&cfg) {
+        let Some(job) = event.spec.fixed_job() else {
+            continue;
+        };
+        if !matches!(
+            job.kernel,
+            Kernel::Dot { .. } | Kernel::Mvm { .. } | Kernel::MatMul { .. }
+        ) {
+            continue;
+        }
+        let fmt = job.policy.storage;
+        for splice in Splice::ALL {
+            for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
+                let job = Job::uniform(spliced(&job.kernel, fmt, splice), fmt, mode);
+                job.validate().expect("spliced trace jobs stay valid");
+                let want = per_cycle(&job);
+                let got = job.run(&tech, &cache);
+                assert_eq!(
+                    got, want,
+                    "scale {scale} {splice:?} {mode:?} {:?}",
+                    job.kernel
+                );
+                checked += 1;
+            }
+        }
+    }
+    checked
+}
+
+#[test]
+fn uniform_served_kernels_equal_the_per_cycle_engines() {
+    assert!(check_scale(1, 1000) > 3000);
+    if !cfg!(debug_assertions) {
+        assert!(check_scale(8, 400) > 1000);
+    }
+}
+
+/// The engines' cost models do not depend on the policy: one MVM shape
+/// and one matmul shape charge the same under `uniform(f32)` and
+/// `mixed(f32, f64)`.
+#[test]
+fn cost_model_is_policy_independent() {
+    let fmt = FpFormat::SINGLE;
+    let (tech, cache) = (Tech::virtex2pro(), SweepCache::new());
+    let a = Matrix::from_fn(fmt, 7, 5, |i, j| ((i * 5 + j) as f64 * 0.3).sin());
+    let b = Matrix::from_fn(fmt, 5, 9, |i, j| ((i + 2 * j) as f64 * 0.7).cos());
+    let x = b.data()[..5].to_vec();
+    let run = |kernel: Kernel, policy: PrecisionPolicy| {
+        let job = Job::new(kernel, policy, RoundMode::NearestEven);
+        job.validate().unwrap();
+        job.run(&tech, &cache)
+    };
+    let policies = [
+        PrecisionPolicy::uniform(fmt),
+        PrecisionPolicy::mixed(fmt, FpFormat::DOUBLE),
+    ];
+    let [uniform, mixed] = policies.map(|policy| {
+        let mvm = Kernel::Mvm {
+            mult_stages: 5,
+            add_stages: 4,
+            p: 3,
+            a: a.clone(),
+            x: x.clone(),
+        };
+        let matmul = Kernel::MatMul {
+            mult_stages: 5,
+            add_stages: 4,
+            a: a.clone(),
+            b: b.clone(),
+        };
+        match (run(mvm, policy), run(matmul, policy)) {
+            (JobResult::Mvm { cycles, .. }, JobResult::MatMul { stats, .. }) => (cycles, stats),
+            other => panic!("wrong result kinds: {other:?}"),
+        }
+    });
+    assert_eq!(uniform, mixed);
+    assert!(uniform.1.cycles > 0 && uniform.1.pad_macs > 0);
+}
