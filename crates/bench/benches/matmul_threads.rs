@@ -33,8 +33,7 @@ fn sample(rows: u32, cols: u32, seed: f64) -> Matrix {
 }
 
 fn run(mm: &MultiMatMul, a: &Matrix, b: &Matrix, threads: usize) -> (Matrix, MultiStats) {
-    mm.run(RM, LM, LA, a, b, threads)
-        .expect("bench plan is valid")
+    mm.run(RM, a, b, threads).expect("bench plan is valid")
 }
 
 fn bench_matmul_threads(c: &mut Criterion) {

@@ -1,10 +1,11 @@
 //! Streaming-engine bench: the per-cycle `LinearArray::multiply` loop
-//! vs the batched run serving makes — the one-tile
-//! `BlockMatMul::cheapest` plan on one array — on a single-precision
-//! 64×64 problem (and a 96×96 scaling point). Both paths are
-//! bit-identical — the property and kernel tests assert it — so this
-//! measures pure simulator overhead: the batched engine skips the
-//! per-clock slot shuffling and bubble cycles.
+//! vs `MultiMatMul` on the one-tile `BlockMatMul::cheapest` plan on one
+//! array, on a single-precision 64×64 problem (and a 96×96 scaling
+//! point). Both paths are bit-identical, statistics included — the
+//! property and kernel tests assert it — so this measures pure
+//! simulator overhead: `MultiMatMul` runs the rank-1 executor, never
+//! computes padding, and takes its statistics from the plan instead of
+//! clocking the slot shuffling and bubble cycles.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fpfpga::matmul::array::ArrayStats;
@@ -26,7 +27,7 @@ fn batched(mode: RoundMode, a: &Matrix, b: &Matrix) -> (Matrix, ArrayStats) {
     let n = a.rows() as u32;
     let plan = BlockMatMul::cheapest(n, n, n, LM + LA).expect("nonzero shape and latency");
     let (c, stats) = MultiMatMul { plan, arrays: 1 }
-        .run(mode, LM, LA, a, b, 1)
+        .run(mode, a, b, 1)
         .expect("operands match the plan");
     (c, stats.total)
 }

@@ -52,15 +52,15 @@ fn scaling_section(host_cores: usize) -> Value {
     let flops = 2.0 * (M as f64).powi(3);
 
     // Pin every thread count to the 1-thread result before timing.
-    let (c_one, s_one) = mm.run(MODE, LM, LA, &a, &b, 1).expect("valid run");
+    let (c_one, s_one) = mm.run(MODE, &a, &b, 1).expect("valid run");
     let mut rows = Vec::new();
     let mut secs_by_threads = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let (c_par, s_par) = mm.run(MODE, LM, LA, &a, &b, threads).expect("valid run");
+        let (c_par, s_par) = mm.run(MODE, &a, &b, threads).expect("valid run");
         assert_eq!(c_par, c_one, "{threads}-thread matmul diverged");
         assert_eq!(s_par.total, s_one.total, "{threads}-thread stats diverged");
         let secs = best_of(3, || {
-            mm.run(MODE, LM, LA, &a, &b, threads)
+            mm.run(MODE, &a, &b, threads)
                 .expect("valid run")
                 .1
                 .total
@@ -122,7 +122,7 @@ fn ragged_section() -> Value {
         let a = sample(f, m, k, 3.0);
         let bm = sample(f, k, n, 4.0);
         let mm = MultiMatMul::new(m, k, n, b, LM + LA, 4).expect("valid ragged plan");
-        let (c, stats) = mm.run(MODE, LM, LA, &a, &bm, 0).expect("valid ragged run");
+        let (c, stats) = mm.run(MODE, &a, &bm, 0).expect("valid ragged run");
         let (want, want_flags) = reference_matmul_flags(&a, &bm, MODE);
         assert_eq!(c, want, "ragged {m}x{k}x{n} diverged from reference");
         assert_eq!(stats.flags, want_flags);
@@ -166,7 +166,7 @@ fn streaming_section() -> Value {
     let mm = MultiMatMul::new(m, k, n, b, LM + LA, arrays).expect("valid streaming plan");
     let t = Instant::now();
     let (c, stats) = mm
-        .run_streamed(MODE, LM, LA, &a_src, &b_src, 0)
+        .run_streamed(MODE, &a_src, &b_src, 0)
         .expect("valid streaming run");
     let secs = t.elapsed().as_secs_f64();
     assert!(stats.peak_resident_tiles <= 2 * arrays as usize);

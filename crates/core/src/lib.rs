@@ -50,15 +50,16 @@
 //! assert_eq!(results.len(), 2);
 //! assert_eq!(results[0].0 as u32, 2.0f32.to_bits());
 //!
-//! // Multiply two matrices on a cycle-accurate linear array, over the
-//! // batched streaming engine, with the block size the paper's cycle
-//! // model favours (b = 8 here: one tile):
+//! // Multiply two matrices with the linear array's blocked plan, using
+//! // the block size the paper's cycle model favours (b = 8 here: one
+//! // tile). The values come from the rank-1 executor, the statistics
+//! // from the plan:
 //! let fmt = FpFormat::SINGLE;
 //! let a = Matrix::from_fn(fmt, 8, 8, |i, j| (i + j) as f64);
 //! let b = Matrix::identity(fmt, 8);
 //! let plan = BlockMatMul::cheapest(8, 8, 8, 7 + 9).unwrap();
 //! let (c, stats) = MultiMatMul { plan, arrays: 1 }
-//!     .run(RoundMode::NearestEven, 7, 9, &a, &b, 1)
+//!     .run(RoundMode::NearestEven, &a, &b, 1)
 //!     .unwrap();
 //! assert_eq!(c, a);
 //! assert_eq!(stats.total.useful_macs, 8 * 8 * 8);

@@ -66,21 +66,6 @@ impl LinearArray {
         }
     }
 
-    /// An array for the batched stream
-    /// ([`LinearArray::stream_a_tile_batched`]). A batched step never
-    /// clocks its PEs' pipes, so which pipes they hold selects nothing:
-    /// they are always the fast delay lines.
-    pub fn batched(
-        fmt: FpFormat,
-        mode: RoundMode,
-        mult_stages: u32,
-        add_stages: u32,
-        p: usize,
-        n: usize,
-    ) -> LinearArray {
-        LinearArray::new(fmt, mode, mult_stages, add_stages, p, n, UnitBackend::Fast)
-    }
-
     /// Number of PEs.
     pub fn p(&self) -> usize {
         self.pes.len()
@@ -148,63 +133,6 @@ impl LinearArray {
             }
         }
         self.cycles - start
-    }
-
-    /// Batched twin of [`LinearArray::stream_a_tile_from_bank`]: the
-    /// real MACs run through the pipes' bulk fast path, the pad slots
-    /// are charged to the counters without simulating them (a zero
-    /// operation touches no architectural state), and the cycle/idle
-    /// accounting equals the per-cycle run's — so `C`, flags and stats
-    /// are bit-identical.
-    pub fn stream_a_tile_batched(
-        &mut self,
-        a: &Matrix,
-        rows: usize,
-        steps: usize,
-        bank: bool,
-    ) -> u64 {
-        let b = a.rows();
-        assert_eq!(a.cols(), b, "A tile must be square (zero-padded)");
-        assert!(
-            self.pes.iter().all(|pe| pe.n() == b),
-            "PE column height mismatch"
-        );
-        assert!((1..=b).contains(&rows) && (1..=b).contains(&steps));
-        let period = (b as u32).max(self.pl()) as u64;
-        let pads_per_real_step = period - rows as u64;
-        let mut a_col: Vec<u64> = Vec::with_capacity(rows);
-        for k in 0..steps {
-            a_col.clear();
-            a_col.extend((0..rows).map(|i| a.get(i, k)));
-            for pe in &mut self.pes {
-                pe.mac_step_batch(bank, k, &a_col, pads_per_real_step);
-            }
-        }
-        let all_pad_slots = (b - steps) as u64 * period;
-        if all_pad_slots > 0 {
-            for pe in &mut self.pes {
-                pe.account_pad_issues(all_pad_slots);
-            }
-        }
-        let issue = b as u64 * period;
-        self.cycles += issue;
-        for pe in &mut self.pes {
-            pe.account_batched_cycles(issue, issue);
-        }
-        issue
-    }
-
-    /// Charge the drain a batched tile run needs (`p + PL + 1` cycles,
-    /// no issues) without clocking — the batched pipes are already
-    /// empty. Pairs with [`LinearArray::stream_a_tile_batched`] the way
-    /// [`LinearArray::drain`] pairs with the per-cycle streams.
-    pub fn drain_batched(&mut self) -> u64 {
-        let drain = self.pes.len() as u64 + self.pl() as u64 + 1;
-        self.cycles += drain;
-        for pe in &mut self.pes {
-            pe.account_batched_cycles(drain, 0);
-        }
-        drain
     }
 
     /// Zero all accumulators.
@@ -411,14 +339,12 @@ mod tests {
         assert_eq!(c, want);
     }
 
-    /// The batched run serving makes of a square product: the cheapest
-    /// plan (one `n×n` tile) on one array.
+    /// The `MultiMatMul` run of a square product: the cheapest plan
+    /// (one `n×n` tile) on one array.
     fn planned(lm: u32, la: u32, a: &Matrix, b: &Matrix) -> (Matrix, MultiStats) {
         let n = a.rows() as u32;
         let plan = BlockMatMul::cheapest(n, n, n, lm + la).unwrap();
-        MultiMatMul { plan, arrays: 1 }
-            .run(RM, lm, la, a, b, 1)
-            .unwrap()
+        MultiMatMul { plan, arrays: 1 }.run(RM, a, b, 1).unwrap()
     }
 
     #[test]

@@ -305,8 +305,9 @@ impl BlockMatMul {
     }
 
     /// Execute the plan cycle-accurately, token by token — the slow
-    /// validated reference the batched multi-array executor
-    /// ([`crate::multi::MultiMatMul`]) is property-tested against.
+    /// validated reference [`crate::multi::MultiMatMul`] (the rank-1
+    /// executor, with statistics from [`BlockMatMul::stats`]) is
+    /// property-tested against.
     /// Returns the product, the aggregate run statistics and the OR of
     /// all exception flags.
     #[allow(clippy::too_many_arguments)] // mirrors LinearArray::multiply's parameter list
@@ -490,9 +491,7 @@ mod tests {
                 for (ms, asl) in [(1u32, 1u32), (5, 4), (9, 12)] {
                     let plan = BlockMatMul::new(m, k, n, bs, ms + asl).unwrap();
                     let want = plan.stats();
-                    let (_, multi) = MultiMatMul { plan, arrays: 1 }
-                        .run(RM, ms, asl, &a, &b, 1)
-                        .unwrap();
+                    let (_, multi) = MultiMatMul { plan, arrays: 1 }.run(RM, &a, &b, 1).unwrap();
                     let (_, cycle, _) =
                         plan.run(F, RM, ms, asl, &a, &b, UnitBackend::Fast).unwrap();
                     let at = format!("m={m} k={k} n={n} b={bs} PL={ms}+{asl}");

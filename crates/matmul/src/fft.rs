@@ -133,28 +133,6 @@ impl ButterflyUnit {
         self.line.pop_front().expect("line non-empty")
     }
 
-    /// Batched counterpart of clocking one butterfly per cycle and then
-    /// draining: retire everything in flight, compute the whole batch,
-    /// and charge the same `issues + latency` cycles the per-cycle loop
-    /// would. Bit-identical because in-flight butterflies never
-    /// interact inside the delay line.
-    pub fn run_batch(&mut self, inputs: &[(Cplx, Cplx, Cplx)]) -> Vec<(Cplx, Cplx, Flags)> {
-        let mut out = Vec::with_capacity(self.line.len() + inputs.len());
-        for slot in self.line.iter_mut() {
-            if let Some(r) = slot.take() {
-                out.push(r);
-            }
-        }
-        self.cycles += inputs.len() as u64 + u64::from(self.latency);
-        self.issues += inputs.len() as u64;
-        out.extend(
-            inputs
-                .iter()
-                .map(|&(x, y, w)| butterfly_softfp(self.fmt, self.mode, x, y, w)),
-        );
-        out
-    }
-
     /// The resource bill: 4 multipliers + 6 adders at the given configs.
     pub fn area(units: &UnitSet) -> AreaCost {
         let m = AreaCost {
@@ -198,6 +176,12 @@ pub fn twiddle(fmt: FpFormat, k: usize, n: usize, inverse: bool) -> Cplx {
 }
 
 /// Reference FFT: identical butterfly order in `SoftFloat` arithmetic.
+///
+/// This is both the served transform (serving charges its cycles with
+/// [`FftEngine::cycle_model`]) and the oracle the per-cycle
+/// [`FftEngine::run`] is tested against: within a stage every butterfly
+/// touches distinct data, so the pipelined order computes the same
+/// values.
 pub fn reference_fft(fmt: FpFormat, mode: RoundMode, input: &[Cplx], inverse: bool) -> Vec<Cplx> {
     let n = input.len();
     assert!(n.is_power_of_two());
@@ -280,44 +264,6 @@ impl FftEngine {
                     data[j] = ny;
                     retired += 1;
                 }
-            }
-            len *= 2;
-        }
-        (data, unit.cycles)
-    }
-
-    /// Batched counterpart of [`FftEngine::run`]: each stage's `n/2`
-    /// butterflies go through one [`ButterflyUnit::run_batch`] call.
-    /// Within a stage every butterfly touches distinct indices, so the
-    /// transform and the cycle count are bit-identical to the
-    /// per-cycle simulation.
-    pub fn run_batched(&self, input: &[Cplx], inverse: bool) -> (Vec<Cplx>, u64) {
-        let n = input.len();
-        assert!(n.is_power_of_two() && n >= 2);
-        let mut unit = ButterflyUnit::new(self.fmt, self.mode, self.mult_stages, self.add_stages);
-        let mut data = input.to_vec();
-        bit_reverse_permute(&mut data);
-
-        // Stage buffers reused across all log₂n stages.
-        let mut jobs: Vec<(usize, usize)> = Vec::with_capacity(n / 2);
-        let mut inputs: Vec<(Cplx, Cplx, Cplx)> = Vec::with_capacity(n / 2);
-        let mut len = 2;
-        while len <= n {
-            jobs.clear();
-            for start in (0..n).step_by(len) {
-                for k in 0..len / 2 {
-                    jobs.push((start + k, start + k + len / 2));
-                }
-            }
-            inputs.clear();
-            inputs.extend(jobs.iter().map(|&(i, j)| {
-                let w = twiddle(self.fmt, i % len, len, inverse);
-                (data[i], data[j], w)
-            }));
-            let results = unit.run_batch(&inputs);
-            for (&(i, j), &(nx, ny, _)) in jobs.iter().zip(&results) {
-                data[i] = nx;
-                data[j] = ny;
             }
             len *= 2;
         }
@@ -447,7 +393,7 @@ mod tests {
             for inverse in [false, true] {
                 let eng = FftEngine::new(F, RM, 5, 7);
                 let (want, want_cycles) = eng.run(&x, inverse);
-                let (got, got_cycles) = eng.run_batched(&x, inverse);
+                let (got, got_cycles) = (reference_fft(F, RM, &x, inverse), eng.cycle_model(n));
                 assert_eq!(got, want, "n = {n} inverse = {inverse}");
                 assert_eq!(got_cycles, want_cycles, "cycles n = {n}");
                 assert_eq!(got_cycles, eng.cycle_model(n), "model n = {n}");

@@ -26,7 +26,9 @@
 //! and cycles, and these kernels are the one served implementation of
 //! all three under every policy.
 //!
-//! [`mixed_matmul`] and [`mixed_mvm`] share one rank-1 core. Operands
+//! [`mixed_matmul`] and [`mixed_mvm`] share one rank-1 core, which
+//! [`MultiMatMul`](crate::multi::MultiMatMul) also runs, one row of an
+//! `A` tile against a `B` tile per call. Operands
 //! are converted once per call, and step `k` is one [`mul_bcast_bits`]
 //! of a row (row `k` of `B`, or column `k` of `A`) against one
 //! broadcast element, then one [`add_acc_bits`] into a row of
@@ -93,15 +95,17 @@ fn convert_in_place(src: FpFormat, dst: FpFormat, mode: RoundMode, bits: &mut [u
 }
 
 /// The rank-1 steps `bank[k % la] += lhs[k] · rhs[k]` in ascending `k`:
-/// `rhs[k]` is row `k` of a compute-format matrix as wide as each of
+/// `rhs[k]` is the first `p` elements of row `k` of a compute-format
+/// matrix with row stride `stride`, where `p` is the width of each of
 /// the `la` accumulate-format banks packed in `banks`. Each step is one
 /// [`mul_bcast_bits`], the widening, and one [`add_acc_bits`] (product
 /// first, as the engines add). Returns the flags.
-fn rank1_steps(
+pub(crate) fn rank1_steps(
     policy: PrecisionPolicy,
     mode: RoundMode,
     lhs: &[u64],
     rhs: &[u64],
+    stride: usize,
     banks: &mut [u64],
     la: usize,
 ) -> Flags {
@@ -109,7 +113,8 @@ fn rank1_steps(
     let mut flags = Flags::NONE;
     let mut prod = vec![0u64; p];
     for (k, &l) in lhs.iter().enumerate() {
-        flags |= mul_bcast_bits(policy.compute, &rhs[k * p..(k + 1) * p], l, mode, &mut prod);
+        let row = &rhs[k * stride..k * stride + p];
+        flags |= mul_bcast_bits(policy.compute, row, l, mode, &mut prod);
         flags |= convert_in_place(policy.compute, policy.accumulate, mode, &mut prod);
         let s = k % la;
         flags |= add_acc_bits(
@@ -222,7 +227,7 @@ pub fn mixed_matmul(
     let mut data = vec![policy.accumulate.zero(); n * p];
     for i in 0..n {
         let (a_row, c_row) = (&ac[i * m..(i + 1) * m], &mut data[i * p..(i + 1) * p]);
-        flags |= rank1_steps(policy, mode, a_row, &bc, c_row, 1);
+        flags |= rank1_steps(policy, mode, a_row, &bc, p, c_row, 1);
     }
     flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut data);
     (Matrix::from_bits(policy.storage, n, p, data), flags)
@@ -266,7 +271,7 @@ pub fn mixed_mvm(
     }
     let la = add_stages as usize;
     let mut banks = vec![policy.accumulate.zero(); la * n];
-    flags |= rank1_steps(policy, mode, &xc, &a_t, &mut banks, la);
+    flags |= rank1_steps(policy, mode, &xc, &a_t, n, &mut banks, la);
     flags |= fold_banks(policy.accumulate, mode, &mut banks, la);
     banks.truncate(n);
     flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut banks);

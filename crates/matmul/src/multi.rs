@@ -9,16 +9,24 @@
 //! paper's Jang/Choi/Prasanna array: a [`BlockMatMul`] plan is split by
 //! **output tile** — each b×b tile of `C` is produced start-to-finish by
 //! exactly one array, accumulating its ⌈K/b⌉ block products in ascending
-//! `k` order on a private array of `p = cols` PEs.
+//! `k` order.
+//!
+//! The arithmetic runs on the precision-policy kernels' rank-1 core
+//! (`mixed::rank1_steps` under a uniform policy): for every block
+//! product, each real row of the `A` tile is one call against the `B`
+//! tile, accumulating into that row of the `C` tile. Zero padding only
+//! costs the hardware cycles, so it is never computed; each array's
+//! statistics come from the plan instead, as the sum of
+//! [`BlockMatMul::stats`] over one-tile sub-plans of the tiles it owns.
 //!
 //! Because an output tile never migrates between arrays and its
 //! accumulation order is a pure function of the plan, the result —
-//! values *and* exception flags — is bit-identical to the serial
-//! [`LinearArray`] reference for every array count and thread count.
-//! Tiles are assigned to arrays round-robin in row-major tile order
-//! (again a pure function of the plan), and the per-array jobs run on
-//! [`fpfpga_fpu::parallel_map_slice`], which preserves job order at any
-//! thread count.
+//! values *and* exception flags — and the statistics are bit-identical
+//! to the per-cycle [`BlockMatMul::run`] reference for every array
+//! count and thread count. Tiles are assigned to arrays round-robin in
+//! row-major tile order (again a pure function of the plan), and the
+//! per-array jobs run on [`fpfpga_fpu::parallel_map_slice`], which
+//! preserves job order at any thread count.
 //!
 //! Operands arrive through the [`TileSource`] trait, one zero-padded
 //! b×b tile at a time: each array job owns exactly two resident tile
@@ -27,10 +35,11 @@
 //! array — never materializing a full operand. [`MatrixTiles`] adapts
 //! an in-memory [`Matrix`]; [`FnTiles`] generates elements on the fly.
 
-use crate::array::{ArrayStats, LinearArray};
+use crate::array::ArrayStats;
 use crate::block::{BlockMatMul, PlanError};
 use crate::matrix::Matrix;
-use fpfpga_softfp::{Flags, FpFormat, RoundMode};
+use crate::mixed::rank1_steps;
+use fpfpga_softfp::{Flags, FpFormat, PrecisionPolicy, RoundMode};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A source of zero-padded b×b operand tiles. Implementations must be
@@ -173,20 +182,11 @@ impl MultiMatMul {
     pub fn run(
         &self,
         mode: RoundMode,
-        mult_stages: u32,
-        add_stages: u32,
         a: &Matrix,
         b: &Matrix,
         threads: usize,
     ) -> Result<(Matrix, MultiStats), PlanError> {
-        self.run_streamed(
-            mode,
-            mult_stages,
-            add_stages,
-            &MatrixTiles(a),
-            &MatrixTiles(b),
-            threads,
-        )
+        self.run_streamed(mode, &MatrixTiles(a), &MatrixTiles(b), threads)
     }
 
     /// Run against streamed operands: each array job holds exactly two
@@ -200,20 +200,14 @@ impl MultiMatMul {
     pub fn run_streamed<A: TileSource + ?Sized, B: TileSource + ?Sized>(
         &self,
         mode: RoundMode,
-        mult_stages: u32,
-        add_stages: u32,
         a: &A,
         b: &B,
         threads: usize,
     ) -> Result<(Matrix, MultiStats), PlanError> {
-        assert_eq!(
-            mult_stages + add_stages,
-            self.plan.pl,
-            "unit latencies must sum to PL"
-        );
         let plan = self.plan;
         plan.check_sources(a, b)?;
         let fmt = a.format();
+        let policy = PrecisionPolicy::uniform(fmt);
         let bs = plan.b as usize;
         let tk = plan.tiles_k() as usize;
 
@@ -238,27 +232,26 @@ impl MultiMatMul {
             for &(ti, tj) in tiles {
                 let rows = plan.tile_rows(ti);
                 let cols = plan.tile_cols(tj);
-                let mut arr = LinearArray::batched(fmt, mode, mult_stages, add_stages, cols, bs);
+                let mut c_tile = vec![fmt.zero(); rows * cols];
                 for bk in 0..tk {
                     let steps = plan.tile_steps(bk);
                     a.read_tile(ti, bk, bs, &mut a_buf);
                     b.read_tile(bk, tj, bs, &mut b_buf);
                     fetches.fetch_add(2, Ordering::Relaxed);
-                    let bank = bk % 2 == 1;
-                    arr.load_b_tile(bank, &b_buf, cols);
-                    arr.stream_a_tile_batched(&a_buf, rows, steps, bank);
-                }
-                arr.drain_batched();
-                let c_blk = arr.read_c();
-                let mut tile = Matrix::zero(fmt, rows, cols);
-                for i in 0..rows {
-                    for j in 0..cols {
-                        tile.set(i, j, c_blk.get(i, j));
+                    for (a_row, c_row) in a_buf.data().chunks(bs).zip(c_tile.chunks_mut(cols)) {
+                        let a_row = &a_row[..steps];
+                        flags |= rank1_steps(policy, mode, a_row, b_buf.data(), bs, c_row, 1);
                     }
                 }
-                stats.merge(arr.stats());
-                flags |= arr.flags();
-                out.push((ti, tj, tile));
+                // A one-tile sub-plan has exactly this tile's cycles,
+                // drain, MACs, idle cycles and BRAM traffic.
+                let tile_plan = BlockMatMul {
+                    m: rows as u32,
+                    n: cols as u32,
+                    ..plan
+                };
+                stats.merge(tile_plan.stats());
+                out.push((ti, tj, Matrix::from_bits(fmt, rows, cols, c_tile)));
             }
             resident.fetch_sub(2, Ordering::SeqCst);
             (out, stats, flags)
@@ -327,7 +320,7 @@ mod tests {
         let a = sample(m as usize, k as usize, 0.3);
         let b = sample(k as usize, n as usize, 1.1);
         let serial = MultiMatMul::new(m, k, n, bs, 7, 1).unwrap();
-        let (c_ref, serial_stats) = serial.run(RM, 3, 4, &a, &b, 1).unwrap();
+        let (c_ref, serial_stats) = serial.run(RM, &a, &b, 1).unwrap();
         let (s_ref, f_ref) = (serial_stats.total, serial_stats.flags);
         assert_eq!((c_ref.clone(), f_ref), reference_matmul_flags(&a, &b, RM));
         assert_eq!(s_ref.cycles, serial.plan.total_cycles());
@@ -336,7 +329,7 @@ mod tests {
         for arrays in [1u32, 2, 3, 8] {
             for threads in [1usize, 2, 4] {
                 let mm = MultiMatMul::new(m, k, n, bs, 7, arrays).unwrap();
-                let (c, stats) = mm.run(RM, 3, 4, &a, &b, threads).unwrap();
+                let (c, stats) = mm.run(RM, &a, &b, threads).unwrap();
                 assert_eq!(c, c_ref, "arrays={arrays} threads={threads}");
                 assert_eq!(stats.flags, f_ref, "arrays={arrays} threads={threads}");
                 assert_eq!(stats.total, s_ref, "arrays={arrays} threads={threads}");
@@ -366,7 +359,7 @@ mod tests {
         );
         let (want, want_flags) = reference_matmul_flags(&m, &m, RM);
         let mm = MultiMatMul::new(3, 3, 3, 2, 7, 4).unwrap();
-        let (c, stats) = mm.run(RM, 3, 4, &m, &m, 2).unwrap();
+        let (c, stats) = mm.run(RM, &m, &m, 2).unwrap();
         assert_eq!(c, want);
         assert_eq!(stats.flags, want_flags);
         assert!(want_flags.invalid || want_flags.overflow);
@@ -377,7 +370,7 @@ mod tests {
         let a = sample(3, 3, 0.1);
         let b = sample(3, 3, 0.2);
         let mm = MultiMatMul::new(3, 3, 3, 3, 7, 8).unwrap();
-        let (c, stats) = mm.run(RM, 3, 4, &a, &b, 2).unwrap();
+        let (c, stats) = mm.run(RM, &a, &b, 2).unwrap();
         let (want, _) = reference_matmul_flags(&a, &b, RM);
         assert_eq!(c, want);
         // 1 output tile → 7 arrays idle with zero stats.
@@ -415,7 +408,7 @@ mod tests {
             gen: gen_b,
         };
         let mm = MultiMatMul::new(m as u32, k as u32, n as u32, bs, 9, arrays).unwrap();
-        let (c, stats) = mm.run_streamed(RM, 4, 5, &a_src, &b_src, 4).unwrap();
+        let (c, stats) = mm.run_streamed(RM, &a_src, &b_src, 4).unwrap();
         assert!(stats.peak_resident_tiles <= 2 * arrays as usize);
         assert_eq!(stats.tile_fetches, 2 * mm.plan.block_products());
         // Same result as materializing the operands first.
@@ -429,7 +422,7 @@ mod tests {
         };
         let a_full = bits(&gen_a, m, k);
         let b_full = bits(&gen_b, k, n);
-        let (want, _) = mm.run(RM, 4, 5, &a_full, &b_full, 1).unwrap();
+        let (want, _) = mm.run(RM, &a_full, &b_full, 1).unwrap();
         assert_eq!(c, want);
     }
 
@@ -438,7 +431,7 @@ mod tests {
         let mm = MultiMatMul::new(4, 4, 4, 2, 7, 2).unwrap();
         let a = sample(4, 5, 0.0);
         let b = sample(4, 4, 0.0);
-        match mm.run(RM, 3, 4, &a, &b, 1) {
+        match mm.run(RM, &a, &b, 1) {
             Err(PlanError::Shape(_)) => {}
             other => panic!("expected shape error, got {other:?}"),
         }

@@ -5,15 +5,15 @@
 
 use crate::schedule::Token;
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
-use fpfpga_softfp::{add_acc_bits, mul_bcast_bits, Flags, FpFormat, RoundMode};
+use fpfpga_softfp::{Flags, FpFormat, RoundMode};
 use std::collections::VecDeque;
 
 /// How to build the PE's floating-point pipes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnitBackend {
-    /// Fast functional twin (softfp + delay line) — default for kernel
-    /// runs; bit-identical to the structural simulator (property-tested
-    /// in `fpfpga-fpu`).
+    /// Fast functional twin (softfp + delay line) — the usual choice
+    /// for per-cycle runs; bit-identical to the structural simulator
+    /// (property-tested in `fpfpga-fpu`).
     Fast,
     /// Full stage-by-stage structural simulation — slower; used by the
     /// cross-validation tests.
@@ -38,7 +38,6 @@ pub struct PeStats {
 /// One processing element of the linear array.
 pub struct ProcessingElement {
     fmt: FpFormat,
-    mode: RoundMode,
     /// Double-buffered columns of `B` owned by this PE, indexed by step
     /// `k`; the control token's bank bit selects which buffer a MAC
     /// reads, so the next block's column can load while tokens of the
@@ -59,9 +58,6 @@ pub struct ProcessingElement {
     pub flags: Flags,
     /// Activity counters.
     pub stats: PeStats,
-    /// The products of one [`ProcessingElement::mac_step_batch`] step,
-    /// reused across steps so the batched kernel allocates nothing.
-    products: Vec<u64>,
 }
 
 impl ProcessingElement {
@@ -99,7 +95,6 @@ impl ProcessingElement {
         };
         ProcessingElement {
             fmt,
-            mode,
             b_banks: [vec![0; n], vec![0; n]],
             c_col: vec![0; n],
             mult,
@@ -109,7 +104,6 @@ impl ProcessingElement {
             token_out: None,
             flags: Flags::NONE,
             stats: PeStats::default(),
-            products: Vec::new(),
         }
     }
 
@@ -218,52 +212,6 @@ impl ProcessingElement {
     /// The format this PE operates in.
     pub fn format(&self) -> FpFormat {
         self.fmt
-    }
-
-    /// Bulk execution of one schedule step: every row's MAC for column
-    /// pass `k` as two wide calls on this PE's own `C` column — one
-    /// [`mul_bcast_bits`] (the `A` column against the stationary `B`
-    /// element) and one [`add_acc_bits`] (`c[i] ← p[i] + c[i]`, the
-    /// adder's operand order) — instead of `PL`·rows clocks. Both pipes
-    /// compute exactly these softfp operations, so the pipes themselves
-    /// are bypassed (which is why batched arrays always hold the fast
-    /// delay lines: see [`crate::array::LinearArray::batched`]).
-    ///
-    /// Valid exactly when the surrounding schedule is hazard-free — any
-    /// two updates of the same `C` entry at least one padded period
-    /// (≥ PL) apart, which is what `Schedule` guarantees by padding —
-    /// and no per-cycle token is in flight. Then results, flags and
-    /// MAC/BRAM activity counts are bit-identical to per-cycle clocking;
-    /// `pads` records the step's padding issues for the energy model.
-    pub fn mac_step_batch(&mut self, bank: bool, k: usize, a_col: &[u64], pads: u64) {
-        debug_assert!(
-            self.c_delay.iter().all(Option::is_none) && self.add_meta.iter().all(Option::is_none),
-            "per-cycle MACs still in flight"
-        );
-        let bk = self.b_banks[bank as usize][k];
-        let rows = a_col.len();
-        self.products.resize(rows, 0);
-        self.flags |= mul_bcast_bits(self.fmt, a_col, bk, self.mode, &mut self.products);
-        self.flags |= add_acc_bits(self.fmt, &self.products, &mut self.c_col[..rows], self.mode);
-        let n = rows as u64;
-        self.stats.useful_macs += n;
-        self.stats.pad_macs += pads;
-        self.stats.bram_accesses += 3 * n; // B read + C read + C write per MAC
-    }
-
-    /// Charge `pads` padding issues without running the pipes: a
-    /// padding slot computes `0·0 + 0` — exact, flag-free, and with no
-    /// architectural effect — so a batched run only has to count it for
-    /// the energy model.
-    pub fn account_pad_issues(&mut self, pads: u64) {
-        self.stats.pad_macs += pads;
-    }
-
-    /// Charge the clock/idle counters a batched run would have spent
-    /// per-cycle: `total` clocks, of which `issues` carried a token.
-    pub fn account_batched_cycles(&mut self, total: u64, issues: u64) {
-        self.stats.cycles += total;
-        self.stats.idle_cycles += total - issues;
     }
 }
 

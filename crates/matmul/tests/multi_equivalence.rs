@@ -5,10 +5,9 @@
 //! every combination — accumulation order per output tile is a pure
 //! function of the plan, never of the array or thread count.
 //!
-//! The deterministic CI sweep honors `FPFPGA_MULTI_THREADS` so the
-//! equivalence suite can be pinned to a specific thread count
-//! (CI runs it at 2).
+//! The deterministic sweeps run at a fixed thread count of 2.
 
+use fpfpga_matmul::array::ArrayStats;
 use fpfpga_matmul::block::BlockMatMul;
 use fpfpga_matmul::matrix::Matrix;
 use fpfpga_matmul::multi::{FnTiles, MultiMatMul};
@@ -20,14 +19,8 @@ use proptest::prelude::*;
 
 const RM: RoundMode = RoundMode::NearestEven;
 
-/// Thread count for the deterministic sweeps: `FPFPGA_MULTI_THREADS`
-/// when set (CI pins 2), otherwise 2.
-fn ci_threads() -> usize {
-    std::env::var("FPFPGA_MULTI_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-}
+/// Thread count for the deterministic sweeps.
+const CI_THREADS: usize = 2;
 
 fn fmt_of(ix: u8) -> FpFormat {
     FpFormat::PAPER_PRECISIONS[ix as usize % FpFormat::PAPER_PRECISIONS.len()]
@@ -72,7 +65,7 @@ proptest! {
         let a = seeded_matrix(fmt, m as usize, k as usize, seed);
         let bm = seeded_matrix(fmt, k as usize, n as usize, seed ^ 0xABCD);
         let mm = MultiMatMul::new(m, k, n, b, lm + la, arrays).unwrap();
-        let (c, stats) = mm.run(RM, lm, la, &a, &bm, threads).unwrap();
+        let (c, stats) = mm.run(RM, &a, &bm, threads).unwrap();
         let (want, want_flags) = reference_matmul_flags(&a, &bm, RM);
         prop_assert_eq!(c, want, "m={} k={} n={} b={} arrays={} threads={}", m, k, n, b, arrays, threads);
         prop_assert_eq!(stats.flags, want_flags, "flags m={} k={} n={} b={}", m, k, n, b);
@@ -81,7 +74,7 @@ proptest! {
         prop_assert_eq!(stats.total.cycles, mm.plan.total_cycles());
     }
 
-    /// The batched multi-array executor vs the per-cycle token-by-token
+    /// The multi-array executor vs the per-cycle token-by-token
     /// blocked reference: values, flags AND summed stats identical.
     #[test]
     fn multi_matches_per_cycle_blocked_run(
@@ -100,10 +93,48 @@ proptest! {
         let plan = BlockMatMul::new(m, k, n, b, lm + la).unwrap();
         let (c_ref, s_ref, f_ref) = plan.run(fmt, RM, lm, la, &a, &bm, UnitBackend::Fast).unwrap();
         let mm = MultiMatMul { plan, arrays };
-        let (c, stats) = mm.run(RM, lm, la, &a, &bm, 2).unwrap();
+        let (c, stats) = mm.run(RM, &a, &bm, 2).unwrap();
         prop_assert_eq!(c, c_ref);
         prop_assert_eq!(stats.flags, f_ref);
         prop_assert_eq!(stats.total, s_ref, "summed stats m={} k={} n={} b={} arrays={}", m, k, n, b, arrays);
+    }
+
+    /// Each array's statistics equal the per-cycle simulator's, tile by
+    /// tile: `per_array[r]` is the sum, over the output tiles array `r`
+    /// owns, of the per-cycle [`BlockMatMul::run`] statistics of that
+    /// tile's one-tile plan on its sub-operands.
+    #[test]
+    fn per_array_stats_equal_per_cycle_tiles(
+        m in 1u32..11,
+        k in 1u32..11,
+        n in 1u32..11,
+        b in 1u32..6,
+        lm in 2u32..6,
+        la in 2u32..6,
+        arrays in 1u32..9,
+        seed in any::<u64>(),
+    ) {
+        let fmt = FpFormat::SINGLE;
+        let (bs, kk) = (b as usize, k as usize);
+        let a = seeded_matrix(fmt, m as usize, kk, seed);
+        let bm = seeded_matrix(fmt, kk, n as usize, seed ^ 0xC0DE);
+        let mm = MultiMatMul::new(m, k, n, b, lm + la, arrays).unwrap();
+        let (_, stats) = mm.run(RM, &a, &bm, CI_THREADS).unwrap();
+        prop_assert_eq!(stats.per_array.len(), arrays as usize);
+        for r in 0..arrays {
+            let mut want = ArrayStats::default();
+            for (ti, tj) in mm.tiles_of(r) {
+                let (rows, cols) = (mm.plan.tile_rows(ti), mm.plan.tile_cols(tj));
+                let a_bits = (0..rows * kk).map(|t| a.get(ti * bs + t / kk, t % kk));
+                let b_bits = (0..kk * cols).map(|t| bm.get(t / cols, tj * bs + t % cols));
+                let a_t = Matrix::from_bits(fmt, rows, kk, a_bits.collect());
+                let b_t = Matrix::from_bits(fmt, kk, cols, b_bits.collect());
+                let tile = BlockMatMul::new(rows as u32, k, cols as u32, b, lm + la).unwrap();
+                let (_, s, _) = tile.run(fmt, RM, lm, la, &a_t, &b_t, UnitBackend::Fast).unwrap();
+                want.merge(s);
+            }
+            prop_assert_eq!(stats.per_array[r as usize], want, "array {} of {} m={} k={} n={} b={}", r, arrays, m, k, n, b);
+        }
     }
 
     /// Per-array statistics are a pure function of the plan: identical
@@ -122,9 +153,9 @@ proptest! {
         let a = seeded_matrix(fmt, m as usize, k as usize, seed);
         let bm = seeded_matrix(fmt, k as usize, n as usize, seed ^ 0xF00D);
         let mm = MultiMatMul::new(m, k, n, b, 9, arrays).unwrap();
-        let (c1, s1) = mm.run(RM, 4, 5, &a, &bm, 1).unwrap();
+        let (c1, s1) = mm.run(RM, &a, &bm, 1).unwrap();
         for threads in [2usize, 3, 4] {
-            let (c, s) = mm.run(RM, 4, 5, &a, &bm, threads).unwrap();
+            let (c, s) = mm.run(RM, &a, &bm, threads).unwrap();
             prop_assert_eq!(&c, &c1, "values at threads={}", threads);
             prop_assert_eq!(&s.per_array, &s1.per_array, "per-array stats at threads={}", threads);
             prop_assert_eq!(s.flags, s1.flags);
@@ -170,7 +201,7 @@ proptest! {
 /// count.
 #[test]
 fn edge_shapes_match_reference_at_ci_threads() {
-    let threads = ci_threads();
+    let threads = CI_THREADS;
     let shapes: &[(u32, u32, u32, u32)] = &[
         (1, 1, 1, 1),
         (1, 1, 1, 4),
@@ -190,7 +221,7 @@ fn edge_shapes_match_reference_at_ci_threads() {
             let bm = seeded_matrix(fmt, k as usize, n as usize, (n * 17 + b) as u64);
             for arrays in [1u32, 3, 8] {
                 let mm = MultiMatMul::new(m, k, n, b, 9, arrays).unwrap();
-                let (c, stats) = mm.run(RM, 4, 5, &a, &bm, threads).unwrap();
+                let (c, stats) = mm.run(RM, &a, &bm, threads).unwrap();
                 let (want, want_flags) = reference_matmul_flags(&a, &bm, RM);
                 assert_eq!(c, want, "m={m} k={k} n={n} b={b} arrays={arrays} {fmt}");
                 assert_eq!(stats.flags, want_flags, "m={m} k={k} n={n} b={b} {fmt}");
@@ -203,7 +234,7 @@ fn edge_shapes_match_reference_at_ci_threads() {
 /// values and flags on the multi path at the CI thread count.
 #[test]
 fn special_values_flags_match_at_ci_threads() {
-    let threads = ci_threads();
+    let threads = CI_THREADS;
     let fmt = FpFormat::SINGLE;
     let specials = [
         f64::INFINITY,
@@ -222,7 +253,7 @@ fn special_values_flags_match_at_ci_threads() {
     for arrays in 1..=8u32 {
         for bs in [1u32, 2, 3, 5] {
             let mm = MultiMatMul::new(5, 5, 5, bs, 7, arrays).unwrap();
-            let (c, stats) = mm.run(RM, 3, 4, &a, &b, threads).unwrap();
+            let (c, stats) = mm.run(RM, &a, &b, threads).unwrap();
             assert_eq!(c, want, "arrays={arrays} b={bs}");
             assert_eq!(stats.flags, want_flags, "arrays={arrays} b={bs}");
         }
@@ -256,7 +287,7 @@ fn streaming_peak_residency_is_bounded_by_2k() {
                 gen: gen_b,
             };
             let mm = MultiMatMul::new(m as u32, k as u32, n as u32, bs, 9, arrays).unwrap();
-            let (c, stats) = mm.run_streamed(RM, 4, 5, &a_src, &b_src, threads).unwrap();
+            let (c, stats) = mm.run_streamed(RM, &a_src, &b_src, threads).unwrap();
             // 7×6 output tiles, 5 inner tiles — far more than 2·arrays
             // tile reads — yet residency stays ≤ 2 per array.
             assert!(

@@ -23,6 +23,7 @@ use fpfpga_fabric::tech::Tech;
 use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::SweepCache;
+use fpfpga_matmul::fft::reference_fft;
 use fpfpga_matmul::{
     array::ArrayStats, mixed, BlockMatMul, Cplx, FftEngine, LuEngine, Matrix, PlanError,
 };
@@ -557,7 +558,8 @@ impl Job {
     /// uniform policy skips every conversion, and the result equals the
     /// per-cycle engines', tested); matmul's statistics are the
     /// validated plan's analytic [`BlockMatMul::stats`], so no simulated
-    /// array is built.
+    /// array is built. FFT likewise runs [`reference_fft`] and charges
+    /// [`FftEngine::cycle_model`] (equal to the per-cycle engine, tested).
     pub fn run(&self, tech: &Tech, cache: &SweepCache) -> JobResult {
         let p = self.policy;
         let mode = self.mode;
@@ -629,8 +631,10 @@ impl Job {
                 inverse,
             } => {
                 let engine = FftEngine::new(p.compute, mode, *mult_stages, *add_stages);
-                let (out, cycles) = engine.run_batched(data, *inverse);
-                JobResult::Fft { data: out, cycles }
+                JobResult::Fft {
+                    data: reference_fft(p.compute, mode, data, *inverse),
+                    cycles: engine.cycle_model(data.len()),
+                }
             }
             Kernel::Apfloat { op, fmt, a, b, c } => {
                 let results = a

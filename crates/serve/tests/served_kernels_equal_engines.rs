@@ -1,15 +1,18 @@
-//! Under a uniform policy the served dot, MVM and matmul kernels equal
-//! the per-cycle engines — `DotProductUnit::dot`, `MvmEngine::multiply`
-//! and the cheapest plan's `BlockMatMul::run` — in values, flags, cycles
-//! and every `ArrayStats` field. The jobs are the trace's own, each run
-//! plain and with ±0, flushed-subnormal, ∞ and ∞-with-payload operands
-//! spliced in, under both rounding modes. Scale 8 runs in release only:
-//! the per-cycle array is slow in debug.
+//! Under a uniform policy the served dot, MVM, matmul and FFT kernels
+//! equal the per-cycle engines — `DotProductUnit::dot`,
+//! `MvmEngine::multiply`, the cheapest plan's `BlockMatMul::run` and
+//! `FftEngine::run` — in values, flags, cycles and every `ArrayStats`
+//! field. The jobs are the trace's own, each run plain and with ±0,
+//! flushed-subnormal, ∞ and ∞-with-payload operands spliced in, under
+//! both rounding modes. Scale 8 runs in release only: the per-cycle
+//! array is slow in debug.
 
 use fpfpga_fabric::tech::Tech;
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::pe::UnitBackend;
-use fpfpga_matmul::{mixed_matmul, BlockMatMul, DotProductUnit, Matrix, MvmEngine};
+use fpfpga_matmul::{
+    mixed_matmul, BlockMatMul, Cplx, DotProductUnit, FftEngine, Matrix, MvmEngine,
+};
 use fpfpga_serve::{synth_trace, Job, JobResult, Kernel, TraceConfig};
 use fpfpga_softfp::{FpFormat, PrecisionPolicy, RoundMode};
 
@@ -88,7 +91,15 @@ fn spliced(kernel: &Kernel, fmt: FpFormat, splice: Splice) -> Kernel {
             *a = splice.matrix(a, 4, 1);
             *b = splice.matrix(b, 3, 0);
         }
-        _ => unreachable!("only accumulating kernels are spliced"),
+        Kernel::Fft { data, .. } => {
+            let parts: Vec<u64> = data.iter().flat_map(|c| [c.re, c.im]).collect();
+            let parts = splice.vector(fmt, &parts, 3, 1);
+            *data = parts
+                .chunks_exact(2)
+                .map(|p| Cplx { re: p[0], im: p[1] })
+                .collect();
+        }
+        _ => unreachable!("only accumulating kernels and FFT are spliced"),
     }
     kernel
 }
@@ -149,7 +160,17 @@ fn per_cycle(job: &Job) -> JobResult {
             assert_eq!(kernel_flags, flags, "matmul flags");
             JobResult::MatMul { c, stats }
         }
-        _ => unreachable!("only accumulating kernels are compared"),
+        Kernel::Fft {
+            mult_stages,
+            add_stages,
+            data,
+            inverse,
+        } => {
+            let engine = FftEngine::new(fmt, mode, *mult_stages, *add_stages);
+            let (data, cycles) = engine.run(data, *inverse);
+            JobResult::Fft { data, cycles }
+        }
+        _ => unreachable!("only accumulating kernels and FFT are compared"),
     }
 }
 
@@ -168,7 +189,7 @@ fn check_scale(scale: usize, jobs: usize) -> usize {
         };
         if !matches!(
             job.kernel,
-            Kernel::Dot { .. } | Kernel::Mvm { .. } | Kernel::MatMul { .. }
+            Kernel::Dot { .. } | Kernel::Mvm { .. } | Kernel::MatMul { .. } | Kernel::Fft { .. }
         ) {
             continue;
         }

@@ -94,8 +94,6 @@ fn main() {
     let (c_r, ms) = mm
         .run(
             RoundMode::NearestEven,
-            units.multiplier.stages,
-            units.adder.stages,
             &a_r,
             &b_r,
             0, // one worker per CPU; result is thread-count invariant

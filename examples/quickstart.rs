@@ -44,12 +44,12 @@ fn main() {
     let n = 8;
     let a = Matrix::from_fn(fmt, n, n, |i, j| ((i * n + j) as f64 * 0.37).sin());
     let b = Matrix::from_fn(fmt, n, n, |i, j| ((i + j) as f64 * 0.11).cos());
-    let (mult_stages, add_stages) = (7, 9);
-    // The block size the paper's cycle model favours (one 8×8 tile).
-    let plan = BlockMatMul::cheapest(n as u32, n as u32, n as u32, mult_stages + add_stages)
-        .expect("nonzero shape and latency");
+    let pl = 7 + 9; // multiplier + adder stages
+                    // The block size the paper's cycle model favours (one 8×8 tile).
+    let plan =
+        BlockMatMul::cheapest(n as u32, n as u32, n as u32, pl).expect("nonzero shape and latency");
     let (c, stats) = MultiMatMul { plan, arrays: 1 }
-        .run(RoundMode::NearestEven, mult_stages, add_stages, &a, &b, 1)
+        .run(RoundMode::NearestEven, &a, &b, 1)
         .expect("operands match the plan");
     let err = fpfpga::matmul::reference::error_vs_f64(&c, &a, &b);
     println!(
