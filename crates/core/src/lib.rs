@@ -42,8 +42,8 @@
 //! let opt = sweep.opt();
 //! println!("opt: {} stages, {} slices, {:.0} MHz", opt.stages, opt.slices, opt.clock_mhz);
 //!
-//! // Stream a batch through the core's cycle-accurate simulator —
-//! // bit-identical to clocking it by hand, one call:
+//! // Stream a batch through the core's cycle-accurate simulator: one
+//! // clock per operand pair, then a drain, in one call:
 //! let mut unit = AdderDesign::new(FpFormat::SINGLE).simulator(opt.stages);
 //! let one = 1.0f32.to_bits() as u64;
 //! let results = unit.run_batch(&[(one, one), (one, one)]);
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use fpfpga_fpu::{
         analysis::CoreKind, AdderDesign, CoreConfig, CoreConfigBuilder, CoreSweep, DelayLineUnit,
         DividerDesign, FpPipe, MultiplierDesign, PipelinedUnit, PrecisionAnalysis, SqrtDesign,
-        StreamSession, SweepCache,
+        SweepCache,
     };
     pub use fpfpga_matmul::pe::UnitBackend;
     pub use fpfpga_matmul::{

@@ -21,7 +21,7 @@
 
 use crate::config::CoreConfig;
 use crate::signals::Signals;
-use crate::sim::{DelayOp, PipelinedUnit};
+use crate::sim::PipelinedUnit;
 use crate::subunit::{Datapath, Subunit};
 use fpfpga_fabric::netlist::{Component, Netlist};
 use fpfpga_fabric::primitives::{log2_ceil, Primitive};
@@ -502,7 +502,6 @@ impl AdderDesign {
             .strategy(PipelineStrategy::Balanced)
             .build();
         PipelinedUnit::new(&config, self.datapath(), self.netlist(&Tech::virtex2pro()))
-            .with_fast_op(DelayOp::Add)
     }
 }
 

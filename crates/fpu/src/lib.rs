@@ -40,10 +40,10 @@
 //! let opt = sweep.opt();
 //! assert!(opt.clock_mhz > 150.0); // peak rate is higher still (> 240 MHz)
 //!
-//! // Cycle-accurate simulation of the chosen configuration, streamed
-//! // through the batched engine. [`sim::FpPipe::run_batch`] is
-//! // bit-identical — values and flags — to clocking the unit by hand
-//! // and draining (property-tested):
+//! // Cycle-accurate simulation of the chosen configuration.
+//! // [`sim::FpPipe::run_batch`] clocks one operand pair per cycle and
+//! // drains; every stage count gives the `fpfpga-softfp` result, values
+//! // and flags (property-tested):
 //! let mut unit = AdderDesign::new(FpFormat::SINGLE).simulator(opt.stages);
 //! let a = 1.5f32.to_bits() as u64;
 //! let b = 2.25f32.to_bits() as u64;
@@ -73,7 +73,6 @@ pub mod multiplier;
 pub mod parallel;
 pub mod signals;
 pub mod sim;
-pub mod stream;
 pub mod subunit;
 pub mod trace;
 
@@ -88,7 +87,6 @@ pub use mac::{FusedMacDesign, FusedMacUnit, MacComparison};
 pub use multiplier::MultiplierDesign;
 pub use parallel::{chunk_ranges, parallel_map_slice};
 pub use sim::{DelayLineUnit, FpPipe, PipelinedUnit};
-pub use stream::StreamSession;
 pub use trace::Waveform;
 
 /// Convenient re-exports for downstream crates and examples.
@@ -100,7 +98,6 @@ pub mod prelude {
     pub use crate::divider::{DividerDesign, SqrtDesign};
     pub use crate::multiplier::MultiplierDesign;
     pub use crate::sim::{DelayLineUnit, FpPipe, PipelinedUnit};
-    pub use crate::stream::StreamSession;
     pub use fpfpga_fabric::{
         timing, Device, Netlist, Objective, PipelineStrategy, SynthesisOptions, Tech,
     };

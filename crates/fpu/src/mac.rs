@@ -180,30 +180,6 @@ impl FusedMacUnit {
     pub fn peek(&self) -> Option<(u64, Flags)> {
         *self.line.front().expect("line non-empty")
     }
-
-    /// Batched counterpart of driving [`FusedMacUnit::clock`] once per
-    /// input and then draining: retire everything in flight, then
-    /// compute the whole batch. Results are bit-identical to the
-    /// per-cycle path because bundles in a delay line never interact.
-    pub fn run_batch(&mut self, inputs: &[(u64, u64, u64)]) -> Vec<(u64, Flags)> {
-        let mut out = Vec::with_capacity(self.line.len() + inputs.len());
-        self.run_batch_into(inputs, &mut out);
-        out
-    }
-
-    /// Like [`FusedMacUnit::run_batch`] but appending into a
-    /// caller-provided buffer; the batch is evaluated through the
-    /// monomorphized `softfp::fastpath` fma kernels with one format
-    /// dispatch per slice.
-    pub fn run_batch_into(&mut self, inputs: &[(u64, u64, u64)], out: &mut Vec<(u64, Flags)>) {
-        out.reserve(self.line.len() + inputs.len());
-        for slot in self.line.iter_mut() {
-            if let Some(r) = slot.take() {
-                out.push(r);
-            }
-        }
-        fpfpga_softfp::fma_triples_batch(self.fmt, inputs, self.mode, out);
-    }
 }
 
 /// The fused-vs-separate comparison at a *matched clock*: the separate

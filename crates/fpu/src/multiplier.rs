@@ -10,7 +10,7 @@
 use crate::adder::{Denormalize, PackUnit};
 use crate::config::CoreConfig;
 use crate::signals::Signals;
-use crate::sim::{DelayOp, PipelinedUnit};
+use crate::sim::PipelinedUnit;
 use crate::subunit::{Datapath, Subunit};
 use fpfpga_fabric::netlist::{Component, Netlist};
 use fpfpga_fabric::primitives::Primitive;
@@ -259,7 +259,6 @@ impl MultiplierDesign {
             .strategy(PipelineStrategy::Balanced)
             .build();
         PipelinedUnit::new(&config, self.datapath(), self.netlist(&Tech::virtex2pro()))
-            .with_fast_op(DelayOp::Mul)
     }
 }
 

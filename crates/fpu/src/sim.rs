@@ -50,30 +50,18 @@ pub trait FpPipe {
     }
 
     /// Stream a whole batch back-to-back at initiation interval 1 and
-    /// drain: any results already in flight emerge first, then one
-    /// result per input, in order — exactly the per-cycle `clock`/
-    /// [`FpPipe::drain`] outcome (property-tested bit-identical).
-    ///
-    /// Implementations may override this with a bulk fast path; the
-    /// cycle cost modelled is always `inputs.len() + latency()` clocks.
+    /// drain: one [`FpPipe::clock`] per input, then [`FpPipe::drain`].
+    /// Any results already in flight emerge first, then one result per
+    /// input, in order, after `inputs.len() + latency()` clocks.
     fn run_batch(&mut self, inputs: &[(u64, u64)]) -> Vec<(u64, Flags)> {
         let mut out = Vec::with_capacity(inputs.len() + self.latency() as usize);
-        self.run_batch_into(inputs, &mut out);
-        out
-    }
-
-    /// Like [`FpPipe::run_batch`] but **appending** results to a
-    /// caller-provided buffer, so tight kernel loops (the matmul PEs, the
-    /// serving layer's coalesced eltwise path) can reuse one allocation
-    /// across thousands of batches.
-    fn run_batch_into(&mut self, inputs: &[(u64, u64)], out: &mut Vec<(u64, Flags)>) {
-        out.reserve(inputs.len());
         for &inp in inputs {
             if let Some(r) = self.clock(Some(inp)) {
                 out.push(r);
             }
         }
         out.extend(self.drain());
+        out
     }
 }
 
@@ -89,13 +77,6 @@ pub struct PipelinedUnit {
     slots: Vec<Option<Signals>>,
     /// Fixed subtract control for bundles injected via [`FpPipe::clock`].
     subtract: bool,
-    /// The scalar operation this datapath computes, when it is one the
-    /// `softfp::fastpath` lane covers. [`FpPipe::run_batch_into`] then
-    /// evaluates whole batches through the monomorphized kernels instead
-    /// of the stage-by-stage structural walk — bit-identical by the
-    /// crate invariant (every stage placement equals softfp), which the
-    /// conform fpu sweep keeps enforcing through the per-cycle path.
-    fast_op: Option<DelayOp>,
     cycles: u64,
 }
 
@@ -118,7 +99,6 @@ impl PipelinedUnit {
             stages: piped.stages,
             slots: (0..k).map(|_| None).collect(),
             subtract: false,
-            fast_op: None,
             cycles: 0,
         }
     }
@@ -127,18 +107,6 @@ impl PipelinedUnit {
     /// add/sub select line low/high permanently).
     pub fn with_subtract(mut self, subtract: bool) -> PipelinedUnit {
         self.subtract = subtract;
-        self
-    }
-
-    /// Declare which scalar operation the datapath computes so batch
-    /// execution can take the monomorphized fast lane. Designs set this
-    /// in their `simulator()` constructors; `Div`/`Sqrt` stay on the
-    /// structural walk (no fast lane exists for them).
-    pub fn with_fast_op(mut self, op: DelayOp) -> PipelinedUnit {
-        self.fast_op = match op {
-            DelayOp::Add | DelayOp::Sub | DelayOp::Mul => Some(op),
-            DelayOp::Div | DelayOp::Sqrt => None,
-        };
         self
     }
 
@@ -212,49 +180,6 @@ impl FpPipe for PipelinedUnit {
             .and_then(|s| s.as_ref())
             .map(|s| (s.result, s.flags))
     }
-
-    /// In-place slot rotation: bundles never interact (each subunit
-    /// mutates only its own bundle), so instead of shifting the slot
-    /// vector once per clock, finish the in-flight bundles' remaining
-    /// stages in retirement order, then evaluate the new inputs in bulk —
-    /// through the monomorphized `softfp::fastpath` batch kernels when
-    /// the datapath's operation has a fast lane, or straight through all
-    /// stages without ever parking bundles in slots otherwise.
-    fn run_batch_into(&mut self, inputs: &[(u64, u64)], out: &mut Vec<(u64, Flags)>) {
-        let k = self.slots.len();
-        out.reserve(self.in_flight() + inputs.len());
-        for i in (0..k).rev() {
-            if let Some(mut s) = self.slots[i].take() {
-                for stage in i + 1..k {
-                    self.run_stage(stage, &mut s);
-                }
-                out.push((s.result, s.flags));
-            }
-        }
-        let op = match (self.fast_op, self.subtract) {
-            (Some(DelayOp::Add), true) => Some(DelayOp::Sub),
-            (Some(DelayOp::Sub), true) => Some(DelayOp::Add),
-            (other, _) => other,
-        };
-        match op {
-            Some(DelayOp::Add) => fpfpga_softfp::add_pairs_batch(self.fmt, inputs, self.mode, out),
-            Some(DelayOp::Sub) => fpfpga_softfp::sub_pairs_batch(self.fmt, inputs, self.mode, out),
-            Some(DelayOp::Mul) => fpfpga_softfp::mul_pairs_batch(self.fmt, inputs, self.mode, out),
-            _ => {
-                let sub = self.subtract;
-                for &(a, b) in inputs {
-                    let mut s = Signals::inject(a, b, sub);
-                    for stage in 0..k {
-                        self.run_stage(stage, &mut s);
-                    }
-                    out.push((s.result, s.flags));
-                }
-            }
-        }
-        // Same clock count the per-cycle path would spend: one issue
-        // per input plus a full drain.
-        self.cycles += inputs.len() as u64 + k as u64;
-    }
 }
 
 /// Which scalar operation a [`DelayLineUnit`] performs.
@@ -318,28 +243,6 @@ impl FpPipe for DelayLineUnit {
 
     fn peek(&self) -> Option<(u64, Flags)> {
         *self.line.front().expect("line is non-empty")
-    }
-
-    /// Bulk fast path: everything already in the delay line retires
-    /// first (its results were computed at injection), then the whole
-    /// input slice is evaluated in one pass — no per-cycle `VecDeque`
-    /// round-trip, and add/sub/mul take the monomorphized batch kernels
-    /// with the per-slice format dispatch paid exactly once.
-    fn run_batch_into(&mut self, inputs: &[(u64, u64)], out: &mut Vec<(u64, Flags)>) {
-        out.reserve(self.line.len() + inputs.len());
-        for slot in self.line.iter_mut() {
-            if let Some(r) = slot.take() {
-                out.push(r);
-            }
-        }
-        match self.op {
-            DelayOp::Add => fpfpga_softfp::add_pairs_batch(self.fmt, inputs, self.mode, out),
-            DelayOp::Sub => fpfpga_softfp::sub_pairs_batch(self.fmt, inputs, self.mode, out),
-            DelayOp::Mul => fpfpga_softfp::mul_pairs_batch(self.fmt, inputs, self.mode, out),
-            DelayOp::Div | DelayOp::Sqrt => {
-                out.extend(inputs.iter().map(|&(a, b)| self.compute(a, b)));
-            }
-        }
     }
 }
 

@@ -161,88 +161,60 @@ impl LuEngine {
         }
     }
 
-    /// Batched counterpart of [`LuEngine::factor`]: per elimination
-    /// step, the divider column goes through one
-    /// [`FpPipe::run_batch`] call and the whole rank-1 update through
-    /// one [`FusedMacUnit::run_batch`] call. Every element is touched
-    /// once per step, so the jobs within a step are independent and
-    /// the results (values, flags, op counts, cycles) are
-    /// bit-identical to the per-cycle simulation.
+    /// Serving's LU: [`LuEngine::factor`]'s operation order run straight
+    /// on `fpfpga-softfp`. Per elimination step, a `div_bits` loop forms
+    /// the multipliers (the divider's values) and one `fma_bits_batch`
+    /// call applies the whole trailing rank-1 update to gathered
+    /// `(−l, u, a)` operands. Every element is touched once per step,
+    /// so values and flags equal the per-cycle simulation; `cycles` is
+    /// [`LuEngine::cycle_model`] (pinned to the simulator's counter) and
+    /// the operation counts are closed-form.
     pub fn factor_batched(&self, a: &Matrix) -> LuResult {
         let n = a.rows();
         assert_eq!(a.cols(), n, "LU needs a square matrix");
-        let mut m = a.clone();
-        let mut cycles = 0u64;
-        let mut divs = 0u64;
-        let mut macs = 0u64;
+        let (fmt, mode) = (self.fmt, self.mode);
+        let sign = 1u64 << fmt.sign_shift();
+        let mut m = a.data().to_vec();
         let mut flags = Flags::NONE;
 
-        let mac_design = FusedMacDesign {
-            format: self.fmt,
-            round: self.mode,
-        };
-
-        // One divider and one MAC shared by every step (a drained delay
-        // line carries no state between batches), and per-step buffers
-        // hoisted so the loop allocates nothing after the first pass.
-        let mut div = DelayLineUnit::new(self.fmt, self.mode, DelayOp::Div, self.div_stages);
-        let mut mac = mac_design.unit(self.mac_stages);
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut quotients: Vec<(u64, Flags)> = Vec::new();
-        let mut ls: Vec<u64> = Vec::new();
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        let mut inputs: Vec<(u64, u64, u64)> = Vec::new();
-        let mut updates: Vec<(u64, Flags)> = Vec::new();
+        // Gathered operands of one step's trailing block, row-major:
+        // each row's −l repeated, row k's tail once per row, the block.
+        let (mut neg_l, mut row_k, mut block) = (Vec::new(), Vec::new(), Vec::new());
+        let mut updated: Vec<(u64, Flags)> = Vec::new();
 
         for k in 0..n {
-            let pivot = m.get(k, k);
-            let rows: Vec<usize> = (k + 1..n).collect();
-            if rows.is_empty() {
+            let r = n - k - 1;
+            if r == 0 {
                 break;
             }
-            let r = rows.len() as u64;
-
-            // --- Phase 1: the column through the divider, in bulk.
-            pairs.clear();
-            pairs.extend(rows.iter().map(|&i| (m.get(i, k), pivot)));
-            quotients.clear();
-            div.run_batch_into(&pairs, &mut quotients);
-            ls.clear();
-            for &(q, f) in &quotients {
+            let (top, below) = m.split_at_mut((k + 1) * n);
+            let (pivot, u) = (top[k * n + k], &top[k * n + k + 1..]);
+            neg_l.clear();
+            row_k.clear();
+            block.clear();
+            for row in below.chunks_exact_mut(n) {
+                let (l, f) = fpfpga_softfp::div_bits(fmt, row[k], pivot, mode);
+                row[k] = l;
                 flags |= f;
-                ls.push(q);
+                neg_l.extend(std::iter::repeat_n(l ^ sign, r));
+                row_k.extend_from_slice(u);
+                block.extend_from_slice(&row[k + 1..]);
             }
-            for (&i, &l) in rows.iter().zip(&ls) {
-                m.set(i, k, l);
+            updated.clear();
+            fpfpga_softfp::fma_bits_batch(fmt, &neg_l, &row_k, &block, mode, &mut updated);
+            for (row, new) in below.chunks_exact_mut(n).zip(updated.chunks_exact(r)) {
+                for (dst, &(v, f)) in row[k + 1..].iter_mut().zip(new) {
+                    *dst = v;
+                    flags |= f;
+                }
             }
-            divs += r;
-            cycles += r + self.div_stages as u64;
-
-            // --- Phase 2: the whole rank-1 update in one bulk call.
-            jobs.clear();
-            jobs.extend(rows.iter().flat_map(|&i| (k + 1..n).map(move |j| (i, j))));
-            inputs.clear();
-            inputs.extend(jobs.iter().map(|&(i, j)| {
-                // `rows` is the contiguous range k+1..n, so row i sits
-                // at index i - (k + 1) — no linear search needed.
-                let neg_l = ls[i - (k + 1)] ^ (1u64 << self.fmt.sign_shift());
-                (neg_l, m.get(k, j), m.get(i, j))
-            }));
-            updates.clear();
-            mac.run_batch_into(&inputs, &mut updates);
-            for (&(i, j), &(v, f)) in jobs.iter().zip(&updates) {
-                flags |= f;
-                m.set(i, j, v);
-            }
-            macs += jobs.len() as u64;
-            cycles += issue_span(jobs.len() as u64, self.p as u64) + self.mac_stages as u64;
         }
 
         LuResult {
-            lu: m,
-            cycles,
-            divs,
-            macs,
+            lu: Matrix::from_bits(a.format(), n, n, m),
+            cycles: self.cycle_model(n),
+            divs: (n * n.saturating_sub(1) / 2) as u64,
+            macs: (1..n).map(|r| (r * r) as u64).sum(),
             flags,
         }
     }

@@ -21,7 +21,6 @@ use fpfpga_fabric::report::ImplementationReport;
 use fpfpga_fabric::synthesis::SynthesisOptions;
 use fpfpga_fabric::tech::Tech;
 use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
-use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::fft::reference_fft;
 use fpfpga_matmul::{
@@ -32,9 +31,9 @@ use fpfpga_softfp::{convert, Flags, FpFormat, PrecisionPolicy, RoundMode};
 
 /// Deepest pipe a served job may ask for, in stages, for every pipe of
 /// every kernel. The deepest core the fabric model builds for the
-/// paper's formats sits well below it (pinned by a test). Delay lines
-/// are allocated up front, so without a bound one request could ask for
-/// gigabytes of pipe.
+/// paper's formats sits well below it (pinned by a test). Served dot and
+/// MVM keep one accumulator bank per adder stage, so without a bound one
+/// request could ask for gigabytes of banks.
 pub const MAX_PIPE_STAGES: u32 = 256;
 
 /// Elementwise operation of a coalescible eltwise stream.
@@ -67,19 +66,39 @@ pub enum ApOp {
 }
 
 impl EltOp {
-    fn delay_op(self) -> DelayOp {
+    /// Apply the operation to every `(a, b)` pair in `fmt`, appending
+    /// `(result, flags)` to `out`: what a pipelined unit of any depth
+    /// retires for each pair. Add, sub and mul take the softfp pair
+    /// batches; div and sqrt make one `div_bits`/`sqrt_bits` call per
+    /// element (√ ignores `b`).
+    fn run(
+        self,
+        fmt: FpFormat,
+        mode: RoundMode,
+        pairs: &[(u64, u64)],
+        out: &mut Vec<(u64, Flags)>,
+    ) {
         match self {
-            EltOp::Add => DelayOp::Add,
-            EltOp::Sub => DelayOp::Sub,
-            EltOp::Mul => DelayOp::Mul,
-            EltOp::Div => DelayOp::Div,
-            EltOp::Sqrt => DelayOp::Sqrt,
+            EltOp::Add => fpfpga_softfp::add_pairs_batch(fmt, pairs, mode, out),
+            EltOp::Sub => fpfpga_softfp::sub_pairs_batch(fmt, pairs, mode, out),
+            EltOp::Mul => fpfpga_softfp::mul_pairs_batch(fmt, pairs, mode, out),
+            EltOp::Div => out.extend(
+                pairs
+                    .iter()
+                    .map(|&(a, b)| fpfpga_softfp::div_bits(fmt, a, b, mode)),
+            ),
+            EltOp::Sqrt => out.extend(
+                pairs
+                    .iter()
+                    .map(|&(a, _)| fpfpga_softfp::sqrt_bits(fmt, a, mode)),
+            ),
         }
     }
 }
 
-/// The class of jobs that may share one [`FpPipe::run_batch`] call:
-/// same operation, precision policy, rounding mode and pipeline depth.
+/// The class of jobs that may be served together in one coalesced
+/// batch: same operation, precision policy, rounding mode and pipeline
+/// depth.
 /// Streams of the same class concatenate without changing any
 /// element's result (each element's value is independent of its batch
 /// position — property-tested).
@@ -87,12 +106,12 @@ impl EltOp {
 pub struct CoalesceKey {
     /// Elementwise operation.
     pub op: EltOp,
-    /// Precision policy (the unit runs in `policy.compute`; operands
-    /// and results live in `policy.storage`).
+    /// Precision policy (the operation runs in `policy.compute`;
+    /// operands and results live in `policy.storage`).
     pub policy: PrecisionPolicy,
     /// Rounding mode.
     pub mode: RoundMode,
-    /// Pipeline depth of the serving unit.
+    /// Pipeline depth of the modeled unit.
     pub stages: u32,
 }
 
@@ -360,7 +379,7 @@ impl Job {
         h.finish()
     }
 
-    /// The coalescing class, for jobs that may share one `run_batch`.
+    /// The coalescing class, for jobs that may be served in one batch.
     pub fn coalesce_key(&self) -> Option<CoalesceKey> {
         match self.kernel {
             Kernel::Eltwise { op, stages, .. } => Some(CoalesceKey {
@@ -409,8 +428,9 @@ impl Job {
                 ))
             }
         };
-        // Every pipe the kernel builds is allocated up front, so its
-        // depth is bounded before anything else is looked at.
+        // Dot and MVM allocate one accumulator bank per adder stage, so
+        // every pipe depth is bounded before anything else is looked at
+        // (one rule for every kernel's pipes).
         let pipes = match &self.kernel {
             Kernel::Eltwise { stages, .. } => vec![*stages],
             Kernel::Dot {
@@ -564,10 +584,9 @@ impl Job {
         let p = self.policy;
         let mode = self.mode;
         match &self.kernel {
-            Kernel::Eltwise { op, stages, pairs } => {
-                let mut unit = DelayLineUnit::new(p.compute, mode, op.delay_op(), *stages);
+            Kernel::Eltwise { op, pairs, .. } => {
                 let mut results = Vec::with_capacity(pairs.len());
-                eltwise_batch_into(&mut unit, p, mode, pairs, &mut results);
+                eltwise_batch_into(*op, p, mode, pairs, &mut results);
                 JobResult::Eltwise(results)
             }
             Kernel::Dot {
@@ -673,35 +692,40 @@ fn matmul_plan(pl: u32, a: &Matrix, b: &Matrix) -> Result<BlockMatMul, PlanError
     BlockMatMul::cheapest(dim(a.rows())?, dim(a.cols())?, dim(b.cols())?, pl)
 }
 
-/// Stream one eltwise payload through `unit` (which must be built in
-/// `policy.compute`), converting operands in from `policy.storage` and
-/// results back out, accumulating the conversion flags per element.
-/// With `storage == compute` this is exactly the unit's own
-/// `run_batch_into`, untouched bits and all. The unit drains fully per
-/// call, so results are independent of batching.
+/// Run one eltwise payload under `policy`: convert operands in from
+/// `policy.storage`, apply `op` in `policy.compute`, convert results
+/// back out, and OR each element's conversion flags into its result's.
+/// With `storage == compute` nothing is converted, untouched bits and
+/// all. Each element depends only on its own operands, so results are
+/// independent of batching.
 fn eltwise_batch_into(
-    unit: &mut DelayLineUnit,
+    op: EltOp,
     policy: PrecisionPolicy,
     mode: RoundMode,
     pairs: &[(u64, u64)],
     out: &mut Vec<(u64, Flags)>,
 ) {
     if policy.storage == policy.compute {
-        unit.run_batch_into(pairs, out);
+        op.run(policy.compute, mode, pairs, out);
         return;
     }
+    let convert_in = |x| convert::convert(policy.storage, x, policy.compute, mode);
     let mut in_flags = Vec::with_capacity(pairs.len());
     let converted: Vec<(u64, u64)> = pairs
         .iter()
         .map(|&(a, b)| {
-            let (ca, fa) = convert::convert(policy.storage, a, policy.compute, mode);
-            let (cb, fb) = convert::convert(policy.storage, b, policy.compute, mode);
+            let (ca, fa) = convert_in(a);
+            // √ ignores `b`, so converting it could only leak flags.
+            let (cb, fb) = match op {
+                EltOp::Sqrt => (0, Flags::NONE),
+                _ => convert_in(b),
+            };
             in_flags.push(fa | fb);
             (ca, cb)
         })
         .collect();
     let mut computed = Vec::with_capacity(converted.len());
-    unit.run_batch_into(&converted, &mut computed);
+    op.run(policy.compute, mode, &converted, &mut computed);
     out.reserve(computed.len());
     for ((bits, f), inf) in computed.into_iter().zip(in_flags) {
         let (sb, nf) = convert::convert(policy.compute, bits, policy.storage, mode);
@@ -709,21 +733,18 @@ fn eltwise_batch_into(
     }
 }
 
-/// Run a coalesced batch of eltwise streams of one [`CoalesceKey`]
-/// through a single shared unit, one bulk call per job straight into
-/// that job's result vector — no concatenation, no re-splitting, no
-/// intermediate allocation. Each element's value depends only on its
-/// own operands (and the delay line is empty between bulk calls), so
-/// this is bit-identical to running the jobs one by one
-/// (property-tested) — for mixed policies too, since the format
+/// Run a coalesced batch of eltwise streams of one [`CoalesceKey`], one
+/// bulk call per job straight into that job's result vector — no
+/// concatenation, no re-splitting. Each element's value depends only on
+/// its own operands, so this is bit-identical to running the jobs one
+/// by one (property-tested) — for mixed policies too, since the format
 /// converters are stateless.
 pub fn run_coalesced(key: CoalesceKey, batches: &[&[(u64, u64)]]) -> Vec<JobResult> {
-    let mut unit = DelayLineUnit::new(key.policy.compute, key.mode, key.op.delay_op(), key.stages);
     batches
         .iter()
         .map(|b| {
             let mut results = Vec::with_capacity(b.len());
-            eltwise_batch_into(&mut unit, key.policy, key.mode, b, &mut results);
+            eltwise_batch_into(key.op, key.policy, key.mode, b, &mut results);
             JobResult::Eltwise(results)
         })
         .collect()
@@ -809,6 +830,34 @@ mod tests {
     }
 
     #[test]
+    fn narrowing_sqrt_ignores_the_second_operand() {
+        // √4 stored in f64, computed in f32: exact, whatever `b` holds.
+        // Converting the ignored `b` would raise inexact for 0.1 and
+        // overflow for 1e300.
+        let policy = PrecisionPolicy::new(FpFormat::SINGLE, FpFormat::SINGLE, FpFormat::DOUBLE);
+        let st = policy.storage;
+        let cache = SweepCache::new();
+        let run = |b: f64| {
+            let job = Job::new(
+                Kernel::Eltwise {
+                    op: EltOp::Sqrt,
+                    stages: 3,
+                    pairs: vec![(enc(st, 4.0), enc(st, b))],
+                },
+                policy,
+                RM,
+            );
+            job.validate().unwrap();
+            job.run(&Tech::virtex2pro(), &cache)
+        };
+        let want = run(0.0);
+        assert_eq!(want, JobResult::Eltwise(vec![(enc(st, 2.0), Flags::NONE)]));
+        for b in [0.1, 1e300] {
+            assert_eq!(run(b), want, "b = {b}");
+        }
+    }
+
+    #[test]
     fn mixed_dot_job_matches_the_mixed_kernel() {
         let policy = PrecisionPolicy::mixed(FpFormat::SINGLE, FpFormat::DOUBLE);
         let fmt = policy.storage;
@@ -842,7 +891,7 @@ mod tests {
 
     #[test]
     fn coalesced_matches_individual_runs() {
-        // One uniform and one mixed key: the shared-unit path must be
+        // One uniform and one mixed key: the coalesced path must be
         // bit-identical to solo runs for both.
         for policy in [
             PrecisionPolicy::uniform(FpFormat::FP48),

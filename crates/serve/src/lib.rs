@@ -8,7 +8,7 @@
 //! [`job::Job::class_hash`] so that repeats of one configuration warm
 //! one cache and compatible elementwise streams meet in one queue,
 //! where they are **coalesced** into a single
-//! [`run_batch`](fpfpga_fpu::sim::FpPipe::run_batch) call.
+//! [`run_coalesced`](job::run_coalesced) call.
 //!
 //! **Precision policies.** Every job carries a
 //! [`fpfpga_softfp::PrecisionPolicy`] — independent *compute*,

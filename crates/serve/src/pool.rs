@@ -7,7 +7,7 @@
 //! its [`Job::class_hash`], so repeats of one job class warm one cache
 //! and coalescible streams meet in one queue, where the worker folds
 //! up to `coalesce_window` of them into a single
-//! [`run_batch`](fpfpga_fpu::sim::FpPipe::run_batch) call.
+//! [`run_coalesced`] call.
 //!
 //! Submission takes a [`JobSpec`]: a [`Kernel`] plus a *policy
 //! selector*. The precision policy is resolved **at submission time**
@@ -363,7 +363,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded capacity of each shard's queue.
     pub queue_capacity: usize,
-    /// Max coalescible jobs folded into one `run_batch` call.
+    /// Max coalescible jobs folded into one `run_coalesced` call.
     pub coalesce_window: usize,
     /// Per-shard sweep-cache bound (`None` = unbounded).
     pub cache_capacity: Option<usize>,
@@ -498,7 +498,7 @@ impl ServePool {
     }
 
     /// The live coalescing window: the max number of compatible jobs a
-    /// worker folds into one `run_batch` call.
+    /// worker folds into one `run_coalesced` call.
     pub fn coalesce_window(&self) -> usize {
         self.coalesce.load(Ordering::Relaxed)
     }
@@ -776,7 +776,7 @@ impl WorkerCtx {
         }
 
         if live.len() > 1 {
-            // A coalesced batch: one unit, one run_batch call.
+            // A coalesced batch: one run_coalesced call.
             let key = live[0].job.coalesce_key().expect("coalesced group");
             let batches: Vec<&[(u64, u64)]> = live
                 .iter()

@@ -1,19 +1,25 @@
-//! Under a uniform policy the served dot, MVM, matmul and FFT kernels
-//! equal the per-cycle engines — `DotProductUnit::dot`,
-//! `MvmEngine::multiply`, the cheapest plan's `BlockMatMul::run` and
-//! `FftEngine::run` — in values, flags, cycles and every `ArrayStats`
+//! Under a uniform policy the served eltwise, dot, MVM, matmul, LU and
+//! FFT kernels equal the per-cycle engines — a hand-driven
+//! `DelayLineUnit` (one `clock` per pair, then `drain`),
+//! `DotProductUnit::dot`, `MvmEngine::multiply`, the cheapest plan's
+//! `BlockMatMul::run`, `LuEngine::factor` and `FftEngine::run` — in
+//! values, flags, cycles, operation counts and every `ArrayStats`
 //! field. The jobs are the trace's own, each run plain and with ±0,
 //! flushed-subnormal, ∞ and ∞-with-payload operands spliced in, under
 //! both rounding modes. Scale 8 runs in release only: the per-cycle
 //! array is slow in debug.
 
+use std::collections::HashSet;
+use std::mem::discriminant;
+
 use fpfpga_fabric::tech::Tech;
+use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::pe::UnitBackend;
 use fpfpga_matmul::{
-    mixed_matmul, BlockMatMul, Cplx, DotProductUnit, FftEngine, Matrix, MvmEngine,
+    mixed_matmul, BlockMatMul, Cplx, DotProductUnit, FftEngine, LuEngine, Matrix, MvmEngine,
 };
-use fpfpga_serve::{synth_trace, Job, JobResult, Kernel, TraceConfig};
+use fpfpga_serve::{synth_trace, EltOp, Job, JobResult, Kernel, TraceConfig};
 use fpfpga_softfp::{FpFormat, PrecisionPolicy, RoundMode};
 
 /// Which operands a variant overwrites, and with what.
@@ -79,6 +85,12 @@ impl Splice {
 fn spliced(kernel: &Kernel, fmt: FpFormat, splice: Splice) -> Kernel {
     let mut kernel = kernel.clone();
     match &mut kernel {
+        Kernel::Eltwise { pairs, .. } => {
+            let (a, b): (Vec<u64>, Vec<u64>) = pairs.iter().copied().unzip();
+            let (a, b) = (splice.vector(fmt, &a, 3, 0), splice.vector(fmt, &b, 2, 1));
+            *pairs = a.into_iter().zip(b).collect();
+        }
+        Kernel::Lu { a, .. } => *a = splice.matrix(a, 5, 2),
         Kernel::Dot { x, y, .. } => {
             *x = splice.vector(fmt, x, 3, 0);
             *y = splice.vector(fmt, y, 2, 1);
@@ -99,7 +111,7 @@ fn spliced(kernel: &Kernel, fmt: FpFormat, splice: Splice) -> Kernel {
                 .map(|p| Cplx { re: p[0], im: p[1] })
                 .collect();
         }
-        _ => unreachable!("only accumulating kernels and FFT are spliced"),
+        _ => unreachable!("apfloat and sweeps are not spliced"),
     }
     kernel
 }
@@ -108,6 +120,34 @@ fn spliced(kernel: &Kernel, fmt: FpFormat, splice: Splice) -> Kernel {
 fn per_cycle(job: &Job) -> JobResult {
     let (fmt, mode) = (job.policy.storage, job.mode);
     match &job.kernel {
+        Kernel::Eltwise { op, stages, pairs } => {
+            let op = match op {
+                EltOp::Add => DelayOp::Add,
+                EltOp::Sub => DelayOp::Sub,
+                EltOp::Mul => DelayOp::Mul,
+                EltOp::Div => DelayOp::Div,
+                EltOp::Sqrt => DelayOp::Sqrt,
+            };
+            let mut unit = DelayLineUnit::new(fmt, mode, op, *stages);
+            let mut out: Vec<_> = pairs.iter().filter_map(|&p| unit.clock(Some(p))).collect();
+            out.extend(unit.drain());
+            JobResult::Eltwise(out)
+        }
+        Kernel::Lu {
+            div_stages,
+            mac_stages,
+            p,
+            a,
+        } => {
+            let r = LuEngine::new(fmt, mode, *div_stages, *mac_stages, *p).factor(a);
+            JobResult::Lu {
+                lu: r.lu,
+                cycles: r.cycles,
+                divs: r.divs,
+                macs: r.macs,
+                flags: r.flags,
+            }
+        }
         Kernel::Dot {
             mult_stages,
             add_stages,
@@ -170,7 +210,7 @@ fn per_cycle(job: &Job) -> JobResult {
             let (data, cycles) = engine.run(data, *inverse);
             JobResult::Fft { data, cycles }
         }
-        _ => unreachable!("only accumulating kernels and FFT are compared"),
+        _ => unreachable!("apfloat and sweeps are not compared"),
     }
 }
 
@@ -183,16 +223,15 @@ fn check_scale(scale: usize, jobs: usize) -> usize {
     };
     let (tech, cache) = (Tech::virtex2pro(), SweepCache::new());
     let mut checked = 0;
+    let mut kinds = HashSet::new();
     for event in synth_trace(&cfg) {
         let Some(job) = event.spec.fixed_job() else {
             continue;
         };
-        if !matches!(
-            job.kernel,
-            Kernel::Dot { .. } | Kernel::Mvm { .. } | Kernel::MatMul { .. } | Kernel::Fft { .. }
-        ) {
+        if matches!(job.kernel, Kernel::Apfloat { .. } | Kernel::Sweep { .. }) {
             continue;
         }
+        kinds.insert(discriminant(&job.kernel));
         let fmt = job.policy.storage;
         for splice in Splice::ALL {
             for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
@@ -209,6 +248,11 @@ fn check_scale(scale: usize, jobs: usize) -> usize {
             }
         }
     }
+    assert_eq!(
+        kinds.len(),
+        6,
+        "scale {scale}: every compared kernel occurs"
+    );
     checked
 }
 

@@ -850,8 +850,8 @@ pub fn fma_bits_batch_with(
     dispatch_ternary!(fmt, mode, iter, out, fma, fma_dyn);
 }
 
-/// Batched `x + y` over `(x, y)` pairs — the shape the pipeline units'
-/// `run_batch` feeds — appended to `out`.
+/// Batched `x + y` over `(x, y)` pairs — the operand shape of a served
+/// eltwise job — appended to `out`.
 pub fn add_pairs_batch(
     fmt: FpFormat,
     pairs: &[(u64, u64)],
@@ -979,40 +979,6 @@ pub fn mul_pairs_batch_with(
         ops::mul::mul,
         mul_dyn
     );
-}
-
-/// Batched `x·y + z` over `(x, y, z)` triples, appended to `out`.
-pub fn fma_triples_batch(
-    fmt: FpFormat,
-    triples: &[(u64, u64, u64)],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
-    fma_triples_batch_with(simd::active_engine(), fmt, triples, mode, out)
-}
-
-/// [`fma_triples_batch`] on an explicit engine (panics if the host cannot
-/// run `eng`).
-pub fn fma_triples_batch_with(
-    eng: SimdEngine,
-    fmt: FpFormat,
-    triples: &[(u64, u64, u64)],
-    mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
-    out.reserve(triples.len());
-    #[allow(clippy::needless_range_loop)]
-    let load_chunk =
-        |i: usize, xs: &mut [u64; LANES], ys: &mut [u64; LANES], zs: &mut [u64; LANES]| {
-            for l in 0..LANES {
-                (xs[l], ys[l], zs[l]) = triples[i + l];
-            }
-        };
-    let load_one = |i: usize| triples[i];
-    if simd::run_fma(eng, fmt, triples.len(), load_chunk, load_one, mode, out) {
-        return;
-    }
-    dispatch_ternary!(fmt, mode, triples.iter().copied(), out, fma, fma_dyn);
 }
 
 /// The scalar lane of the bits entry points: `out[i] = kernel(load(i))`
@@ -1259,7 +1225,6 @@ mod tests {
         add_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         sub_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         mul_pairs_batch(fmt, &[], RoundMode::NearestEven, &mut out);
-        fma_triples_batch(fmt, &[], RoundMode::NearestEven, &mut out);
         assert!(out.is_empty());
         assert_eq!(
             mul_bcast_bits(fmt, &[], 0, RoundMode::NearestEven, &mut []),

@@ -56,8 +56,8 @@ pub mod value;
 
 pub use exceptions::Flags;
 pub use fastpath::{
-    add_acc_bits, add_bits_batch, add_pairs_batch, fma_bits_batch, fma_triples_batch,
-    mul_bcast_bits, mul_bits_batch, mul_pairs_batch, sub_bits_batch, sub_pairs_batch,
+    add_acc_bits, add_bits_batch, add_pairs_batch, fma_bits_batch, mul_bcast_bits, mul_bits_batch,
+    mul_pairs_batch, sub_bits_batch, sub_pairs_batch,
 };
 pub use format::{FpFormat, ParseFormatError};
 pub use policy::{ParsePolicyError, PrecisionPolicy};

@@ -49,10 +49,9 @@
 //!   per process (AVX-512, else AVX2, else [`SimdEngine::Scalar`]). Every
 //!   batch entry point in [`crate::fastpath`] has a `*_with` form that
 //!   takes the engine as an argument, and the plain form passes
-//!   [`active_engine`] — so every existing consumer (the FPU pipeline's
-//!   `run_batch`, the batched matmul kernels, the serving eltwise path,
-//!   the network front-end) runs the detected engine with zero call-site
-//!   changes, while tests and conformance sweeps pin an engine without
+//!   [`active_engine`] — so every existing consumer (the matmul policy
+//!   kernels, served eltwise and LU, the network front-end) runs the
+//!   detected engine with zero call-site changes, while tests and conformance sweeps pin an engine without
 //!   touching any process-wide state.
 
 use crate::exceptions::Flags;
@@ -501,8 +500,8 @@ pub(crate) fn run_fma(
 mod tests {
     use super::*;
     use crate::fastpath::{
-        add_bits_batch_with, add_pairs_batch_with, fma_bits_batch_with, fma_triples_batch_with,
-        mul_bcast_bits_with, mul_bits_batch_with, sub_bits_batch_with,
+        add_bits_batch_with, add_pairs_batch_with, fma_bits_batch_with, mul_bcast_bits_with,
+        mul_bits_batch_with, sub_bits_batch_with,
     };
     use crate::{fastpath, ops};
 
@@ -681,8 +680,6 @@ mod tests {
         let a: Vec<u64> = vals.clone();
         let b: Vec<u64> = vals.iter().rev().copied().collect();
         let pairs: Vec<(u64, u64)> = a.iter().zip(&b).map(|(&x, &y)| (x, y)).collect();
-        let triples: Vec<(u64, u64, u64)> =
-            a.iter().zip(&b).map(|(&x, &y)| (x, y, x ^ 1)).collect();
         let c: Vec<u64> = a.iter().map(|&x| x ^ 1).collect();
         let mode = RoundMode::NearestEven;
         for eng in SimdEngine::available() {
@@ -704,9 +701,11 @@ mod tests {
                 "bcast flags {eng:?}"
             );
 
-            let (mut f1, mut f2) = (Vec::new(), Vec::new());
+            let mut f1 = Vec::new();
             fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut f1);
-            fma_triples_batch_with(eng, fmt, &triples, mode, &mut f2);
+            let f2: Vec<(u64, Flags)> = (0..a.len())
+                .map(|i| fastpath::fma_bits(fmt, a[i], b[i], c[i], mode))
+                .collect();
             assert_eq!(f1, f2, "triples {eng:?}");
         }
     }

@@ -25,9 +25,9 @@ fn main() {
     println!("  max: {}", sweep.max());
     let opt_stages = sweep.opt().stages;
 
-    // --- 2. Cycle-accurate simulation of the optimal configuration,
-    // over the batched streaming path (bit-identical to clocking by
-    // hand, one call).
+    // --- 2. Cycle-accurate simulation of the optimal configuration:
+    // `run_batch` clocks one operand pair per cycle and drains, in one
+    // call.
     let design = AdderDesign::new(FpFormat::SINGLE);
     let mut unit = design.simulator(opt_stages);
     let (a, b) = (1.5f32, 2.25f32);

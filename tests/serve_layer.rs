@@ -158,7 +158,7 @@ fn deadlines_time_out_and_are_counted() {
 }
 
 /// Compatible elementwise streams queued together are served by one
-/// `run_batch` call: batch occupancy rises above 1 while results stay
+/// `run_coalesced` call: batch occupancy rises above 1 while results stay
 /// exactly per-job.
 #[test]
 fn coalescing_raises_batch_occupancy() {
