@@ -431,8 +431,8 @@ impl Job {
         // Dot and MVM allocate one accumulator bank per adder stage, so
         // every pipe depth is bounded before anything else is looked at
         // (one rule for every kernel's pipes).
-        let pipes = match &self.kernel {
-            Kernel::Eltwise { stages, .. } => vec![*stages],
+        let pipes: &[_] = match &self.kernel {
+            Kernel::Eltwise { stages, .. } => &[*stages],
             Kernel::Dot {
                 mult_stages,
                 add_stages,
@@ -452,13 +452,13 @@ impl Job {
                 mult_stages,
                 add_stages,
                 ..
-            } => vec![*mult_stages, *add_stages],
+            } => &[*mult_stages, *add_stages],
             Kernel::Lu {
                 div_stages,
                 mac_stages,
                 ..
-            } => vec![*div_stages, *mac_stages],
-            Kernel::Apfloat { .. } | Kernel::Sweep { .. } => vec![],
+            } => &[*div_stages, *mac_stages],
+            Kernel::Apfloat { .. } | Kernel::Sweep { .. } => &[],
         };
         if let Some(bad) = pipes.iter().find(|d| !(1..=MAX_PIPE_STAGES).contains(*d)) {
             return Err(format!(
@@ -724,12 +724,12 @@ fn eltwise_batch_into(
             (ca, cb)
         })
         .collect();
-    let mut computed = Vec::with_capacity(converted.len());
-    op.run(policy.compute, mode, &converted, &mut computed);
-    out.reserve(computed.len());
-    for ((bits, f), inf) in computed.into_iter().zip(in_flags) {
-        let (sb, nf) = convert::convert(policy.compute, bits, policy.storage, mode);
-        out.push((sb, inf | f | nf));
+    let start = out.len();
+    op.run(policy.compute, mode, &converted, out);
+    for ((bits, f), inf) in out[start..].iter_mut().zip(in_flags) {
+        let (sb, nf) = convert::convert(policy.compute, *bits, policy.storage, mode);
+        *bits = sb;
+        *f = inf | *f | nf;
     }
 }
 

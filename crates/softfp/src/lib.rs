@@ -24,7 +24,9 @@
 //! multiplication) so that the cycle-accurate datapath in `fpfpga-fpu` can
 //! be property-tested for bit-identical behaviour against this crate, and
 //! this crate in turn is tested against native `f32`/`f64` where the
-//! formats coincide.
+//! formats coincide. On AVX2/AVX-512 hosts the batch add, sub and f32 fma
+//! run on the native binary64 unit instead, with the same bits and flags
+//! ([`simd`]).
 //!
 //! ## Quick example
 //!

@@ -8,15 +8,23 @@
 //! byte-LUT popcount, which is everything the normal-path datapath needs.
 //! This module adds that third lane:
 //!
-//! * **Branchless block kernels** (`add_block`, `mul_block`, `fma_block`)
-//!   written in vector-value form over a [`LANES`]-wide word type, so the
-//!   both-operands-normal datapath is explicit vector arithmetic with
-//!   lane-mask selects instead of branches. The blocks are total over
-//!   arbitrary encodings (special operands produce garbage that the
-//!   driver blends over — never a panic or UB) and bit-exact twins of the
-//!   scalar fast lane on normal operands. The wide-format multiply and
-//!   fma run on `(hi, lo)` u64 pairs (32-bit limb splits) instead of
-//!   `u128`, so every operation maps to a vector instruction.
+//! * **Branchless block kernels** (`add_b64_block`, `mul_block`,
+//!   `fma_block`) written in vector-value form over a [`LANES`]-wide word
+//!   type, so the both-operands-normal datapath is explicit vector
+//!   arithmetic with lane-mask selects instead of branches. The blocks
+//!   are total over arbitrary encodings (special operands produce garbage
+//!   that the driver blends over — never a panic or UB) and bit-exact
+//!   twins of the scalar fast lane on normal operands. Add, sub and the
+//!   f32 fma run on the host's binary64 unit: the named formats widen
+//!   exactly into binary64, one native add (after an exact product, for
+//!   fma) does the align/normalize, TwoSum recovers the rounding error,
+//!   and one integer step rounds the exact sum to the format's precision
+//!   and packs it. A lane whose TwoSum overflows binary64 (f48/f64 only)
+//!   is finished on the scalar fast lane. This assumes Rust's default FP
+//!   environment (round-to-nearest, no FTZ/DAZ). The multiply and the
+//!   f48/f64 fma emulate the integer datapath, on `(hi, lo)` u64 pairs
+//!   (32-bit limb splits) where the product outgrows one word, so every
+//!   operation maps to a vector instruction.
 //! * **Special operands resolved in register**, as the paper's cores
 //!   resolve them in their denormalize stage: each [`LANES`]-sized chunk
 //!   is classified branchlessly (a normality mask) and computed
@@ -56,8 +64,6 @@
 
 use crate::exceptions::Flags;
 use crate::format::FpFormat;
-#[cfg(target_arch = "x86_64")]
-use crate::ops::add::GRS_BITS;
 use crate::ops::fma::FMA_GRS;
 use crate::round::RoundMode;
 use std::cell::Cell;

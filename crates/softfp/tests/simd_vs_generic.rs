@@ -287,3 +287,95 @@ fn class_grid_matches_generic_in_every_lane() {
         }
     }
 }
+
+/// `±2^exp · (1 + frac·2^-F)` in `fmt`.
+fn val(fmt: FpFormat, neg: bool, exp: i32, frac: u64) -> u64 {
+    fmt.pack(neg, (exp + fmt.bias()) as u64, frac)
+}
+
+/// Sums at the rounding boundaries of the wide engines' binary64 lane:
+/// RNE ties that only the TwoSum error `e` breaks, a Truncate step down
+/// across a binade, exact cancellation, tiny exact sums (flushed), and
+/// f48/f64 sums whose TwoSum overflows binary64 — the lanes finished on
+/// the scalar fast lane. Each case runs in every lane position of a
+/// full chunk, on every engine, in both modes; fma runs every add pair
+/// as `a·1 + b` plus the f32 fma tie that goes against ties-to-even.
+#[test]
+fn binary64_lane_boundaries_match_generic() {
+    for fmt in FORMATS {
+        let f = fmt.frac_bits() as i32;
+        let emax = fmt.bias();
+        let emin = 1 - fmt.bias();
+        let one = val(fmt, false, 0, 0);
+        let one_odd = val(fmt, false, 0, 1);
+        let min = fmt.min_positive();
+        let max = fmt.max_finite();
+        let neg = |x: u64| x ^ 1u64 << fmt.sign_shift();
+        // The lone representable tie point above 1 and 1 + ulp, nudged
+        // by a bit far below binary64's precision: up by 2^-(2f+1), down
+        // by 2^-(2f+2). At f64 they are plain binary64 ties.
+        let tie_up = val(fmt, false, -f - 1, 1);
+        let tie_down = val(fmt, false, -f - 2, fmt.frac_mask());
+        let mut pairs = vec![
+            (one, tie_up),
+            (one_odd, tie_up),
+            (one, tie_down),
+            (one_odd, tie_down),
+            // Truncate steps 2 − tiny down to the predecessor of 2.
+            (val(fmt, false, 1, 0), val(fmt, true, -60, 0)),
+            (one, neg(one)),
+            (max, neg(max)),
+            (min, neg(min)),
+            (val(fmt, false, emin, 1 << (f - 1)), neg(min)),
+            (val(fmt, false, emin, 1), neg(min)),
+            (max, max),
+            (max, val(fmt, false, emax - f, 0)),
+            (val(fmt, true, emax - f, 1 << (f - 1)), max),
+            (max, val(fmt, true, emax - f, 1 << (f - 1))),
+        ];
+        pairs.extend(pairs.clone().into_iter().map(|(a, b)| (neg(a), neg(b))));
+        let mut triples: Vec<(u64, u64, u64)> = pairs.iter().map(|&(a, b)| (a, one, b)).collect();
+        // fma(1 + 2^-23, 2^-24·(1 − 2^-23), 1 + 2^-23) in f32: the exact
+        // sum sits just below a tie whose even neighbour is above it.
+        let b = val(fmt, false, -f - 2, fmt.frac_mask() - 1);
+        triples.push((one_odd, b, one_odd));
+        triples.push((one_odd, neg(b), neg(one_odd)));
+        for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
+            let tag = |op: &str| format!("{op} {fmt:?} {mode:?}");
+            let split = |ps: &[(u64, u64)]| -> (Vec<u64>, Vec<u64>) { ps.iter().copied().unzip() };
+            check_grid(
+                &tag("add"),
+                &pairs,
+                (one, one),
+                |(a, b)| ops::add::add(fmt, a, b, mode),
+                |eng, ps, out| {
+                    let (a, b) = split(ps);
+                    fastpath::add_bits_batch_with(eng, fmt, &a, &b, mode, out)
+                },
+            );
+            check_grid(
+                &tag("sub"),
+                &pairs,
+                (one, one),
+                |(a, b)| ops::add::sub(fmt, a, neg(b), mode),
+                |eng, ps, out| {
+                    let (a, b) = split(ps);
+                    let b: Vec<u64> = b.into_iter().map(neg).collect();
+                    fastpath::sub_bits_batch_with(eng, fmt, &a, &b, mode, out)
+                },
+            );
+            check_grid(
+                &tag("fma"),
+                &triples,
+                (one, one, one),
+                |(a, b, c)| ops::fma::fma(fmt, a, b, c, mode),
+                |eng, ts, out| {
+                    let a: Vec<u64> = ts.iter().map(|t| t.0).collect();
+                    let b: Vec<u64> = ts.iter().map(|t| t.1).collect();
+                    let c: Vec<u64> = ts.iter().map(|t| t.2).collect();
+                    fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, out)
+                },
+            );
+        }
+    }
+}
