@@ -23,7 +23,11 @@
 //! this host detected (`wide`), or the AVX2 engine (`avx2`) — so a wide
 //! sweep checks the vector datapath, not the scalar tail, and an AVX-512
 //! host can sweep the AVX2 body too. A `wide` or `avx2` lane exits 2 on
-//! a host without that engine.
+//! a host without that engine. On a lane, the `ftz` sweep also compares
+//! every add/sub/mul/fma result with the generic `ops` before any
+//! masking (underflow cases and NaN/denormal operands included), and
+//! sweeps f48 (and any other non-host format requested) against the
+//! generic `ops` alone.
 //! Divergences are minimized on the lane that found them, and `--json`
 //! records the engine the sweep ran as `engine`.
 //!
@@ -176,6 +180,9 @@ fn minimized(d: &Divergence, lane: Option<SimdEngine>) -> String {
             ours.0 != host.bits
         }),
         "lane-0" => minimize_with(&d.case, |c| diff::eval_ftz_lanes(c, lane).1.is_some()),
+        "generic" => minimize_with(&d.case, |c| {
+            diff::eval_ftz(c, lane) != diff::eval_ftz(c, None)
+        }),
         // fpu divergences depend on the pipeline depth, which the Case
         // does not carry; report them unminimized.
         _ => d.case,

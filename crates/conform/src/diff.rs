@@ -434,6 +434,11 @@ fn cases_for(
     }
 }
 
+/// True when the host has hardware for `fmt` (binary32 and binary64).
+fn on_host(fmt: FpFormat) -> bool {
+    fmt == FpFormat::SINGLE || fmt == FpFormat::DOUBLE
+}
+
 /// The (op, format, mode) combinations a sweep covers, in canonical
 /// (report) order. Each combination derives its own corpus seed, so
 /// they can be evaluated independently on any thread.
@@ -441,7 +446,7 @@ fn combos(config: &SweepConfig, host_only: bool) -> Vec<(Op, FpFormat, RoundMode
     let mut out = Vec::new();
     for &op in &config.ops {
         for &fmt in &config.formats {
-            if host_only && fmt != FpFormat::SINGLE && fmt != FpFormat::DOUBLE {
+            if host_only && !on_host(fmt) {
                 continue; // the host has no hardware for custom formats
             }
             for mode in MODES {
@@ -528,6 +533,11 @@ pub fn eval_ftz_lanes(
     (r, None)
 }
 
+/// Whether `op` has a batch lane (add, sub, mul and fma).
+fn has_batch_lane(op: Op) -> bool {
+    matches!(op, Op::Add | Op::Sub | Op::Mul | Op::Fma)
+}
+
 /// One add/sub/mul/fma case through `fastpath::*_bits_batch_with` on
 /// `eng`, returning every lane's result. The operands are broadcast to a
 /// full chunk of [`LANES`], so a wide engine runs its vector datapath and
@@ -568,8 +578,17 @@ fn lane_skew(case: Case, got: (u64, Flags), lane0: (u64, Flags)) -> Divergence {
 /// Sweep the flush-to-zero layer against the host on the common
 /// semantic domain (no NaNs or denormals in, no NaN/denormal/underflow
 /// cases out — those deviations are deliberate and documented).
+///
+/// On a batch lane (`config.lane`) every add/sub/mul/fma result is first
+/// compared with the generic `ops` (`against: "generic"`), before any
+/// masking, so underflow cases and NaN/denormal operands count too, and
+/// the formats the host has no hardware for (f48) are swept against the
+/// generic ops alone.
 pub fn run_ftz_sweep(config: &SweepConfig) -> SweepReport {
-    let combos = combos(config, true);
+    let combos: Vec<_> = combos(config, false)
+        .into_iter()
+        .filter(|&(op, fmt, _)| on_host(fmt) || (config.lane.is_some() && has_batch_lane(op)))
+        .collect();
     let reports = fpfpga_fpu::parallel_map_slice(config.threads, &combos, |_, &(op, fmt, mode)| {
         let mut r = OpReport {
             op,
@@ -581,18 +600,36 @@ pub fn run_ftz_sweep(config: &SweepConfig) -> SweepReport {
             examples: Vec::new(),
         };
         cases_for(op, fmt, mode, config.samples, config.seed ^ 0xf72, |case| {
+            let (ours, odd_lane) = eval_ftz_lanes(&case, config.lane);
+            if let Some(got) = odd_lane {
+                r.cases += 1;
+                r.diverged(lane_skew(case, got, ours), config.max_divergences);
+                return;
+            }
+            if config.lane.is_some() {
+                let generic = eval_ftz(&case, None);
+                if ours != generic {
+                    r.cases += 1;
+                    let d = Divergence {
+                        case,
+                        ours,
+                        reference: (generic.0, Some(generic.1)),
+                        against: "generic",
+                    };
+                    r.diverged(d, config.max_divergences);
+                    return;
+                }
+                if !on_host(fmt) {
+                    r.cases += 1;
+                    return;
+                }
+            }
             let operands = [case.a, case.b, case.c];
             if operands[..case.op.arity()]
                 .iter()
                 .any(|&x| outside_ftz_domain(fmt, x))
             {
                 r.skipped += 1;
-                return;
-            }
-            let (ours, odd_lane) = eval_ftz_lanes(&case, config.lane);
-            if let Some(got) = odd_lane {
-                r.cases += 1;
-                r.diverged(lane_skew(case, got, ours), config.max_divergences);
                 return;
             }
             let reference = eval_host(&case);

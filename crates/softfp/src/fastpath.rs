@@ -29,12 +29,13 @@
 //!
 //! Every batch entry point also has a `*_with` form that pins the
 //! [`SimdEngine`] by value; the plain form runs [`simd::active_engine`].
-//! On a wide engine the batch add, sub and f32 fma run on the host's
-//! binary64 unit (TwoSum plus one rounding step, see [`simd`]), with
-//! the same results and flags as the kernels here, which still serve
-//! chunk tails, the scalar engine and dynamic formats. So these entry
-//! points need the calling thread in Rust's default FP environment
-//! (round-to-nearest-even, no FTZ/DAZ); debug builds assert it.
+//! On a wide engine every batch add, sub, mul and fma runs on the host's
+//! binary64 unit (an error-free transformation plus one rounding step,
+//! see [`simd`]), with the same results and flags as the kernels here,
+//! which still serve chunk tails, the scalar engine and dynamic formats.
+//! So these entry points need the calling thread in Rust's default FP
+//! environment (round-to-nearest-even, no FTZ/DAZ); debug builds assert
+//! it.
 //!
 //! Equivalence with the generic path — results *and* exception flags — is
 //! enforced by proptests over random formats (not just the three named
@@ -768,7 +769,8 @@ pub fn sub_bits_batch_with(
     );
 }
 
-/// Batched `a[i] * b[i]`, appended to `out`.
+/// Batched `a[i] * b[i]`, appended to `out`; FP environment as
+/// [`add_bits_batch`].
 ///
 /// # Panics
 /// Panics if `a.len() != b.len()`.
@@ -810,8 +812,9 @@ pub fn mul_bits_batch_with(
     );
 }
 
-/// Batched `a[i]·b[i] + c[i]` with one rounding each, appended to `out`;
-/// FP environment as [`add_bits_batch`].
+/// Batched `a[i]·b[i] + c[i]` with one rounding each, appended to `out`.
+/// Needs the default FP environment ([module docs](self)) for f32, f48
+/// and f64 alike: every named format's fma runs on the binary64 unit.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
@@ -944,7 +947,8 @@ pub fn sub_pairs_batch_with(
     );
 }
 
-/// Batched `x * y` over `(x, y)` pairs, appended to `out`.
+/// Batched `x * y` over `(x, y)` pairs, appended to `out`; FP environment
+/// as [`add_bits_batch`].
 pub fn mul_pairs_batch(
     fmt: FpFormat,
     pairs: &[(u64, u64)],
@@ -1024,7 +1028,7 @@ macro_rules! dispatch_bits {
 /// only and returning the OR of every element's flags — the shape of a
 /// matmul step (a column of `A` against one stationary `B` element, or
 /// one row of `B` against one `A` element) that keeps no per-element
-/// flags.
+/// flags. FP environment as [`add_bits_batch`].
 ///
 /// Bit-identical to [`mul_bits_batch`] over a broadcast `b` element
 /// for element; the returned flags equal the OR of its per-element

@@ -1,30 +1,30 @@
 //! Runtime-dispatched wide batch lanes over the fast-path kernels.
 //!
-//! The PR 5 fast lanes in [`crate::fastpath`] deliberately keep the
-//! baseline-x86-64 auto-vectorizer away from the add/sub datapath: without
-//! AVX2 a per-lane variable shift or leading-zero count is a multi-
-//! instruction emulation that loses to good scalar code. But AVX2 has
-//! native per-lane 64-bit variable shifts (`vpsllvq`/`vpsrlvq`) and a cheap
-//! byte-LUT popcount, which is everything the normal-path datapath needs.
-//! This module adds that third lane:
+//! The scalar fast lanes in [`crate::fastpath`] run one element at a time.
+//! This module adds a third lane that runs [`LANES`] elements per chunk
+//! on x86-64 vector units:
 //!
-//! * **Branchless block kernels** (`add_b64_block`, `mul_block`,
-//!   `fma_block`) written in vector-value form over a [`LANES`]-wide word
-//!   type, so the both-operands-normal datapath is explicit vector
-//!   arithmetic with lane-mask selects instead of branches. The blocks
-//!   are total over arbitrary encodings (special operands produce garbage
+//! * **Branchless block kernels on the host's binary64 unit**
+//!   (`add_b64_block`, `mul_b64_block`, `fma_block`), written in
+//!   vector-value form over a [`LANES`]-wide word type, so the
+//!   all-operands-normal datapath is explicit vector arithmetic with
+//!   lane-mask selects instead of branches. The named formats widen
+//!   exactly into binary64 (f32 values are binary64 values, and the
+//!   paper's 1+11+36 format is binary64 with its low 16 fraction bits
+//!   zero). One native operation does the align, multiply and normalize;
+//!   an error-free transformation recovers what its rounding lost (TwoSum
+//!   for add, sub and the f32 fma, TwoProd for the f48/f64 multiply,
+//!   ErrFma for the f48/f64 fma); and one integer step rounds the exact
+//!   value to the format's precision and packs it. The f48/f64 multiply
+//!   and fma first scale both factors to `[1, 2)` and carry the exponent
+//!   sum as an integer offset into that step, so no binary64 value they
+//!   form underflows or overflows, whatever the operands' exponents. A
+//!   lane whose add/sub TwoSum overflows binary64 (f48/f64 only) is
+//!   finished on the scalar fast lane. All of this assumes Rust's default
+//!   FP environment (round-to-nearest-even, no FTZ/DAZ). The blocks are
+//!   total over arbitrary encodings (special operands produce garbage
 //!   that the driver blends over — never a panic or UB) and bit-exact
-//!   twins of the scalar fast lane on normal operands. Add, sub and the
-//!   f32 fma run on the host's binary64 unit: the named formats widen
-//!   exactly into binary64, one native add (after an exact product, for
-//!   fma) does the align/normalize, TwoSum recovers the rounding error,
-//!   and one integer step rounds the exact sum to the format's precision
-//!   and packs it. A lane whose TwoSum overflows binary64 (f48/f64 only)
-//!   is finished on the scalar fast lane. This assumes Rust's default FP
-//!   environment (round-to-nearest, no FTZ/DAZ). The multiply and the
-//!   f48/f64 fma emulate the integer datapath, on `(hi, lo)` u64 pairs
-//!   (32-bit limb splits) where the product outgrows one word, so every
-//!   operation maps to a vector instruction.
+//!   twins of the scalar fast lane on normal operands.
 //! * **Special operands resolved in register**, as the paper's cores
 //!   resolve them in their denormalize stage: each [`LANES`]-sized chunk
 //!   is classified branchlessly (a normality mask) and computed
@@ -36,30 +36,30 @@
 //!   one extra block per chunk, so throughput no longer depends on the
 //!   operand mix.
 //! * **Explicit intrinsics engines** behind the `Words` trait: the
-//!   block kernels are generic over a lane-word vocabulary (shifts,
-//!   compares-to-mask, select, msb scan, 32×32 multiply), and each
-//!   engine implements it with `#[target_feature]`-annotated methods —
-//!   AVX-512 (`__m512i`, native `vplzcntq` and `__mmask8` compares) and
-//!   AVX2 (`__m256i` pairs, `vpsllvq`/`vpsrlvq` and a vpshufb-popcount
-//!   msb emulation). Explicit intrinsics, not autovectorization: LLVM
-//!   refuses to vectorize the long select-chain bodies on its own
-//!   (measured ~2.2× as scalarized code vs ≥5× with the intrinsics
-//!   engines). The epilogue is vectorized too — packed flag words become
-//!   [`Flags`] byte patterns via an in-register 8-entry LUT and are stored
-//!   interleaved with the results, under compile-time layout checks. The
-//!   bits entry points ([`crate::fastpath::mul_bcast_bits`],
+//!   block kernels are generic over a lane-word vocabulary (binary64
+//!   arithmetic, integer add/sub/logic, uniform shifts, compares-to-mask,
+//!   select), and each engine implements it with
+//!   `#[target_feature]`-annotated methods — AVX-512 (`__m512i`,
+//!   `__mmask8` compares) and AVX2 with FMA3 (`__m256i` pairs). Explicit
+//!   intrinsics, not autovectorization: LLVM refuses to vectorize the
+//!   long select-chain bodies on its own. The epilogue is vectorized too
+//!   — packed flag words become [`Flags`] byte patterns via an
+//!   in-register 8-entry LUT and are stored interleaved with the results,
+//!   under compile-time layout checks. The bits entry points
+//!   ([`crate::fastpath::mul_bcast_bits`],
 //!   [`crate::fastpath::add_acc_bits`]) take a second sink through the
 //!   same binary driver: result words only, with each chunk's flags
 //!   decoded by a LUT and OR-ed in register into one [`Flags`] for the
 //!   batch. The wide path exists on x86-64 only; every other target runs
 //!   the scalar lane.
 //! * **Engine by value**: [`active_engine`] detects the best engine once
-//!   per process (AVX-512, else AVX2, else [`SimdEngine::Scalar`]). Every
-//!   batch entry point in [`crate::fastpath`] has a `*_with` form that
-//!   takes the engine as an argument, and the plain form passes
-//!   [`active_engine`] — so every existing consumer (the matmul policy
-//!   kernels, served eltwise and LU, the network front-end) runs the
-//!   detected engine with zero call-site changes, while tests and conformance sweeps pin an engine without
+//!   per process (AVX-512, else AVX2 with FMA3, else
+//!   [`SimdEngine::Scalar`]). Every batch entry point in
+//!   [`crate::fastpath`] has a `*_with` form that takes the engine as an
+//!   argument, and the plain form passes [`active_engine`] — so every
+//!   existing consumer (the matmul policy kernels, served eltwise and LU,
+//!   the network front-end) runs the detected engine with zero call-site
+//!   changes, while tests and conformance sweeps pin an engine without
 //!   touching any process-wide state.
 
 use crate::exceptions::Flags;
@@ -89,11 +89,13 @@ pub const LANES: usize = 8;
 pub enum SimdEngine {
     /// Per-element scalar fast lane.
     Scalar,
-    /// Wide kernels compiled under `#[target_feature(enable = "avx2")]`.
+    /// Wide kernels compiled under `#[target_feature(enable =
+    /// "avx2,fma")]`. The binary64 blocks need FMA3, so a host with AVX2
+    /// but no FMA3 runs [`SimdEngine::Scalar`].
     WideAvx2,
     /// Wide kernels compiled under the AVX-512 feature set
     /// (`avx512f/cd/vl/dq/bw`): one 512-bit register per chunk stream and
-    /// native `vplzcntq` for the normalization scans.
+    /// compact mask registers.
     WideAvx512,
 }
 
@@ -120,12 +122,16 @@ impl SimdEngine {
     }
 }
 
-/// Cached `is_x86_feature_detected!("avx2")`; always `false` off x86-64.
+/// Cached detection of AVX2 and FMA3, the feature set the AVX2 engine
+/// compiles against; always `false` off x86-64.
 fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+        *AVX2.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -166,7 +172,7 @@ pub fn active_engine() -> SimdEngine {
 // ---------------------------------------------------------------------------
 
 /// Select on u64 values with both arms pre-computed — compiles to a
-/// conditional move scalarly and a blend in the vector loops.
+/// conditional move.
 #[inline(always)]
 fn sel(c: bool, t: u64, f: u64) -> u64 {
     if c {
@@ -187,8 +193,7 @@ fn seli(c: bool, t: i64, f: i64) -> i64 {
 }
 
 /// Index of the most significant set bit via bit-smear + popcount
-/// (`-1` for zero). LLVM lowers the vector popcount with the `vpshufb`
-/// nibble LUT under AVX2 — no scalar `lzcnt` emulation, no table gather.
+/// (`-1` for zero).
 #[inline(always)]
 fn msb_index(x: u64) -> i64 {
     let mut s = x;
@@ -202,8 +207,8 @@ fn msb_index(x: u64) -> i64 {
 }
 
 /// Full 64×64→128 multiply as `(hi, lo)` u64 words via 32-bit limb
-/// splits. All four partial products are 32×32→64 (`vpmuludq` shape);
-/// the carry chain is exact for every input pair.
+/// splits. All four partial products are 32×32→64; the carry chain is
+/// exact for every input pair.
 #[inline(always)]
 fn widening_mul(x: u64, y: u64) -> (u64, u64) {
     const M32: u64 = 0xffff_ffff;
@@ -325,16 +330,15 @@ fn round_pack_lane(
 // garbage can overflow a checked operation. On operands that satisfy the
 // fast-lane precondition (all normal) the result is bit-identical to the
 // generic path; that is what the conformance sweeps and the
-// `simd_vs_generic` proptests pin down. The vector block kernels below
-// are lane-for-lane transcriptions of the same formulas.
+// `simd_vs_generic` proptests pin down.
 
 /// `(hi, lo)`-pair fma datapath for formats whose aligned sum exceeds 64
 /// bits (W48, DOUBLE, any dynamic format with `2f + FMA_GRS + 4 > 64`).
 /// This is the limb-split replacement for the old `u128` wide path: the
 /// exact product comes from [`widening_mul`], alignment from
 /// [`shr128_sticky`], and the add/sub/compare chain runs on word pairs
-/// with explicit carries — every step a native 64-bit (and AVX2-lane)
-/// operation. Also used by the scalar fast lane via [`fma_wide_scalar`].
+/// with explicit carries — every step a native 64-bit operation. Also
+/// used by the scalar fast lane via [`fma_wide_scalar`].
 #[inline(always)]
 fn fma_lane_wide(e: u32, f: u32, a: u64, b: u64, c: u64, rtn: bool) -> (u64, u64) {
     let sign_shift = e + f;
@@ -714,6 +718,16 @@ mod tests {
                 .collect();
             assert_eq!(f1, f2, "triples {eng:?}");
         }
+    }
+
+    #[test]
+    fn avx2_engine_requires_fma() {
+        #[cfg(target_arch = "x86_64")]
+        if SimdEngine::WideAvx2.is_available() {
+            assert!(std::arch::is_x86_feature_detected!("fma"));
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!SimdEngine::WideAvx2.is_available());
     }
 
     #[test]

@@ -14,25 +14,22 @@ use crate::fastpath::{self, lane_of, Lane};
 // against this trait; the two impls pin the instruction selection:
 //
 // * `W2` — two `__m256i` halves under `#[target_feature(enable =
-//   "avx2")]`: native `vpsllvq`/`vpsrlvq` variable shifts, `vpmuludq`
-//   32×32→64 products, byte-LUT popcount for the msb scan.
+//   "avx2,fma")]`, masks as all-ones/all-zeros lanes.
 // * `W5` — one `__m512i` under the AVX-512 feature set, with `__mmask8`
-//   lane masks, native unsigned compares and `vplzcntq`.
+//   lane masks and native unsigned compares.
 //
 // Every method is an `unsafe fn`: the intrinsic impls must only be
 // reached after positive runtime feature detection, which the dispatch
 // layer guarantees. Explicit intrinsics — rather than autovectorized lane
 // loops — are the point: LLVM scalarizes the long select chains of the
-// fast-path datapath when left to vectorize them itself.
+// rounding and special blocks when left to vectorize them itself.
 //
-// Semantics contract (what the equivalence tests pin down): on lanes
-// whose shift amounts stay below 64 and whose `vmul32` operands have
-// clear high halves — true for every value the kernels build from
-// normal operands — both engines are bit-identical to the scalar fast
-// lane. `fadd`/`fsub`/`fmul` are IEEE binary64 operations rounded to
-// nearest-even with subnormals kept, which is Rust's default FP
-// environment; the binary64 blocks only feed them normal values (see
-// `widen`). The datapath's lanes with a special operand may hold
+// Semantics contract (what the equivalence tests pin down): the integer
+// methods are exact lane-wise u64 operations (wrapping), with uniform
+// shift amounts below 64. `fadd`/`fsub`/`fmul`/`ffma` are IEEE binary64
+// operations rounded to nearest-even with subnormals kept, which is
+// Rust's default FP environment; the blocks only feed them normal values
+// (see `add_b64_block` and `scale_pair`). The datapath's lanes with a special operand may hold
 // anything: the drivers blend the special blocks' result over every
 // such lane, so the datapath's contents there are never observable.
 
@@ -45,32 +42,23 @@ pub(crate) trait Words: Copy {
     unsafe fn store(self, dst: &mut [u64; LANES]);
     unsafe fn vadd(self, o: Self) -> Self;
     unsafe fn vsub(self, o: Self) -> Self;
-    /// Low-64 product; both operands must have clear high 32 bits
-    /// (`vpmuludq` shape — every call site masks or shifts first).
-    unsafe fn vmul32(self, o: Self) -> Self;
     /// Binary64 sum, difference and product of lanes read as `f64` bits
     /// (host FPU, Rust's default environment: RNE, no FTZ/DAZ).
     unsafe fn fadd(self, o: Self) -> Self;
     unsafe fn fsub(self, o: Self) -> Self;
     unsafe fn fmul(self, o: Self) -> Self;
+    /// Fused binary64 `self·y + z`, rounded once.
+    unsafe fn ffma(self, y: Self, z: Self) -> Self;
     unsafe fn vand(self, o: Self) -> Self;
     unsafe fn vor(self, o: Self) -> Self;
     unsafe fn vxor(self, o: Self) -> Self;
-    /// Per-lane variable left shift; amounts are < 64 on every lane
-    /// whose value is kept (see the semantics contract above).
-    unsafe fn shl(self, n: Self) -> Self;
-    /// Per-lane variable right shift (amounts < 64 on kept lanes).
-    unsafe fn shr(self, n: Self) -> Self;
     /// Uniform left shift by a runtime-constant amount (< 64).
     unsafe fn shlc(self, n: u32) -> Self;
     /// Uniform right shift by a runtime-constant amount (< 64).
     unsafe fn shrc(self, n: u32) -> Self;
-    /// Index of the most significant set bit (lanes must be nonzero).
-    unsafe fn vmsb(self) -> Self;
     unsafe fn veq(self, o: Self) -> Self::M;
     unsafe fn vne(self, o: Self) -> Self::M;
     unsafe fn vgt_u(self, o: Self) -> Self::M;
-    unsafe fn vge_u(self, o: Self) -> Self::M;
     unsafe fn vlt_u(self, o: Self) -> Self::M;
     /// Signed compare on lanes holding two's-complement i64 values.
     unsafe fn vgt_s(self, o: Self) -> Self::M;
@@ -106,21 +94,6 @@ mod engines_x86 {
     #[derive(Clone, Copy)]
     pub(super) struct W2(__m256i, __m256i);
 
-    /// Per-lane u64 popcount: nibble-LUT `vpshufb` plus `vpsadbw`
-    /// horizontal byte sum.
-    #[target_feature(enable = "avx2")]
-    unsafe fn popcnt64x4(v: __m256i) -> __m256i {
-        #[rustfmt::skip]
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let nib = _mm256_set1_epi8(0x0f);
-        let lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, nib));
-        let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi64::<4>(v), nib));
-        _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256())
-    }
-
     /// Binary64 lane op on both 256-bit halves: `_mm256_*_pd` on the bits.
     macro_rules! fop2 {
         ($op:ident, $x:expr, $y:expr) => {{
@@ -132,111 +105,88 @@ mod engines_x86 {
 
     impl Words for W2 {
         type M = W2;
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn splat(x: u64) -> W2 {
             let v = _mm256_set1_epi64x(x as i64);
             W2(v, v)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn load(src: &[u64; LANES]) -> W2 {
             W2(
                 _mm256_loadu_si256(src.as_ptr().cast()),
                 _mm256_loadu_si256(src.as_ptr().add(4).cast()),
             )
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn store(self, dst: &mut [u64; LANES]) {
             _mm256_storeu_si256(dst.as_mut_ptr().cast(), self.0);
             _mm256_storeu_si256(dst.as_mut_ptr().add(4).cast(), self.1);
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vadd(self, o: W2) -> W2 {
             W2(_mm256_add_epi64(self.0, o.0), _mm256_add_epi64(self.1, o.1))
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vsub(self, o: W2) -> W2 {
             W2(_mm256_sub_epi64(self.0, o.0), _mm256_sub_epi64(self.1, o.1))
         }
-        #[target_feature(enable = "avx2")]
-        unsafe fn vmul32(self, o: W2) -> W2 {
-            W2(_mm256_mul_epu32(self.0, o.0), _mm256_mul_epu32(self.1, o.1))
-        }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn fadd(self, o: W2) -> W2 {
             fop2!(_mm256_add_pd, self, o)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn fsub(self, o: W2) -> W2 {
             fop2!(_mm256_sub_pd, self, o)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn fmul(self, o: W2) -> W2 {
             fop2!(_mm256_mul_pd, self, o)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn ffma(self, y: W2, z: W2) -> W2 {
+            let half = |a, b, c| {
+                _mm256_castpd_si256(_mm256_fmadd_pd(
+                    _mm256_castsi256_pd(a),
+                    _mm256_castsi256_pd(b),
+                    _mm256_castsi256_pd(c),
+                ))
+            };
+            W2(half(self.0, y.0, z.0), half(self.1, y.1, z.1))
+        }
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vand(self, o: W2) -> W2 {
             W2(_mm256_and_si256(self.0, o.0), _mm256_and_si256(self.1, o.1))
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vor(self, o: W2) -> W2 {
             W2(_mm256_or_si256(self.0, o.0), _mm256_or_si256(self.1, o.1))
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vxor(self, o: W2) -> W2 {
             W2(_mm256_xor_si256(self.0, o.0), _mm256_xor_si256(self.1, o.1))
         }
-        #[target_feature(enable = "avx2")]
-        unsafe fn shl(self, n: W2) -> W2 {
-            W2(
-                _mm256_sllv_epi64(self.0, n.0),
-                _mm256_sllv_epi64(self.1, n.1),
-            )
-        }
-        #[target_feature(enable = "avx2")]
-        unsafe fn shr(self, n: W2) -> W2 {
-            W2(
-                _mm256_srlv_epi64(self.0, n.0),
-                _mm256_srlv_epi64(self.1, n.1),
-            )
-        }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn shlc(self, n: u32) -> W2 {
             let c = _mm_cvtsi32_si128(n as i32);
             W2(_mm256_sll_epi64(self.0, c), _mm256_sll_epi64(self.1, c))
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn shrc(self, n: u32) -> W2 {
             let c = _mm_cvtsi32_si128(n as i32);
             W2(_mm256_srl_epi64(self.0, c), _mm256_srl_epi64(self.1, c))
         }
-        #[target_feature(enable = "avx2")]
-        unsafe fn vmsb(self) -> W2 {
-            // Bit-smear to a mask of width msb+1, then popcount − 1.
-            let mut s = self;
-            s = s.vor(s.shrc(1));
-            s = s.vor(s.shrc(2));
-            s = s.vor(s.shrc(4));
-            s = s.vor(s.shrc(8));
-            s = s.vor(s.shrc(16));
-            s = s.vor(s.shrc(32));
-            let one = _mm256_set1_epi64x(1);
-            W2(
-                _mm256_sub_epi64(popcnt64x4(s.0), one),
-                _mm256_sub_epi64(popcnt64x4(s.1), one),
-            )
-        }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn veq(self, o: W2) -> W2 {
             W2(
                 _mm256_cmpeq_epi64(self.0, o.0),
                 _mm256_cmpeq_epi64(self.1, o.1),
             )
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vne(self, o: W2) -> W2 {
             W2::mnot(self.veq(o))
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vgt_u(self, o: W2) -> W2 {
             // Unsigned compare = signed compare with the sign bit flipped.
             let top = _mm256_set1_epi64x(i64::MIN);
@@ -245,72 +195,68 @@ mod engines_x86 {
                 _mm256_cmpgt_epi64(_mm256_xor_si256(self.1, top), _mm256_xor_si256(o.1, top)),
             )
         }
-        #[target_feature(enable = "avx2")]
-        unsafe fn vge_u(self, o: W2) -> W2 {
-            W2::mnot(o.vgt_u(self))
-        }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vlt_u(self, o: W2) -> W2 {
             o.vgt_u(self)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vgt_s(self, o: W2) -> W2 {
             W2(
                 _mm256_cmpgt_epi64(self.0, o.0),
                 _mm256_cmpgt_epi64(self.1, o.1),
             )
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn vlt_s(self, o: W2) -> W2 {
             o.vgt_s(self)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn mand(a: W2, b: W2) -> W2 {
             a.vand(b)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn mor(a: W2, b: W2) -> W2 {
             a.vor(b)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn mnot(a: W2) -> W2 {
             let ones = _mm256_set1_epi64x(-1);
             W2(_mm256_xor_si256(a.0, ones), _mm256_xor_si256(a.1, ones))
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn mbool(b: bool) -> W2 {
             let v = _mm256_set1_epi64x(-(b as i64));
             W2(v, v)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn sel(m: W2, t: W2, f: W2) -> W2 {
             W2(
                 _mm256_blendv_epi8(f.0, t.0, m.0),
                 _mm256_blendv_epi8(f.1, t.1, m.1),
             )
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn m01(m: W2) -> W2 {
             m.vand(W2::splat(1))
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn mall(m: W2) -> bool {
             W2::mbits(m) == 0xff
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn mbits(m: W2) -> u32 {
             let lo = _mm256_movemask_pd(_mm256_castsi256_pd(m.0)) as u32;
             let hi = _mm256_movemask_pd(_mm256_castsi256_pd(m.1)) as u32;
             lo | (hi << 4)
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn lut8(self, lut: &[u64; 8]) -> W2 {
             W2(
                 _mm256_i64gather_epi64::<8>(lut.as_ptr().cast(), self.0),
                 _mm256_i64gather_epi64::<8>(lut.as_ptr().cast(), self.1),
             )
         }
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn store_interleaved(self, o: W2, dst: *mut u64) {
             // unpack{lo,hi} interleave within 128-bit halves; the
             // permutes stitch them back into sequential pair order.
@@ -334,8 +280,8 @@ mod engines_x86 {
         }
     }
 
-    /// AVX-512 engine: one 512-bit register, compact `__mmask8` masks,
-    /// native unsigned compares and `vplzcntq`.
+    /// AVX-512 engine: one 512-bit register, compact `__mmask8` masks and
+    /// native unsigned compares.
     #[derive(Clone, Copy)]
     pub(super) struct W5(__m512i);
 
@@ -362,10 +308,6 @@ mod engines_x86 {
             W5(_mm512_sub_epi64(self.0, o.0))
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-        unsafe fn vmul32(self, o: W5) -> W5 {
-            W5(_mm512_mul_epu32(self.0, o.0))
-        }
-        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn fadd(self, o: W5) -> W5 {
             W5(_mm512_castpd_si512(_mm512_add_pd(
                 _mm512_castsi512_pd(self.0),
@@ -387,6 +329,14 @@ mod engines_x86 {
             )))
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
+        unsafe fn ffma(self, y: W5, z: W5) -> W5 {
+            W5(_mm512_castpd_si512(_mm512_fmadd_pd(
+                _mm512_castsi512_pd(self.0),
+                _mm512_castsi512_pd(y.0),
+                _mm512_castsi512_pd(z.0),
+            )))
+        }
+        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn vand(self, o: W5) -> W5 {
             W5(_mm512_and_si512(self.0, o.0))
         }
@@ -399,29 +349,12 @@ mod engines_x86 {
             W5(_mm512_xor_si512(self.0, o.0))
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-        unsafe fn shl(self, n: W5) -> W5 {
-            W5(_mm512_sllv_epi64(self.0, n.0))
-        }
-        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-        unsafe fn shr(self, n: W5) -> W5 {
-            W5(_mm512_srlv_epi64(self.0, n.0))
-        }
-        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn shlc(self, n: u32) -> W5 {
             W5(_mm512_sll_epi64(self.0, _mm_cvtsi32_si128(n as i32)))
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn shrc(self, n: u32) -> W5 {
             W5(_mm512_srl_epi64(self.0, _mm_cvtsi32_si128(n as i32)))
-        }
-        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-        unsafe fn vmsb(self) -> W5 {
-            // 63 ^ clz (inputs are nonzero, so clz is in 0..=63 and the
-            // xor is exactly 63 − clz).
-            W5(_mm512_xor_si512(
-                _mm512_lzcnt_epi64(self.0),
-                _mm512_set1_epi64(63),
-            ))
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn veq(self, o: W5) -> __mmask8 {
@@ -434,10 +367,6 @@ mod engines_x86 {
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn vgt_u(self, o: W5) -> __mmask8 {
             _mm512_cmpgt_epu64_mask(self.0, o.0)
-        }
-        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-        unsafe fn vge_u(self, o: W5) -> __mmask8 {
-            _mm512_cmpge_epu64_mask(self.0, o.0)
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn vlt_u(self, o: W5) -> __mmask8 {
@@ -511,52 +440,15 @@ use engines_x86::{W2, W5};
 // Engine-generic block kernels
 // ---------------------------------------------------------------------------
 //
-// Lane-for-lane transcriptions of the scalar fast-path formulas into the
-// `Words` vocabulary (add, sub and the f32 fma compute the same results on
-// binary64 lanes instead): every branch becomes a mask select with both arms
-// computed. The blocks are total over arbitrary encodings — variable
-// shift amounts are clamped wherever a valid lane needs it, arithmetic
-// wraps, and the `kill`/`|= 1` jams keep `vmsb` inputs nonzero — so a
-// special lane's garbage can never fault; the driver blends over it.
-
-/// Vector twin of [`widening_mul`]: all four partial products are
-/// 32×32→64 (`vmul32`), the carry chain exact for every input pair.
-#[inline(always)]
-unsafe fn vwidening_mul<W: Words>(x: W, y: W) -> (W, W) {
-    let m32 = W::splat(0xffff_ffff);
-    let x0 = x.vand(m32);
-    let x1 = x.shrc(32);
-    let y0 = y.vand(m32);
-    let y1 = y.shrc(32);
-    let m00 = x0.vmul32(y0);
-    let m01 = x0.vmul32(y1);
-    let m10 = x1.vmul32(y0);
-    let m11 = x1.vmul32(y1);
-    let mid = m00.shrc(32).vadd(m01.vand(m32)).vadd(m10.vand(m32));
-    let lo = mid.shlc(32).vor(m00.vand(m32));
-    let hi = m11.vadd(m01.shrc(32)).vadd(m10.shrc(32)).vadd(mid.shrc(32));
-    (hi, lo)
-}
-
-/// Vector twin of [`shr128_sticky`].
-#[inline(always)]
-unsafe fn vshr128_sticky<W: Words>(hi: W, lo: W, n: W) -> (W, W, W) {
-    let zero = W::splat(0);
-    let c63 = W::splat(63);
-    let n = W::sel(n.vgt_u(W::splat(127)), W::splat(127), n);
-    let ge64 = n.vge_u(W::splat(64));
-    let m = n.vand(c63);
-    let inv = c63.vsub(m);
-    let a_hi = hi.shr(m);
-    let a_lo = lo.shr(m).vor(hi.shl(inv).shlc(1));
-    let a_lost = lo.shl(inv).shlc(1);
-    let b_lo = hi.shr(m);
-    let b_lost = hi.shl(inv).shlc(1).vor(W::m01(lo.vne(zero)));
-    let r_hi = W::sel(ge64, zero, a_hi);
-    let r_lo = W::sel(ge64, b_lo, a_lo);
-    let lost = W::m01(W::sel(ge64, b_lost, a_lost).vne(zero));
-    (r_hi, r_lo, lost)
-}
+// Every op runs on the host's binary64 unit: the named formats widen
+// exactly into binary64 ([`widen`]), one native operation does the
+// align, multiply and normalize, an error-free transformation recovers
+// what its rounding lost, and [`round_pack_f64`] rounds the exact value
+// to the format's precision and packs it. Every branch is a mask select
+// with both arms computed, and the blocks are total over arbitrary
+// encodings, so a special lane's garbage can never fault; the driver
+// blends over it. The blocks are `unsafe` only for the `Words` calls:
+// `W`'s engine must have passed runtime feature detection.
 
 /// Lane mask of operands that take the fast lane (vector twin of
 /// `fastpath::is_normal`: biased exponent in `1..=em-1`).
@@ -569,75 +461,35 @@ unsafe fn vnormal<W: Words, const E: u32, const F: u32>(x: W) -> W::M {
         .vlt_u(W::splat(em - 1))
 }
 
-/// Vector twin of [`round_pack_lane`]; `kill` zeroes the result and
-/// flags (exact cancellation, and a don't-care for special lanes).
-#[inline(always)]
-unsafe fn round_pack_block<W: Words, const E: u32, const F: u32>(
-    sign: W,
-    exp: W,
-    kept: W,
-    tail: W,
-    grs: W,
-    rtn: bool,
-    kill: W::M,
-) -> (W, W) {
-    let bias = (1u64 << (E - 1)) - 1;
-    let max_exp = ((1u64 << E) - 2).wrapping_sub(bias);
-    let min_exp = 1u64.wrapping_sub(bias);
-    let zero = W::splat(0);
-    let one = W::splat(1);
-    let frac_mask = W::splat((1u64 << F) - 1);
-
-    let inexact = tail.vne(zero);
-    let half = one.shl(grs.vsub(one));
-    let round_up = W::m01(W::mand(
-        W::mbool(rtn),
-        W::mor(
-            tail.vgt_u(half),
-            W::mand(tail.veq(half), kept.vand(one).veq(one)),
-        ),
-    ));
-    let rounded = kept.vadd(round_up);
-    let carry = W::m01(rounded.shrc(F + 1).vne(zero));
-    let rounded = rounded.shr(carry);
-    let exp = exp.vadd(carry);
-
-    let over = exp.vgt_s(W::splat(max_exp));
-    let under = exp.vlt_s(W::splat(min_exp));
-    // ∞, or under Truncate the largest finite value, one below it.
-    let over_mag = W::splat((((1u64 << E) - 1) << F) - !rtn as u64);
-    let norm_mag = exp
-        .vadd(W::splat(bias))
-        .shlc(F)
-        .vor(rounded.vand(frac_mask));
-    let mag = W::sel(over, over_mag, W::sel(under, zero, norm_mag));
-    let fl = W::m01(over)
-        .vor(W::m01(under).shlc(1))
-        .vor(W::m01(W::mor(W::mor(inexact, over), under)).shlc(2));
-    (
-        W::sel(kill, zero, sign.shlc(E + F).vor(mag)),
-        W::sel(kill, zero, fl),
-    )
-}
-
 /// Biased-exponent offset from an `E`-bit exponent to binary64's.
 const fn rebase(e: u32) -> u64 {
     1023 - ((1u64 << (e - 1)) - 1)
 }
 
-/// Exact binary64 bits of f32/f48/f64 encodings, none subnormal, ∞ or NaN:
-/// f48/f64 lanes outside `normal` (the special block's) become 1.0, then
-/// shift; f32 rebases its exponent into binary64's normal range.
+/// Binary64's sign bit, and ∞ (its all-ones exponent field).
+const SIGN: u64 = 1 << 63;
+const INF: u64 = 0x7ff << 52;
+
+/// Exact binary64 bits of f32/f48/f64 encodings: f48/f64 shift, and f32
+/// rebases its exponent into binary64's normal range. A normal f48/f64
+/// encoding widens to a normal binary64 value, and so does every f32
+/// encoding, whatever its exponent field holds.
 #[inline(always)]
-unsafe fn widen<W: Words, const E: u32, const F: u32>(x: W, normal: W::M) -> W {
+unsafe fn widen<W: Words, const E: u32, const F: u32>(x: W) -> W {
     const { assert!(E == 11 || (E == 8 && F == 23), "f32, f48 or f64") };
     if E == 11 {
-        return W::sel(normal, x, W::splat(((1u64 << (E - 1)) - 1) << F)).shlc(52 - F);
+        return x.shlc(52 - F);
     }
     let mag = x.vand(W::splat((1u64 << (E + F)) - 1)).shlc(52 - F);
     x.shrc(E + F)
         .shlc(63)
         .vor(mag.vadd(W::splat(rebase(E) << 52)))
+}
+
+/// Biased binary64 exponent field of each lane.
+#[inline(always)]
+unsafe fn bexp<W: Words>(x: W) -> W {
+    x.shrc(52).vand(W::splat(0x7ff))
 }
 
 /// Whether this thread runs Rust's default FP environment, which the
@@ -656,13 +508,21 @@ unsafe fn two_sum<W: Words>(x: W, y: W) -> (W, W) {
     (s, x.fsub(s.fsub(bb)).fadd(y.fsub(bb)))
 }
 
-/// Round the exact sum `s + e` of [`two_sum`] to `F + 1` bits and pack it
-/// with packed flags as `round_pack_block` would (an exact zero is +0).
+/// Round the exact value `(s + e)·2^k` to `F + 1` bits and pack it with
+/// packed flags (an exact zero `s` is +0). `s` is a binary64 value with at
+/// least `F + 1` bits of precision, `e` counts only by its sign and
+/// whether it is non-zero, and `k` is a per-lane exponent offset
+/// (two's complement) that the range check and the packed exponent add.
 #[inline(always)]
-unsafe fn round_pack_f64<W: Words, const E: u32, const F: u32>(s: W, e: W, rtn: bool) -> (W, W) {
+unsafe fn round_pack_f64<W: Words, const E: u32, const F: u32>(
+    s: W,
+    e: W,
+    k: W,
+    rtn: bool,
+) -> (W, W) {
     let d = 52 - F;
     let zero = W::splat(0);
-    let abs = W::splat(u64::MAX >> 1);
+    let abs = W::splat(!SIGN);
     let low = s.vand(W::splat((1u64 << d) - 1));
     let half = W::splat((1u64 << d) >> 1);
     let e_nz = e.vand(abs).vne(zero);
@@ -682,12 +542,13 @@ unsafe fn round_pack_f64<W: Words, const E: u32, const F: u32>(s: W, e: W, rtn: 
         s.vsub(low).vsub(W::m01(down).shlc(d))
     };
     let inexact = W::mor(low.vne(zero), e_nz);
-    let exp = r.shrc(52).vand(W::splat(0x7ff)).vsub(W::splat(rebase(E)));
+    let k = k.vsub(W::splat(rebase(E)));
+    let exp = bexp(r).vadd(k);
     let over = exp.vgt_s(W::splat((1u64 << E) - 2));
     let under = exp.vlt_s(W::splat(1));
     // ∞, or under Truncate the largest finite value, one below it.
     let over_mag = W::splat((((1u64 << E) - 1) << F) - !rtn as u64);
-    let norm_mag = r.vand(abs).shrc(d).vsub(W::splat(rebase(E) << F));
+    let norm_mag = r.vand(abs).shrc(d).vadd(k.shlc(F));
     let mag = W::sel(over, over_mag, W::sel(under, zero, norm_mag));
     let fl = W::m01(over)
         .vor(W::m01(under).shlc(1))
@@ -699,10 +560,11 @@ unsafe fn round_pack_f64<W: Words, const E: u32, const F: u32>(s: W, e: W, rtn: 
     )
 }
 
-/// Vector add block (`sub` is a sign flip at the call site) on the host's
-/// binary64 unit: [`widen`], [`two_sum`], [`round_pack_f64`]. The third
-/// result masks the lanes TwoSum overflowed on (f48/f64 only), which the
-/// driver finishes on the scalar fast lane.
+/// Vector add block (`sub` is a sign flip at the call site): [`widen`],
+/// [`two_sum`], [`round_pack_f64`]. f48/f64 lanes outside `normal` (the
+/// special block's) become 1.0 first, so no subnormal, ∞ or NaN reaches
+/// the FPU. The third result masks the lanes TwoSum overflowed on
+/// (f48/f64 only), which the driver finishes on the scalar fast lane.
 #[inline(always)]
 unsafe fn add_b64_block<W: Words, const E: u32, const F: u32>(
     a: W,
@@ -710,164 +572,93 @@ unsafe fn add_b64_block<W: Words, const E: u32, const F: u32>(
     normal: W::M,
     rtn: bool,
 ) -> (W, W, W::M) {
-    let (s, e) = two_sum(widen::<W, E, F>(a, normal), widen::<W, E, F>(b, normal));
-    let (r, f) = round_pack_f64::<W, E, F>(s, e, rtn);
-    let inf = W::splat(0x7ff << 52);
+    let one = W::splat(((1u64 << (E - 1)) - 1) << F);
+    let w = |v: W| widen::<W, E, F>(if E == 11 { W::sel(normal, v, one) } else { v });
+    let (s, e) = two_sum(w(a), w(b));
+    let (r, f) = round_pack_f64::<W, E, F>(s, e, W::splat(0), rtn);
+    let inf = W::splat(INF);
     (r, f, e.vand(inf).veq(inf))
 }
 
-/// Vector multiply block. `F <= 31` keeps the product in one word;
-/// wider formats run the limb-split widening multiply.
+/// Widened f48/f64 operands scaled to `[1, 2)` (exponent field set to
+/// binary64's bias, sign and fraction kept), and the unbiased exponent sum
+/// `k` of the pair that the scaling removed. Every lane's product is then
+/// a normal binary64 value in `[1, 4)` whatever the operands' exponents,
+/// so no product underflows or overflows, and special lanes (garbage
+/// exponents) are harmless too.
 #[inline(always)]
-unsafe fn mul_block<W: Words, const E: u32, const F: u32>(a: W, b: W, rtn: bool) -> (W, W) {
-    let sign_shift = E + F;
-    let frac_mask = W::splat((1u64 << F) - 1);
-    let hidden = W::splat(1u64 << F);
-    let bias = W::splat((1u64 << (E - 1)) - 1);
-    let em = W::splat((1u64 << E) - 1);
-    let one = W::splat(1);
-
-    let sign = a.vxor(b).shrc(sign_shift).vand(one);
-    let mut exp = a
-        .shrc(F)
-        .vand(em)
-        .vsub(bias)
-        .vadd(b.shrc(F).vand(em).vsub(bias));
-    let sa = a.vand(frac_mask).vor(hidden);
-    let sb = b.vand(frac_mask).vor(hidden);
-
-    let (kept, tail, grs);
-    if F <= 31 {
-        let p = sa.vmul32(sb);
-        let top = p.shrc(2 * F + 1).vand(one);
-        exp = exp.vadd(top);
-        let p = p.shl(top.vxor(one));
-        let g = F + 1;
-        kept = p.shrc(g);
-        tail = p.vand(W::splat((1u64 << g) - 1));
-        grs = W::splat(g as u64);
-    } else {
-        let (p_hi, p_lo) = vwidening_mul(sa, sb);
-        let top = p_hi.shrc((2 * F + 1).saturating_sub(64)).vand(one);
-        exp = exp.vadd(top);
-        let g = W::splat(F as u64).vadd(top); // 32 <= g <= 57
-        kept = p_lo.shr(g).vor(p_hi.shl(W::splat(63).vsub(g)).shlc(1));
-        tail = p_lo.vand(one.shl(g).vsub(one));
-        grs = g;
-    }
-    round_pack_block::<W, E, F>(sign, exp, kept, tail, grs, rtn, W::mbool(false))
+unsafe fn scale_pair<W: Words>(x: W, y: W) -> (W, W, W) {
+    let sig = |v: W| v.vand(W::splat(!INF)).vor(W::splat(1023 << 52));
+    let k = bexp(x).vadd(bexp(y)).vsub(W::splat(2 * 1023));
+    (sig(x), sig(y), k)
 }
 
-/// Vector fma block. f32 runs on the binary64 unit — the product of two
-/// 24-bit significands is exact there — as TwoSum of product and addend;
-/// f48 and f64 run the `(hi, lo)`-pair datapath.
+/// Vector multiply block on the binary64 unit. The f32 product of the
+/// widened operands is exact. f48/f64 scale the pair ([`scale_pair`]) and
+/// run TwoProd (`p = x·y`, `e = fma(x, y, −p)`, exact for a product in
+/// `[1, 4)`); the exponent sum goes to [`round_pack_f64`] as its offset.
+/// Special lanes need no sanitizing: every f32 encoding widens to a
+/// normal value, and the scaling replaces every f48/f64 exponent.
 #[inline(always)]
-unsafe fn fma_block<W: Words, const E: u32, const F: u32>(
-    a: W,
-    b: W,
-    c: W,
-    normal: W::M,
-    rtn: bool,
-) -> (W, W) {
+unsafe fn mul_b64_block<W: Words, const E: u32, const F: u32>(a: W, b: W, rtn: bool) -> (W, W) {
+    let (x, y) = (widen::<W, E, F>(a), widen::<W, E, F>(b));
     if E == 8 {
-        let p = widen::<W, E, F>(a, normal).fmul(widen::<W, E, F>(b, normal));
-        let (s, e) = two_sum(p, widen::<W, E, F>(c, normal));
-        round_pack_f64::<W, E, F>(s, e, rtn)
-    } else {
-        fma_wide_block::<W, E, F>(a, b, c, rtn)
+        return round_pack_f64::<W, E, F>(x.fmul(y), W::splat(0), W::splat(0), rtn);
     }
+    let (x, y, k) = scale_pair(x, y);
+    let p = x.fmul(y);
+    round_pack_f64::<W, E, F>(p, x.ffma(y, p.vxor(W::splat(SIGN))), k, rtn)
 }
 
-/// `(hi, lo)`-pair vector fma for formats whose aligned sum exceeds 64
-/// bits: the vector transcription of [`fma_lane_wide`] — exact product
-/// from [`vwidening_mul`], alignment via [`vshr128_sticky`], pair
-/// add-with-carry / subtract-with-borrow combine.
+/// Vector fma block on the binary64 unit. f32: the exact product, then
+/// TwoSum with the addend. f48/f64 scale `a` and `b` ([`scale_pair`]) and
+/// `c` by the same `2^−k`, then take `r = fma(x, y, z)` and its exact
+/// error from ErrFma (Boldo & Muller 2011: TwoProd, two TwoSums, then the
+/// first half of a Fast2Sum, whose sum has the error's sign and is
+/// non-zero with it). Two addend ranges leave binary64's exponent range
+/// after scaling, and neither needs it:
+/// * `c` at least `F + 4` binades above the product (a product below a
+///   quarter-ulp of `c`): the result is `c` with a sticky error of the
+///   product's sign;
+/// * `c·2^−k` below 2^−959, far below the scaled product's last bit:
+///   `z` keeps its sign and fraction at exponent −959, which is the same
+///   sticky to the rounding.
+///
+/// Every binary64 value involved is then normal, so ErrFma is exact.
 #[inline(always)]
-unsafe fn fma_wide_block<W: Words, const E: u32, const F: u32>(
-    a: W,
-    b: W,
-    c: W,
-    rtn: bool,
-) -> (W, W) {
-    let sign_shift = E + F;
-    let frac_mask = W::splat((1u64 << F) - 1);
-    let hidden = W::splat(1u64 << F);
-    let bias = W::splat((1u64 << (E - 1)) - 1);
-    let em = W::splat((1u64 << E) - 1);
-    let zero = W::splat(0);
-    let one = W::splat(1);
-    let c63 = W::splat(63);
-
-    let psign = a.vxor(b).shrc(sign_shift).vand(one);
-    let csign = c.shrc(sign_shift).vand(one);
-    let pexp = a
-        .shrc(F)
-        .vand(em)
-        .vsub(bias)
-        .vadd(b.shrc(F).vand(em).vsub(bias));
-    let cexp = c.shrc(F).vand(em).vsub(bias);
-
-    let (p_hi, p_lo) = vwidening_mul(a.vand(frac_mask).vor(hidden), b.vand(frac_mask).vor(hidden));
-    let pw_hi = p_hi.shlc(FMA_GRS).vor(p_lo.shrc(64 - FMA_GRS));
-    let pw_lo = p_lo.shlc(FMA_GRS);
-    let c_wide = c.vand(frac_mask).vor(hidden).shlc(FMA_GRS);
-
-    let shift = cexp.vsub(pexp).vadd(W::splat(F as u64));
-    let cdom = shift.vgt_s(W::splat((F + 2) as u64));
-    let cneg = shift.vlt_s(zero);
-    let mid = W::mnot(W::mor(cdom, cneg));
-
-    // v: the operand that moves; u: the anchor.
-    let v0_hi = W::sel(cdom, pw_hi, zero);
-    let v0_lo = W::sel(cdom, pw_lo, c_wide);
-    let ramt = W::sel(cdom, shift, W::sel(cneg, zero.vsub(shift), zero));
-    let (vr_hi, vr_lo, lost) = vshr128_sticky(v0_hi, v0_lo, ramt);
-    let lamt = W::sel(mid, shift, zero); // mid: 0 <= shift <= f+2
-    let v_hi = vr_hi.shl(lamt).vor(vr_lo.shrc(1).shr(c63.vsub(lamt)));
-    let v_lo = vr_lo.shl(lamt).vor(lost); // lost is 0 whenever lamt > 0
-
-    let u_hi = W::sel(cdom, zero, pw_hi);
-    let u_lo = W::sel(cdom, c_wide, pw_lo);
-    let us = W::sel(cdom, csign, psign);
-    let vs = W::sel(cdom, psign, csign);
-    let e_lsb = W::sel(
-        cdom,
-        cexp.vsub(W::splat((F + FMA_GRS) as u64)),
-        pexp.vsub(W::splat((2 * F + FMA_GRS) as u64)),
+unsafe fn fma_block<W: Words, const E: u32, const F: u32>(a: W, b: W, c: W, rtn: bool) -> (W, W) {
+    let (x, y, z) = (
+        widen::<W, E, F>(a),
+        widen::<W, E, F>(b),
+        widen::<W, E, F>(c),
     );
-
-    // Signed combine on pairs: add-with-carry / subtract-with-borrow.
-    let ssame = us.veq(vs);
-    let s_lo = u_lo.vadd(v_lo);
-    let s_hi = u_hi.vadd(v_hi).vadd(W::m01(s_lo.vlt_u(u_lo)));
-    let ubig = W::mor(u_hi.vgt_u(v_hi), W::mand(u_hi.veq(v_hi), u_lo.vge_u(v_lo)));
-    let x_hi = W::sel(ubig, u_hi, v_hi);
-    let x_lo = W::sel(ubig, u_lo, v_lo);
-    let y_hi = W::sel(ubig, v_hi, u_hi);
-    let y_lo = W::sel(ubig, v_lo, u_lo);
-    let d_lo = x_lo.vsub(y_lo);
-    let d_hi = x_hi.vsub(y_hi).vsub(W::m01(x_lo.vlt_u(y_lo)));
-    let mag_hi = W::sel(ssame, s_hi, d_hi);
-    let mag_lo = W::sel(ssame, s_lo, d_lo);
-    let sign = W::sel(ssame, us, W::sel(ubig, us, vs));
-    let kill = W::mand(W::mand(W::mnot(ssame), mag_hi.veq(zero)), mag_lo.veq(zero));
-    let mag_lo = mag_lo.vor(W::m01(kill));
-
-    // msb of the pair, then normalize exactly as the scalar path does.
-    let hz = mag_hi.veq(zero);
-    let msb = W::sel(hz, mag_lo, mag_hi)
-        .vmsb()
-        .vadd(W::sel(hz, zero, W::splat(64)));
-    let exp0 = e_lsb.vadd(msb);
-    let deep = W::mnot(msb.vgt_s(W::splat(F as u64)));
-    let lshift = W::sel(deep, W::splat((F + 1) as u64).vsub(msb), zero); // <= f+1
-    let m_hi = mag_hi.shl(lshift).vor(mag_lo.shrc(1).shr(c63.vsub(lshift)));
-    let m_lo = mag_lo.shl(lshift);
-    let grs_raw = W::sel(deep, one, msb.vsub(W::splat(F as u64)));
-    let grs = W::sel(grs_raw.vgt_u(c63), c63, grs_raw); // clamp only reachable on garbage lanes
-    let kept = m_lo.shr(grs).vor(m_hi.shl(c63.vsub(grs)).shlc(1));
-    let tail = m_lo.vand(one.shl(grs).vsub(one)); // grs <= f+5 on valid lanes
-    round_pack_block::<W, E, F>(sign, exp0, kept, tail, grs, rtn, kill)
+    if E == 8 {
+        let (s, e) = two_sum(x.fmul(y), z);
+        return round_pack_f64::<W, E, F>(s, e, W::splat(0), rtn);
+    }
+    let (x, y, k) = scale_pair(x, y);
+    // `z·2^−k`'s biased exponent, clamped into range; a far-above `c`
+    // (`big`) is taken unscaled below, so its `z` only needs to be benign.
+    let bz = bexp(z).vsub(k);
+    let big = bz.vgt_s(W::splat(1023 + F as u64 + 3));
+    let bz = W::sel(
+        big,
+        W::splat(1023),
+        W::sel(bz.vlt_s(W::splat(64)), W::splat(64), bz),
+    );
+    let zs = z.vand(W::splat(!INF)).vor(bz.shlc(52));
+    let r = x.ffma(y, zs);
+    let p = x.fmul(y);
+    let (a1, a2) = two_sum(zs, x.ffma(y, p.vxor(W::splat(SIGN))));
+    let (b1, b2) = two_sum(p, a1);
+    let e = b1.fsub(r).fadd(b2).fadd(a2);
+    let sticky = p.vand(W::splat(SIGN)).vor(W::splat(1));
+    round_pack_f64::<W, E, F>(
+        W::sel(big, z, r),
+        W::sel(big, sticky, e),
+        W::sel(big, W::splat(0), k),
+        rtn,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1151,7 +942,7 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
     mode: RoundMode,
     sink: &mut S,
 ) -> Flags {
-    debug_assert!(OP == OP_MUL || default_fp_env());
+    debug_assert!(default_fp_env());
     let rtn = mode == RoundMode::NearestEven;
     let full = n - n % LANES;
     sink.reserve(n);
@@ -1172,7 +963,7 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
             }
             let normal = W::mand(vnormal::<W, E, F>(va), vnormal::<W, E, F>(vb));
             let (mut r, mut f) = if OP == OP_MUL {
-                mul_block::<W, E, F>(va, vb, rtn)
+                mul_b64_block::<W, E, F>(va, vb, rtn)
             } else {
                 let (r, f, rare) = add_b64_block::<W, E, F>(va, vb, normal, rtn);
                 if E == 11 && W::mbits(rare) != 0 {
@@ -1226,7 +1017,7 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
 }
 
 /// Ternary (fma) batch driver; same structure as [`bin_driver`]. A chunk
-/// with a non-normal lane also runs [`mul_block`] for the c = ±0 lanes.
+/// with a non-normal lane also runs [`mul_b64_block`] for the c = ±0 lanes.
 #[inline(always)]
 #[allow(clippy::type_complexity)]
 fn fma_driver<W: Words, const E: u32, const F: u32>(
@@ -1236,7 +1027,7 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
     mode: RoundMode,
     out: &mut Vec<(u64, Flags)>,
 ) {
-    debug_assert!(F != 23 || default_fp_env());
+    debug_assert!(default_fp_env());
     let rtn = mode == RoundMode::NearestEven;
     let full = n - n % LANES;
     out.reserve(n);
@@ -1255,9 +1046,9 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
                 W::mand(vnormal::<W, E, F>(va), vnormal::<W, E, F>(vb)),
                 vnormal::<W, E, F>(vc),
             );
-            let (mut r, mut f) = fma_block::<W, E, F>(va, vb, vc, normal, rtn);
+            let (mut r, mut f) = fma_block::<W, E, F>(va, vb, vc, rtn);
             if !W::mall(normal) {
-                let prod = mul_block::<W, E, F>(va, vb, rtn);
+                let prod = mul_b64_block::<W, E, F>(va, vb, rtn);
                 let (sr, sf) = fma_special::<W, E, F>(va, vb, vc, prod);
                 r = W::sel(normal, r, sr);
                 f = W::sel(normal, f, sf);
@@ -1279,7 +1070,7 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
 mod engine {
     use super::*;
 
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn bin_driver_tf<const E: u32, const F: u32, const OP: u8, S: Sink>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES]),
@@ -1290,7 +1081,7 @@ mod engine {
         super::bin_driver::<W2, E, F, OP, S>(n, load_chunk, load_one, mode, sink)
     }
 
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn fma_driver_tf<const E: u32, const F: u32>(
         n: usize,
         load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),

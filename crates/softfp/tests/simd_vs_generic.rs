@@ -175,14 +175,19 @@ fn class_values(fmt: FpFormat) -> Vec<u64> {
 }
 
 /// Normal products a·b that overflow, underflow, round inexactly, or land
-/// exactly — fma with c = ±0 must return `mul(a, b)`, flags included.
+/// exactly — fma with c = ±0 must return `mul(a, b)`, flags included —
+/// plus products at the range edges of [`edge_products`]: one that
+/// flushes, the round-ups to the smallest normal and to overflow, and for
+/// f48/f64 one whose unscaled TwoProd error would underflow binary64.
 fn product_cases(fmt: FpFormat) -> Vec<(u64, u64)> {
     let one = fmt.bias() as u64;
     let near_one = fmt.pack(false, one, 1); // 1 + ulp: its square rounds
     let two = fmt.pack(false, one + 1, 0);
     let half = fmt.pack(false, one - 1, 0);
     let third = fmt.pack(true, one - 2, fmt.frac_mask() / 3);
-    vec![
+    let (f, emin, emax) = (fmt.frac_bits() as i32, 1 - fmt.bias(), fmt.bias());
+    let (fa, fb) = near_two(fmt, (f + 3) / 2);
+    let mut cases = vec![
         (fmt.max_finite(), two),
         (fmt.max_finite(), fmt.max_finite()),
         (fmt.min_positive(), half),
@@ -190,7 +195,65 @@ fn product_cases(fmt: FpFormat) -> Vec<(u64, u64)> {
         (near_one, near_one),
         (third, fmt.pack(false, one + 1, fmt.frac_mask())),
         (two, half),
-    ]
+        with_sum(fmt, emin - 3, 0, 0),
+        with_sum(fmt, emin - 1, fa, fb),
+        with_sum(fmt, emax, fa, fb),
+    ];
+    if fmt.exp_bits() == 11 {
+        cases.push(with_sum(
+            fmt,
+            2 * f - 1075,
+            fmt.frac_mask(),
+            fmt.frac_mask(),
+        ));
+    }
+    cases
+}
+
+/// Fractions of `2 − 2^(1−k)` and `1 + 2^−k`, whose product `2 − 2^(1−2k)`
+/// lies within half an ulp below 2 when `2k ≥ F + 2` (a tie at equality):
+/// RNE rounds it up to the next binade, Truncate does not. From `k = 27`
+/// binary64 itself rounds the product to 2.
+fn near_two(fmt: FpFormat, k: i32) -> (u64, u64) {
+    let f = fmt.frac_bits() as i32;
+    (fmt.frac_mask() + 1 - (1 << (f + 1 - k)), 1 << (f - k))
+}
+
+/// A positive normal pair whose exponents sum to `sum`, with fractions
+/// `fa` and `fb`.
+fn with_sum(fmt: FpFormat, sum: i32, fa: u64, fb: u64) -> (u64, u64) {
+    let ea = sum.div_euclid(2);
+    (val(fmt, false, ea, fa), val(fmt, false, sum - ea, fb))
+}
+
+/// Products at the exponent sums where the format's range ends: sums that
+/// flush or may round up to the smallest normal (`emin − 4 ..= emin − 1`),
+/// sums that overflow or may round up to overflow (`emax − 1 ..= emax + 2`),
+/// and for f48/f64 the sums around `2F − 1074`, below which an unscaled
+/// TwoProd error would fall under binary64's subnormal range. Each sum
+/// gets exact, rounding and near-2 fraction pairs, both signs.
+fn edge_products(fmt: FpFormat) -> Vec<(u64, u64)> {
+    let (f, emin, emax) = (fmt.frac_bits() as i32, 1 - fmt.bias(), fmt.bias());
+    let mut sums: Vec<i32> = (emin - 4..emin).chain(emax - 1..=emax + 2).collect();
+    if fmt.exp_bits() == 11 {
+        sums.extend(2 * f - 1076..=2 * f - 1073);
+    }
+    let mask = fmt.frac_mask();
+    let mut fracs = vec![(0, 0), (mask, mask), (1, mask), (mask >> 1 | 1, 3)];
+    for k in [(f + 2) / 2, (f + 3) / 2, 27, 28] {
+        if k <= f {
+            fracs.push(near_two(fmt, k));
+        }
+    }
+    let neg = 1u64 << fmt.sign_shift();
+    let mut out = Vec::new();
+    for &s in &sums {
+        for &(fa, fb) in &fracs {
+            let (a, b) = with_sum(fmt, s, fa, fb);
+            out.extend([(a, b), (a ^ neg, b)]);
+        }
+    }
+    out
 }
 
 /// Run one op over `cases` on every engine, once per starting lane: the
@@ -297,9 +360,16 @@ fn val(fmt: FpFormat, neg: bool, exp: i32, frac: u64) -> u64 {
 /// RNE ties that only the TwoSum error `e` breaks, a Truncate step down
 /// across a binade, exact cancellation, tiny exact sums (flushed), and
 /// f48/f64 sums whose TwoSum overflows binary64 — the lanes finished on
-/// the scalar fast lane. Each case runs in every lane position of a
-/// full chunk, on every engine, in both modes; fma runs every add pair
-/// as `a·1 + b` plus the f32 fma tie that goes against ties-to-even.
+/// the scalar fast lane. Products at the range edges ([`edge_products`])
+/// run through mul. Each case runs in every lane position of a full
+/// chunk, on every engine, in both modes; fma runs every add pair as
+/// `a·1 + b`, the f32 fma tie that goes against ties-to-even, and the
+/// fma edges of the scaled binary64 lane: `c` dominating the product by
+/// `F + 3`, `F + 4` and `F + 5` binades, results within a few ulps of
+/// the smallest normal, products past the binary64 range with an
+/// opposite-sign `c`, exact cancellation to +0, `c` too far below the
+/// product to scale, and RNE ties that only the product's low bits
+/// (ErrFma's error) break.
 #[test]
 fn binary64_lane_boundaries_match_generic() {
     for fmt in FORMATS {
@@ -340,6 +410,87 @@ fn binary64_lane_boundaries_match_generic() {
         let b = val(fmt, false, -f - 2, fmt.frac_mask() - 1);
         triples.push((one_odd, b, one_odd));
         triples.push((one_odd, neg(b), neg(one_odd)));
+        let mask = fmt.frac_mask();
+        let mut edges = Vec::new();
+        // c dominating the product by F + 3, F + 4 and F + 5 binades, with
+        // the product at 1 and at the bottom of the range (a Truncate step
+        // down from the smallest normal flushes).
+        for d in 3..=5 {
+            for (s, ec) in [(0, f + d), (emin - f - d, emin)] {
+                for (fa, fb) in [(0, 0), (mask, mask)] {
+                    for fc in [0, 1, mask] {
+                        let (a, b) = with_sum(fmt, s, fa, fb);
+                        edges.push((a, b, val(fmt, false, ec, fc)));
+                    }
+                }
+            }
+        }
+        // Results within a few ulps of 2^emin: a·b − c with a·b near
+        // 2^(emin+1), exact (b = 1) or not (b = 1 + ulp).
+        for m in [0, 1, 2, mask >> 2] {
+            for j in -3i64..=3 {
+                let n = (2 * m as i64 + j).clamp(0, mask as i64) as u64;
+                for b in [one, one_odd] {
+                    edges.push((val(fmt, false, emin + 1, m), b, val(fmt, true, emin, n)));
+                }
+            }
+        }
+        // Products at or past 2^(emax+1) with an opposite-sign c.
+        let two = val(fmt, false, 1, 0);
+        edges.extend([
+            (max, two, neg(max)),
+            (max, one_odd, neg(max)),
+            (max, one_odd, val(fmt, true, emax - f, 0)),
+            (val(fmt, false, emax, 0), two, neg(max)),
+            (max, max, neg(max)),
+        ]);
+        // Exact cancellation to +0, at large and small exponents.
+        for (ea, eb) in [(3, -7), (emax / 2, emax / 2 - 1), (emin / 2 + 1, emin / 2)] {
+            for fa in [0, 5, mask] {
+                let c = val(fmt, true, ea + eb, fa);
+                edges.push((val(fmt, false, ea, fa), val(fmt, false, eb, 0), c));
+            }
+        }
+        // c far below a large product: scaled, it would leave binary64's
+        // range.
+        for fc in [0, 7] {
+            let (a, b) = with_sum(fmt, emax - 2, 3, 5);
+            edges.push((a, b, val(fmt, false, emin, fc)));
+            edges.push((a, b, val(fmt, true, emin, fc)));
+        }
+        // RNE ties at c + 2^-(F+1) that only the product's low bits break,
+        // c = 1 (even) and 1 + ulp (odd). The product 2^-(F+1)·(1 + 2^-F)²
+        // lies just above the tie and 2^-(F+1)·(1 − 2^-(F+1)) just below
+        // it; with u = 2^-h, h = F/2, (1 + u)(1 − u + u²) = 1 + u³ and
+        // (1 − u)(1 + u + u²) = 1 − u³ put the deciding bits past the
+        // product's first 53, in TwoProd's error.
+        let h = f / 2;
+        let near_tie = [
+            (val(fmt, false, -f - 1, 1), one_odd),
+            (val(fmt, false, -f - 1, 0), val(fmt, false, -1, mask)),
+            (
+                val(fmt, false, -f - 1, 1 << (f - h)),
+                val(
+                    fmt,
+                    false,
+                    -1,
+                    mask + 1 - (1 << (f + 1 - h)) + (1 << (f + 1 - 2 * h)),
+                ),
+            ),
+            (
+                val(fmt, false, -f - 2, mask + 1 - (1 << (f + 1 - h))),
+                val(fmt, false, 0, (1 << (f - h)) + (1 << (f - 2 * h))),
+            ),
+        ];
+        for c in [one, one_odd] {
+            edges.extend(near_tie.iter().map(|&(a, b)| (a, b, c)));
+        }
+        triples.extend(
+            edges
+                .iter()
+                .flat_map(|&(a, b, c)| [(a, b, c), (neg(a), b, neg(c))]),
+        );
+        let products = edge_products(fmt);
         for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
             let tag = |op: &str| format!("{op} {fmt:?} {mode:?}");
             let split = |ps: &[(u64, u64)]| -> (Vec<u64>, Vec<u64>) { ps.iter().copied().unzip() };
@@ -362,6 +513,16 @@ fn binary64_lane_boundaries_match_generic() {
                     let (a, b) = split(ps);
                     let b: Vec<u64> = b.into_iter().map(neg).collect();
                     fastpath::sub_bits_batch_with(eng, fmt, &a, &b, mode, out)
+                },
+            );
+            check_grid(
+                &tag("mul"),
+                &products,
+                (one, one),
+                |(a, b)| ops::mul::mul(fmt, a, b, mode),
+                |eng, ps, out| {
+                    let (a, b) = split(ps);
+                    fastpath::mul_bits_batch_with(eng, fmt, &a, &b, mode, out)
                 },
             );
             check_grid(
