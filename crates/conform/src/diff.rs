@@ -286,7 +286,7 @@ pub struct SweepConfig {
     /// for every thread count.
     pub threads: usize,
     /// The datapath the flush-to-zero evaluation ([`eval_ftz`]) runs
-    /// add/sub/mul/fma on: `None` is the generic `ops`, `Some(engine)` the
+    /// add/sub/mul/div/sqrt/fma on: `None` is the generic `ops`, `Some(engine)` the
     /// production batch entry points pinned to that engine. Every lane
     /// must produce a byte-identical report.
     pub lane: Option<SimdEngine>,
@@ -491,9 +491,9 @@ fn outside_ftz_domain(fmt: FpFormat, bits: u64) -> bool {
 }
 
 /// Evaluate a case with the paper-faithful flush-to-zero ops. With a
-/// `lane`, add/sub/mul/fma run through that engine's production batch
-/// path; otherwise they, and div/sqrt/convert/compare (which have no fast
-/// or vector lane) always, run the generic implementations.
+/// `lane`, add/sub/mul/div/sqrt/fma run through that engine's production
+/// batch path; otherwise they, and convert/compare (which have no batch
+/// lane) always, run the generic implementations.
 pub fn eval_ftz(case: &Case, lane: Option<SimdEngine>) -> (u64, Flags) {
     eval_ftz_lanes(case, lane).0
 }
@@ -533,15 +533,18 @@ pub fn eval_ftz_lanes(
     (r, None)
 }
 
-/// Whether `op` has a batch lane (add, sub, mul and fma).
+/// Whether `op` has a batch lane (add, sub, mul, div, sqrt and fma).
 fn has_batch_lane(op: Op) -> bool {
-    matches!(op, Op::Add | Op::Sub | Op::Mul | Op::Fma)
+    matches!(
+        op,
+        Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Sqrt | Op::Fma
+    )
 }
 
-/// One add/sub/mul/fma case through `fastpath::*_bits_batch_with` on
-/// `eng`, returning every lane's result. The operands are broadcast to a
-/// full chunk of [`LANES`], so a wide engine runs its vector datapath and
-/// special-operand blend rather than the scalar tail. `None` for ops
+/// One add/sub/mul/div/sqrt/fma case through `fastpath::*_bits_batch_with`
+/// on `eng`, returning every lane's result. The operands are broadcast to
+/// a full chunk of [`LANES`], so a wide engine runs its vector datapath
+/// and special-operand blend rather than the scalar tail. `None` for ops
 /// without a batch lane.
 fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<Vec<(u64, Flags)>> {
     let Case {
@@ -558,6 +561,8 @@ fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<Vec<(u64, Flags)>> {
         Op::Add => fastpath::add_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
         Op::Sub => fastpath::sub_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
         Op::Mul => fastpath::mul_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
+        Op::Div => fastpath::div_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
+        Op::Sqrt => fastpath::sqrt_bits_batch_with(eng, fmt, &a, mode, &mut out),
         Op::Fma => fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out),
         _ => return None,
     }
@@ -579,11 +584,11 @@ fn lane_skew(case: Case, got: (u64, Flags), lane0: (u64, Flags)) -> Divergence {
 /// semantic domain (no NaNs or denormals in, no NaN/denormal/underflow
 /// cases out — those deviations are deliberate and documented).
 ///
-/// On a batch lane (`config.lane`) every add/sub/mul/fma result is first
-/// compared with the generic `ops` (`against: "generic"`), before any
-/// masking, so underflow cases and NaN/denormal operands count too, and
-/// the formats the host has no hardware for (f48) are swept against the
-/// generic ops alone.
+/// On a batch lane (`config.lane`) every add/sub/mul/div/sqrt/fma result
+/// is first compared with the generic `ops` (`against: "generic"`),
+/// before any masking, so underflow cases and NaN/denormal operands count
+/// too, and the formats the host has no hardware for (f48) are swept
+/// against the generic ops alone.
 pub fn run_ftz_sweep(config: &SweepConfig) -> SweepReport {
     let combos: Vec<_> = combos(config, false)
         .into_iter()

@@ -175,28 +175,76 @@ pub fn twiddle(fmt: FpFormat, k: usize, n: usize, inverse: bool) -> Cplx {
     Cplx::from_f64(fmt, angle.cos(), angle.sin())
 }
 
-/// Reference FFT: identical butterfly order in `SoftFloat` arithmetic.
+/// Reference FFT: [`butterfly_softfp`]'s operations on the same operands,
+/// run one stage at a time on the softfp batch lanes.
 ///
 /// This is both the served transform (serving charges its cycles with
 /// [`FftEngine::cycle_model`]) and the oracle the per-cycle
 /// [`FftEngine::run`] is tested against: within a stage every butterfly
 /// touches distinct data, so the pipelined order computes the same
-/// values.
+/// values. Each stage gathers its `n/2` butterflies' operands into
+/// structure-of-arrays buffers that stack the real parts over the
+/// imaginary ones, and runs every butterfly's ten operations as six
+/// batches: the four products as `wr·[yr | yi]` (`ac | ad`) and
+/// `wi·[yi | yr]` (`bd | bc`), then `ac − bd` and `ad + bc`, then the
+/// outputs `x + t` and `x − t` over both halves at once. Twiddles come
+/// from one `n/2`-entry table of `W_n^j` per call, read at stride `n/len`
+/// in the stage of length `len`: `n/len` is a power of two, so entry
+/// `k·n/len` is bit-equal to [`twiddle`]`(fmt, k, len, inverse)`. Needs
+/// the calling thread in Rust's default FP environment, as the softfp
+/// batch entry points do.
 pub fn reference_fft(fmt: FpFormat, mode: RoundMode, input: &[Cplx], inverse: bool) -> Vec<Cplx> {
+    use fpfpga_softfp::{add_bits_into, mul_bits_into, sub_bits_into};
     let n = input.len();
     assert!(n.is_power_of_two());
     let mut data = input.to_vec();
     bit_reverse_permute(&mut data);
+    let half = n / 2;
+    if half == 0 {
+        return data;
+    }
+    // Nine n-element streams in one allocation: the twiddle table (real
+    // parts, then imaginary), the gathered x, y, y with its halves
+    // swapped, wr twice and wi twice, and the results p, q and t.
+    let mut buf = vec![0u64; 9 * n];
+    let mut parts = buf.chunks_exact_mut(n);
+    let [table, x, y, ys, wr, wi, p, q, t] = std::array::from_fn(|_| parts.next().expect("nine"));
+    for j in 0..half {
+        let w = twiddle(fmt, j, n, inverse);
+        (table[j], table[half + j]) = (w.re, w.im);
+    }
     let mut len = 2;
     while len <= n {
-        for start in (0..n).step_by(len) {
-            for k in 0..len / 2 {
-                let w = twiddle(fmt, k, len, inverse);
-                let (x, y) = (data[start + k], data[start + k + len / 2]);
-                let (nx, ny, _) = butterfly_softfp(fmt, mode, x, y, w);
-                data[start + k] = nx;
-                data[start + k + len / 2] = ny;
-            }
+        let (h, stride) = (len / 2, n / len);
+        let butterflies = (0..n)
+            .step_by(len)
+            .flat_map(|start| (start..start + h).map(move |i| (i, i + h)));
+        for (b, (i, j)) in butterflies.clone().enumerate() {
+            let (lo, hi) = (b, half + b);
+            let k = (i % len) * stride;
+            (x[lo], x[hi]) = (data[i].re, data[i].im);
+            (y[lo], y[hi]) = (data[j].re, data[j].im);
+            (ys[lo], ys[hi]) = (data[j].im, data[j].re);
+            (wr[lo], wr[hi]) = (table[k], table[k]);
+            (wi[lo], wi[hi]) = (table[half + k], table[half + k]);
+        }
+        mul_bits_into(fmt, wr, y, mode, p);
+        mul_bits_into(fmt, wi, ys, mode, q);
+        sub_bits_into(fmt, &p[..half], &q[..half], mode, &mut t[..half]);
+        add_bits_into(fmt, &p[half..], &q[half..], mode, &mut t[half..]);
+        // The products are spent: the outputs reuse their buffers.
+        add_bits_into(fmt, x, t, mode, p);
+        sub_bits_into(fmt, x, t, mode, q);
+        for (b, (i, j)) in butterflies.enumerate() {
+            let (lo, hi) = (b, half + b);
+            data[i] = Cplx {
+                re: p[lo],
+                im: p[hi],
+            };
+            data[j] = Cplx {
+                re: q[lo],
+                im: q[hi],
+            };
         }
         len *= 2;
     }
@@ -397,6 +445,29 @@ mod tests {
                 assert_eq!(got, want, "n = {n} inverse = {inverse}");
                 assert_eq!(got_cycles, want_cycles, "cycles n = {n}");
                 assert_eq!(got_cycles, eng.cycle_model(n), "model n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn twiddle_table_at_stride_equals_stage_twiddles() {
+        for fmt in FpFormat::PAPER_PRECISIONS {
+            for inverse in [false, true] {
+                for n in (1..=11).map(|b| 1usize << b) {
+                    let table: Vec<Cplx> =
+                        (0..n / 2).map(|j| twiddle(fmt, j, n, inverse)).collect();
+                    let mut len = 2;
+                    while len <= n {
+                        for k in 0..len / 2 {
+                            assert_eq!(
+                                table[k * (n / len)],
+                                twiddle(fmt, k, len, inverse),
+                                "{fmt:?} n={n} len={len} k={k} inverse={inverse}"
+                            );
+                        }
+                        len *= 2;
+                    }
+                }
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::matrix::Matrix;
 use fpfpga_fpu::mac::FusedMacUnit;
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::FusedMacDesign;
-use fpfpga_softfp::{Flags, FpFormat, RoundMode, SoftFloat};
+use fpfpga_softfp::{div_bits_into, fma_rank1_bits, Flags, FpFormat, RoundMode, SoftFloat};
 
 /// A cycle-accurate LU engine.
 pub struct LuEngine {
@@ -162,53 +162,57 @@ impl LuEngine {
     }
 
     /// Serving's LU: [`LuEngine::factor`]'s operation order run straight
-    /// on `fpfpga-softfp`. Per elimination step, a `div_bits` loop forms
-    /// the multipliers (the divider's values) and one `fma_bits_batch`
-    /// call applies the whole trailing rank-1 update to gathered
-    /// `(−l, u, a)` operands. Every element is touched once per step,
-    /// so values and flags equal the per-cycle simulation; `cycles` is
-    /// [`LuEngine::cycle_model`] (pinned to the simulator's counter) and
-    /// the operation counts are closed-form.
+    /// on `fpfpga-softfp`, in place on a row-major copy of the matrix.
+    /// Per elimination step, one [`div_bits_into`] call forms the
+    /// multipliers from the pivot column (the divider's values), and one
+    /// [`fma_rank1_bits`] call applies the whole trailing rank-1 update
+    /// `a[i][j] ← fma(−l[i], a[k][j], a[i][j])` to the `r × r` block where
+    /// it lies, so each step has one sub-chunk tail. Every element is
+    /// touched once per step, so values and flags equal the per-cycle
+    /// simulation; `cycles` is [`LuEngine::cycle_model`] (pinned to the
+    /// simulator's counter) and the operation counts are closed-form.
+    /// Needs the calling thread in Rust's default FP environment, as the
+    /// softfp batch entry points do.
     pub fn factor_batched(&self, a: &Matrix) -> LuResult {
         let n = a.rows();
         assert_eq!(a.cols(), n, "LU needs a square matrix");
         let (fmt, mode) = (self.fmt, self.mode);
         let sign = 1u64 << fmt.sign_shift();
-        let mut m = a.data().to_vec();
+        // The matrix, then one step's scratch in the same allocation: the
+        // pivot column (then the negated multipliers), the pivot repeated,
+        // and the quotients.
+        let mut m = Vec::with_capacity(n * n + 3 * n);
+        m.extend_from_slice(a.data());
+        m.resize(n * n + 3 * n, 0);
+        let (lu, scratch) = m.split_at_mut(n * n);
+        let (col, rest) = scratch.split_at_mut(n);
+        let (pivots, quotients) = rest.split_at_mut(n);
         let mut flags = Flags::NONE;
-
-        // Gathered operands of one step's trailing block, row-major:
-        // each row's −l repeated, row k's tail once per row, the block.
-        let (mut neg_l, mut row_k, mut block) = (Vec::new(), Vec::new(), Vec::new());
-        let mut updated: Vec<(u64, Flags)> = Vec::new();
 
         for k in 0..n {
             let r = n - k - 1;
             if r == 0 {
                 break;
             }
-            let (top, below) = m.split_at_mut((k + 1) * n);
+            let (top, below) = lu.split_at_mut((k + 1) * n);
             let (pivot, u) = (top[k * n + k], &top[k * n + k + 1..]);
-            neg_l.clear();
-            row_k.clear();
-            block.clear();
-            for row in below.chunks_exact_mut(n) {
-                let (l, f) = fpfpga_softfp::div_bits(fmt, row[k], pivot, mode);
+            let (col, pivots, quotients) = (&mut col[..r], &mut pivots[..r], &mut quotients[..r]);
+            for (c, row) in col.iter_mut().zip(below.chunks_exact(n)) {
+                *c = row[k];
+            }
+            pivots.fill(pivot);
+            flags |= div_bits_into(fmt, col, pivots, mode, quotients);
+            for ((row, neg_l), &l) in below
+                .chunks_exact_mut(n)
+                .zip(col.iter_mut())
+                .zip(&*quotients)
+            {
                 row[k] = l;
-                flags |= f;
-                neg_l.extend(std::iter::repeat_n(l ^ sign, r));
-                row_k.extend_from_slice(u);
-                block.extend_from_slice(&row[k + 1..]);
+                *neg_l = l ^ sign;
             }
-            updated.clear();
-            fpfpga_softfp::fma_bits_batch(fmt, &neg_l, &row_k, &block, mode, &mut updated);
-            for (row, new) in below.chunks_exact_mut(n).zip(updated.chunks_exact(r)) {
-                for (dst, &(v, f)) in row[k + 1..].iter_mut().zip(new) {
-                    *dst = v;
-                    flags |= f;
-                }
-            }
+            flags |= fma_rank1_bits(fmt, col, u, &mut below[k + 1..], n, mode);
         }
+        m.truncate(n * n);
 
         LuResult {
             lu: Matrix::from_bits(a.format(), n, n, m),
@@ -301,7 +305,11 @@ mod tests {
     const RM: RoundMode = RoundMode::NearestEven;
 
     fn dd_matrix(n: usize) -> Matrix {
-        Matrix::from_fn(F, n, n, |i, j| {
+        dd_matrix_in(F, n)
+    }
+
+    fn dd_matrix_in(fmt: FpFormat, n: usize) -> Matrix {
+        Matrix::from_fn(fmt, n, n, |i, j| {
             if i == j {
                 12.0 + i as f64
             } else {
@@ -369,35 +377,74 @@ mod tests {
 
     #[test]
     fn batched_matches_per_cycle_bit_exact() {
-        for (n, p, ds, ms) in [
-            (1usize, 1u32, 4u32, 3u32),
-            (4, 1, 5, 3),
-            (8, 3, 12, 6),
-            (10, 4, 20, 8),
-        ] {
-            let a = dd_matrix(n);
-            let eng = LuEngine::new(F, RM, ds, ms, p);
-            let per_cycle = eng.factor(&a);
-            let batched = eng.factor_batched(&a);
-            assert_eq!(batched.lu, per_cycle.lu, "n={n} p={p}");
-            assert_eq!(batched.cycles, per_cycle.cycles, "cycles n={n} p={p}");
-            assert_eq!(batched.cycles, eng.cycle_model(n), "model n={n} p={p}");
-            assert_eq!(batched.divs, per_cycle.divs, "divs n={n} p={p}");
-            assert_eq!(batched.macs, per_cycle.macs, "macs n={n} p={p}");
-            assert_eq!(batched.flags, per_cycle.flags, "flags n={n} p={p}");
+        for fmt in FpFormat::PAPER_PRECISIONS {
+            for (n, p, ds, ms) in [
+                (1usize, 1u32, 4u32, 3u32),
+                (4, 1, 5, 3),
+                (8, 3, 12, 6),
+                (10, 4, 20, 8),
+                (17, 2, 8, 6),
+                (24, 5, 6, 4),
+            ] {
+                let a = dd_matrix_in(fmt, n);
+                let eng = LuEngine::new(fmt, RM, ds, ms, p);
+                let per_cycle = eng.factor(&a);
+                let batched = eng.factor_batched(&a);
+                let at = format!("{fmt:?} n={n} p={p}");
+                assert_eq!(batched.lu, per_cycle.lu, "{at}");
+                assert_eq!(batched.cycles, per_cycle.cycles, "cycles {at}");
+                assert_eq!(batched.cycles, eng.cycle_model(n), "model {at}");
+                assert_eq!(batched.divs, per_cycle.divs, "divs {at}");
+                assert_eq!(batched.macs, per_cycle.macs, "macs {at}");
+                assert_eq!(batched.flags, per_cycle.flags, "flags {at}");
+            }
         }
+    }
+
+    /// A 10 × 10 matrix whose second pivot vanishes after the first step,
+    /// over a full 8-row column: rows 2–9 keep `1 + column[i − 2]` in
+    /// column 1 (so the column is `column` after the first step) and are
+    /// diagonally dominant elsewhere.
+    fn vanishing_second_pivot(column: [f64; 8]) -> Vec<f64> {
+        let n = 10;
+        let mut a = vec![0.0; n * n];
+        for j in 0..n {
+            a[j] = 1.0;
+            a[n + j] = if j < 2 { 1.0 } else { 2.0 };
+        }
+        for i in 2..n {
+            for j in 0..n {
+                a[i * n + j] = match j {
+                    0 => 1.0,
+                    1 => 1.0 + column[i - 2],
+                    _ if j == i => 20.0,
+                    _ => 1.0 + ((i * n + j) as f64 * 0.37).sin(),
+                };
+            }
+        }
+        a
     }
 
     #[test]
     fn zero_pivot_gives_ieee_results() {
         // The last pivot vanishes (nothing left to divide); a mid pivot
         // vanishes over a nonzero column (1/0), or over a zero one (0/0).
+        // At n = 10 the vanishing pivot divides a full chunk of 8 column
+        // entries, so the wide divide's special select runs: all x/0, all
+        // 0/0, and both in one chunk. The x/0 multipliers are ±∞, so the
+        // later steps also divide ∞ by ∞ (`invalid`).
         let x_over_0 = [1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 3.0];
         let zero_over_0 = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0];
+        let wide_x_over_0 = vanishing_second_pivot([1.0, -2.0, 3.0, 0.5, -1.0, 4.0, 2.0, -3.0]);
+        let wide_zero_over_0 = vanishing_second_pivot([0.0; 8]);
+        let wide_mixed = vanishing_second_pivot([0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 3.0, 0.0]);
         for (n, entries, div_by_zero, invalid) in [
             (2, &[1.0; 4][..], false, false),
             (3, &x_over_0[..], true, false),
             (3, &zero_over_0[..], false, true),
+            (10, &wide_x_over_0[..], true, true),
+            (10, &wide_zero_over_0[..], false, true),
+            (10, &wide_mixed[..], true, true),
         ] {
             let a = Matrix::from_f64(F, n, n, entries);
             let eng = LuEngine::new(F, RM, 4, 3, 2);

@@ -134,13 +134,20 @@ proptest! {
     }
 
     /// FFT: engine equals reference and pipeline depth never changes
-    /// values, for random signals and sizes.
+    /// values, for random signals and sizes up to 256 points, forward and
+    /// inverse, in the paper's three precisions.
     #[test]
     fn fft_matches_reference(
-        logn in 1u32..7,
+        logn in 1u32..9,
         seed in any::<u64>(),
         lm in 2u32..9,
         la in 2u32..9,
+        fmt in prop_oneof![
+            Just(FpFormat::SINGLE),
+            Just(FpFormat::FP48),
+            Just(FpFormat::DOUBLE)
+        ],
+        inverse in any::<bool>(),
     ) {
         use fpfpga_matmul::fft::{reference_fft, Cplx, FftEngine};
         let n = 1usize << logn;
@@ -148,15 +155,15 @@ proptest! {
             .map(|i| {
                 let v = seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
                 Cplx::from_f64(
-                    F,
+                    fmt,
                     ((v % 2000) as f64 - 1000.0) / 97.0,
                     ((v / 2000 % 2000) as f64 - 1000.0) / 89.0,
                 )
             })
             .collect();
-        let eng = FftEngine::new(F, RM, lm, la);
-        let (got, cycles) = eng.run(&x, false);
-        prop_assert_eq!(&got, &reference_fft(F, RM, &x, false));
+        let eng = FftEngine::new(fmt, RM, lm, la);
+        let (got, cycles) = eng.run(&x, inverse);
+        prop_assert_eq!(&got, &reference_fft(fmt, RM, &x, inverse));
         prop_assert_eq!(cycles, eng.cycle_model(n));
     }
 

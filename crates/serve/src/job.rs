@@ -69,8 +69,7 @@ impl EltOp {
     /// Apply the operation to every `(a, b)` pair in `fmt`, appending
     /// `(result, flags)` to `out`: what a pipelined unit of any depth
     /// retires for each pair. Add, sub and mul take the softfp pair
-    /// batches; div and sqrt make one `div_bits`/`sqrt_bits` call per
-    /// element (√ ignores `b`).
+    /// batches, div and sqrt the slice batches (√ ignores `b`).
     fn run(
         self,
         fmt: FpFormat,
@@ -82,16 +81,14 @@ impl EltOp {
             EltOp::Add => fpfpga_softfp::add_pairs_batch(fmt, pairs, mode, out),
             EltOp::Sub => fpfpga_softfp::sub_pairs_batch(fmt, pairs, mode, out),
             EltOp::Mul => fpfpga_softfp::mul_pairs_batch(fmt, pairs, mode, out),
-            EltOp::Div => out.extend(
-                pairs
-                    .iter()
-                    .map(|&(a, b)| fpfpga_softfp::div_bits(fmt, a, b, mode)),
-            ),
-            EltOp::Sqrt => out.extend(
-                pairs
-                    .iter()
-                    .map(|&(a, _)| fpfpga_softfp::sqrt_bits(fmt, a, mode)),
-            ),
+            EltOp::Div => {
+                let (a, b): (Vec<u64>, Vec<u64>) = pairs.iter().copied().unzip();
+                fpfpga_softfp::div_bits_batch(fmt, &a, &b, mode, out)
+            }
+            EltOp::Sqrt => {
+                let a: Vec<u64> = pairs.iter().map(|&(a, _)| a).collect();
+                fpfpga_softfp::sqrt_bits_batch(fmt, &a, mode, out)
+            }
         }
     }
 }

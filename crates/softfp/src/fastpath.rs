@@ -20,19 +20,25 @@
 //!   arithmetic or a fallback into the existing generic `unpacked` path
 //!   (zeros, infinities, flush/overflow corner cases all land there).
 //! * **Batch entry points** ([`add_bits_batch`], [`mul_bits_batch`],
-//!   [`add_pairs_batch`], …) that dispatch on the format **once per
-//!   slice** and append results to a caller-provided buffer instead of
-//!   allocating per element, plus two **bits entry points**
-//!   ([`mul_bcast_bits`], [`add_acc_bits`]) for matmul steps that write
-//!   result bits in place and return the batch's flags OR-ed into one
-//!   [`Flags`].
+//!   [`div_bits_batch`], [`sqrt_bits_batch`], [`add_pairs_batch`], …)
+//!   that dispatch on the format **once per slice** and append results
+//!   to a caller-provided buffer instead of allocating per element, plus
+//!   **bits entry points** that write result bits in place and return
+//!   the batch's flags OR-ed into one [`Flags`]: [`mul_bcast_bits`] and
+//!   [`add_acc_bits`] for matmul steps, the `*_bits_into` family
+//!   ([`add_bits_into`], …, [`div_bits_into`]) for FFT stages and LU's
+//!   multipliers, and the in-place fma over a strided block,
+//!   [`fma_rank1_bits`], for LU's elimination steps.
 //!
 //! Every batch entry point also has a `*_with` form that pins the
 //! [`SimdEngine`] by value; the plain form runs [`simd::active_engine`].
-//! On a wide engine every batch add, sub, mul and fma runs on the host's
-//! binary64 unit (an error-free transformation plus one rounding step,
-//! see [`simd`]), with the same results and flags as the kernels here,
-//! which still serve chunk tails, the scalar engine and dynamic formats.
+//! On a wide engine every batch add, sub, mul, fma, divide and square
+//! root runs on the host's binary64 unit (an error-free transformation
+//! or an exact remainder plus one rounding step, see [`simd`]), with the
+//! same results and flags as the kernels here and the generic divider
+//! and square root, which still serve chunk tails (except divide and
+//! square root, whose tails run padded), the scalar engine and dynamic
+//! formats.
 //! So these entry points need the calling thread in Rust's default FP
 //! environment (round-to-nearest-even, no FTZ/DAZ); debug builds assert
 //! it.
@@ -48,7 +54,9 @@ use crate::ops;
 use crate::ops::add::GRS_BITS;
 use crate::ops::fma::FMA_GRS;
 use crate::round::{shift_right_sticky, RoundMode};
-use crate::simd::{self, BitsSink, PairSink, SimdEngine, LANES, OP_ADD, OP_MUL, OP_SUB};
+use crate::simd::{
+    self, BitsSink, FmaLoad, PairSink, SimdEngine, LANES, OP_ADD, OP_DIV, OP_MUL, OP_SQRT, OP_SUB,
+};
 use std::cell::Cell;
 
 /// Panic message used by every batch entry point on length mismatch.
@@ -850,7 +858,8 @@ pub fn fma_bits_batch_with(
             zs.copy_from_slice(&c[i..i + LANES]);
         };
     let load_one = |i: usize| (a[i], b[i], c[i]);
-    if simd::run_fma(eng, fmt, a.len(), load_chunk, load_one, mode, out) {
+    let sink = &mut PairSink(out);
+    if simd::run_fma(eng, fmt, a.len(), (load_chunk, load_one), mode, sink).is_some() {
         return;
     }
     let iter = a
@@ -1057,7 +1066,7 @@ pub fn mul_bcast_bits_with(
         *ys = [b; LANES];
     };
     let load_one = |i: usize| (a[i], b);
-    let sink = &mut BitsSink(out);
+    let sink = &mut BitsSink::flat(out);
     if let Some(flags) =
         simd::run_bin::<OP_MUL>(eng, fmt, a.len(), load_chunk, load_one, mode, sink)
     {
@@ -1098,13 +1107,362 @@ pub fn add_acc_bits_with(
         }
     };
     let load_one = |i: usize| (x[i], acc[i].get());
-    let sink = &mut BitsSink(acc);
+    let sink = &mut BitsSink::flat(acc);
     if let Some(flags) =
         simd::run_bin::<OP_ADD>(eng, fmt, x.len(), load_chunk, load_one, mode, sink)
     {
         return flags;
     }
     dispatch_bits!(fmt, mode, acc, load_one, add, add_dyn)
+}
+
+/// Batched `a[i] / b[i]`, appended to `out`. On a wide engine the named
+/// formats divide on the host's binary64 unit (see [`simd`]), so this
+/// needs the default FP environment, as [`add_bits_batch`] does; the
+/// scalar engine and dynamic formats run the generic divider
+/// ([`crate::div_bits`]) per element.
+///
+/// # Panics
+/// Panics if `a.len() != b.len()`.
+pub fn div_bits_batch(
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
+    div_bits_batch_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`div_bits_batch`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn div_bits_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
+    assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
+    out.reserve(a.len());
+    let load_one = |i: usize| (a[i], b[i]);
+    if run_bin_pairs::<OP_DIV>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, out) {
+        return;
+    }
+    out.extend(
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| ops::div::div(fmt, x, y, mode)),
+    );
+}
+
+/// Batched `√a[i]`, appended to `out`; engines and FP environment as
+/// [`div_bits_batch`].
+pub fn sqrt_bits_batch(fmt: FpFormat, a: &[u64], mode: RoundMode, out: &mut Vec<(u64, Flags)>) {
+    sqrt_bits_batch_with(simd::active_engine(), fmt, a, mode, out)
+}
+
+/// [`sqrt_bits_batch`] on an explicit engine (panics if the host cannot
+/// run `eng`).
+pub fn sqrt_bits_batch_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    mode: RoundMode,
+    out: &mut Vec<(u64, Flags)>,
+) {
+    out.reserve(a.len());
+    let load_chunk = |i: usize, xs: &mut [u64; LANES], _: &mut [u64; LANES]| {
+        xs.copy_from_slice(&a[i..i + LANES]);
+    };
+    let load_one = |i: usize| (a[i], 0);
+    if run_bin_pairs::<OP_SQRT>(eng, fmt, a.len(), load_chunk, load_one, mode, out) {
+        return;
+    }
+    out.extend(a.iter().map(|&x| ops::sqrt::sqrt(fmt, x, mode)));
+}
+
+/// `out[i] = a[i] + b[i]`, writing result bits only and returning the OR
+/// of every element's flags; bit-identical to [`add_bits_batch`] element
+/// for element. FP environment as [`add_bits_batch`].
+///
+/// # Panics
+/// Panics unless `a`, `b` and `out` have equal lengths.
+pub fn add_bits_into(
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    add_bits_into_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`add_bits_into`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn add_bits_into_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    bin_bits_into::<OP_ADD>(eng, fmt, a, b, mode, out)
+}
+
+/// `out[i] = a[i] - b[i]`, as [`add_bits_into`].
+pub fn sub_bits_into(
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    sub_bits_into_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`sub_bits_into`] on an explicit engine.
+pub fn sub_bits_into_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    bin_bits_into::<OP_SUB>(eng, fmt, a, b, mode, out)
+}
+
+/// `out[i] = a[i] * b[i]`, as [`add_bits_into`].
+pub fn mul_bits_into(
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    mul_bits_into_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`mul_bits_into`] on an explicit engine.
+pub fn mul_bits_into_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    bin_bits_into::<OP_MUL>(eng, fmt, a, b, mode, out)
+}
+
+/// `out[i] = a[i] / b[i]`, as [`add_bits_into`]; engines as
+/// [`div_bits_batch`].
+pub fn div_bits_into(
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    div_bits_into_with(simd::active_engine(), fmt, a, b, mode, out)
+}
+
+/// [`div_bits_into`] on an explicit engine.
+pub fn div_bits_into_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    bin_bits_into::<OP_DIV>(eng, fmt, a, b, mode, out)
+}
+
+/// The body of the `*_bits_into` entry points.
+#[inline(always)]
+fn bin_bits_into<const OP: u8>(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    a: &[u64],
+    b: &[u64],
+    mode: RoundMode,
+    out: &mut [u64],
+) -> Flags {
+    assert_eq!(a.len(), b.len(), "{}", LEN_MISMATCH);
+    assert_eq!(a.len(), out.len(), "{}", LEN_MISMATCH);
+    let out = Cell::from_mut(out).as_slice_of_cells();
+    let load_one = |i: usize| (a[i], b[i]);
+    let sink = &mut BitsSink::flat(out);
+    if let Some(flags) =
+        simd::run_bin::<OP>(eng, fmt, a.len(), slices_chunk(a, b), load_one, mode, sink)
+    {
+        return flags;
+    }
+    match OP {
+        OP_ADD => dispatch_bits!(fmt, mode, out, load_one, add, add_dyn),
+        OP_SUB => dispatch_bits!(fmt, mode, out, load_one, sub, sub_dyn),
+        OP_MUL => dispatch_bits!(fmt, mode, out, load_one, mul, mul_dyn),
+        _ => bits_loop(out, load_one, |x, y| ops::div::div(fmt, x, y, mode)),
+    }
+}
+
+/// The rank-1 update `b[i][j] = col[i]·row[j] + b[i][j]` in place, where
+/// `b[i][j]` is `block[i·stride + j]`: the `col.len() × row.len()` block
+/// whose rows start `stride` elements apart, one rounding each. Returns
+/// the OR of every element's flags. It is one in-place fma batch over
+/// the block in row-major order, so only its last `len % LANES` elements
+/// take the scalar tail. This is an elimination step of LU (`col` the
+/// negated multipliers, `row` the pivot row's tail). Bit-identical to
+/// [`fma_bits_batch`] over the gathered operands; FP environment as
+/// [`fma_bits_batch`].
+///
+/// # Panics
+/// Panics if `row.len() > stride` with more than one row, or if `block`
+/// is too short for the last row.
+pub fn fma_rank1_bits(
+    fmt: FpFormat,
+    col: &[u64],
+    row: &[u64],
+    block: &mut [u64],
+    stride: usize,
+    mode: RoundMode,
+) -> Flags {
+    fma_rank1_bits_with(simd::active_engine(), fmt, col, row, block, stride, mode)
+}
+
+/// [`fma_rank1_bits`] on an explicit engine (panics as
+/// [`add_bits_batch_with`]).
+pub fn fma_rank1_bits_with(
+    eng: SimdEngine,
+    fmt: FpFormat,
+    col: &[u64],
+    row: &[u64],
+    block: &mut [u64],
+    stride: usize,
+    mode: RoundMode,
+) -> Flags {
+    let (rows, cols) = (col.len(), row.len());
+    if rows == 0 || cols == 0 {
+        return Flags::NONE;
+    }
+    assert!(rows == 1 || cols <= stride, "block rows overlap");
+    assert!(
+        (rows - 1) * stride + cols <= block.len(),
+        "block too short for {rows} rows"
+    );
+    let cells = Cell::from_mut(block).as_slice_of_cells();
+    let walk = BlockWalk {
+        col,
+        row,
+        cells,
+        stride,
+        i: 0,
+        j: 0,
+    };
+    let sink = &mut BitsSink::block(cells, cols, stride);
+    if let Some(flags) = simd::run_fma(eng, fmt, rows * cols, walk, mode, sink) {
+        return flags;
+    }
+    let elements = col.iter().enumerate().flat_map(|(i, &c)| {
+        let cells = &cells[i * stride..];
+        row.iter().zip(cells).map(move |(&r, cell)| (c, r, cell))
+    });
+    fma_cells(fmt, mode, elements)
+}
+
+/// The operands of a rank-1 update's block in row-major order. The
+/// drivers load them in order, so the walk keeps the next element's row
+/// and column instead of dividing element indices by the row width.
+struct BlockWalk<'s> {
+    col: &'s [u64],
+    row: &'s [u64],
+    cells: &'s [Cell<u64>],
+    stride: usize,
+    i: usize,
+    j: usize,
+}
+
+impl BlockWalk<'_> {
+    /// Step past `m` elements of the current row.
+    #[inline(always)]
+    fn advance(&mut self, m: usize) {
+        self.j += m;
+        if self.j == self.row.len() {
+            (self.i, self.j) = (self.i + 1, 0);
+        }
+    }
+}
+
+/// `inline(always)`, which a closure cannot carry: LLVM leaves a loader
+/// this size out of line, where its baseline-ISA stores of the chunk stall
+/// the drivers' wide loads of it.
+impl FmaLoad for BlockWalk<'_> {
+    #[inline(always)]
+    fn chunk(
+        &mut self,
+        _: usize,
+        xs: &mut [u64; LANES],
+        ys: &mut [u64; LANES],
+        zs: &mut [u64; LANES],
+    ) {
+        let (i, j) = (self.i, self.j);
+        if j + LANES <= self.row.len() {
+            let at = i * self.stride + j;
+            *xs = [self.col[i]; LANES];
+            ys.copy_from_slice(&self.row[j..j + LANES]);
+            for (z, c) in zs.iter_mut().zip(&self.cells[at..at + LANES]) {
+                *z = c.get();
+            }
+            self.advance(LANES);
+        } else {
+            for l in 0..LANES {
+                (xs[l], ys[l], zs[l]) = self.one(0);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn one(&mut self, _: usize) -> (u64, u64, u64) {
+        let (i, j) = (self.i, self.j);
+        self.advance(1);
+        (
+            self.col[i],
+            self.row[j],
+            self.cells[i * self.stride + j].get(),
+        )
+    }
+}
+
+/// The scalar lane of the in-place fma entry points: `cell = x·y + cell`
+/// for every `(x, y, cell)`, returning the OR of the flags, with the
+/// format dispatched once.
+#[inline(always)]
+fn fma_cells<'c>(
+    fmt: FpFormat,
+    mode: RoundMode,
+    elements: impl Iterator<Item = (u64, u64, &'c Cell<u64>)>,
+) -> Flags {
+    #[inline(always)]
+    fn each<'c>(
+        elements: impl Iterator<Item = (u64, u64, &'c Cell<u64>)>,
+        kernel: impl Fn(u64, u64, u64) -> (u64, Flags),
+    ) -> Flags {
+        elements.fold(Flags::NONE, |flags, (x, y, cell)| {
+            let (r, f) = kernel(x, y, cell.get());
+            cell.set(r);
+            flags | f
+        })
+    }
+    match lane_of(fmt) {
+        Lane::Single => each(elements, |x, y, z| fma::<8, 23>(x, y, z, mode)),
+        Lane::W48 => each(elements, |x, y, z| fma::<11, 36>(x, y, z, mode)),
+        Lane::Double => each(elements, |x, y, z| fma::<11, 52>(x, y, z, mode)),
+        Lane::Dyn => each(elements, |x, y, z| fma_dyn(fmt, x, y, z, mode)),
+    }
 }
 
 #[cfg(test)]

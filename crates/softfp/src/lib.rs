@@ -24,9 +24,9 @@
 //! multiplication) so that the cycle-accurate datapath in `fpfpga-fpu` can
 //! be property-tested for bit-identical behaviour against this crate, and
 //! this crate in turn is tested against native `f32`/`f64` where the
-//! formats coincide. On AVX2/AVX-512 hosts the batch add, sub and f32 fma
-//! run on the native binary64 unit instead, with the same bits and flags
-//! ([`simd`]).
+//! formats coincide. On AVX2/AVX-512 hosts the batch add, sub, mul, fma,
+//! divide and square root run on the native binary64 unit instead, with
+//! the same bits and flags ([`simd`]).
 //!
 //! ## Quick example
 //!
@@ -58,8 +58,9 @@ pub mod value;
 
 pub use exceptions::Flags;
 pub use fastpath::{
-    add_acc_bits, add_bits_batch, add_pairs_batch, fma_bits_batch, mul_bcast_bits, mul_bits_batch,
-    mul_pairs_batch, sub_bits_batch, sub_pairs_batch,
+    add_acc_bits, add_bits_batch, add_bits_into, add_pairs_batch, div_bits_batch, div_bits_into,
+    fma_bits_batch, fma_rank1_bits, mul_bcast_bits, mul_bits_batch, mul_bits_into, mul_pairs_batch,
+    sqrt_bits_batch, sub_bits_batch, sub_bits_into, sub_pairs_batch,
 };
 pub use format::{FpFormat, ParseFormatError};
 pub use policy::{ParsePolicyError, PrecisionPolicy};

@@ -5,8 +5,9 @@
 //! on x86-64 vector units:
 //!
 //! * **Branchless block kernels on the host's binary64 unit**
-//!   (`add_b64_block`, `mul_b64_block`, `fma_block`), written in
-//!   vector-value form over a [`LANES`]-wide word type, so the
+//!   (`add_b64_block`, `mul_b64_block`, `fma_block`, `div_b64_block`,
+//!   `sqrt_b64_block`), written in vector-value form over a
+//!   [`LANES`]-wide word type, so the
 //!   all-operands-normal datapath is explicit vector arithmetic with
 //!   lane-mask selects instead of branches. The named formats widen
 //!   exactly into binary64 (f32 values are binary64 values, and the
@@ -14,23 +15,29 @@
 //!   zero). One native operation does the align, multiply and normalize;
 //!   an error-free transformation recovers what its rounding lost (TwoSum
 //!   for add, sub and the f32 fma, TwoProd for the f48/f64 multiply,
-//!   ErrFma for the f48/f64 fma); and one integer step rounds the exact
-//!   value to the format's precision and packs it. The f48/f64 multiply
-//!   and fma first scale both factors to `[1, 2)` and carry the exponent
-//!   sum as an integer offset into that step, so no binary64 value they
-//!   form underflows or overflows, whatever the operands' exponents. A
-//!   lane whose add/sub TwoSum overflows binary64 (f48/f64 only) is
-//!   finished on the scalar fast lane. All of this assumes Rust's default
-//!   FP environment (round-to-nearest-even, no FTZ/DAZ). The blocks are
-//!   total over arbitrary encodings (special operands produce garbage
-//!   that the driver blends over — never a panic or UB) and bit-exact
-//!   twins of the scalar fast lane on normal operands.
+//!   ErrFma for the f48/f64 fma, and the exact remainder `a − q·b` or
+//!   `a − r·r`, one `fma`, for divide and square root); and one integer
+//!   step rounds the exact value to the format's precision and packs it.
+//!   The f48/f64 multiply, fma, divide and square root first scale their
+//!   operands to `[1, 2)` (the radicand to `[1, 4)`) and carry the
+//!   exponent sum, difference or half as an integer offset into that
+//!   step, so no binary64 value they form underflows or overflows,
+//!   whatever the operands' exponents. A lane whose add/sub TwoSum
+//!   overflows binary64 (f48/f64 only) is finished on the scalar fast
+//!   lane, and a divide or square-root tail runs as one padded chunk.
+//!   All of this assumes Rust's default FP environment
+//!   (round-to-nearest-even, no FTZ/DAZ). The blocks are total over
+//!   arbitrary encodings (special operands produce garbage that the
+//!   driver blends over — never a panic or UB) and bit-exact twins of
+//!   the scalar fast lane (of the generic ops for divide and square
+//!   root) on normal operands.
 //! * **Special operands resolved in register**, as the paper's cores
 //!   resolve them in their denormalize stage: each [`LANES`]-sized chunk
 //!   is classified branchlessly (a normality mask) and computed
 //!   unconditionally by the datapath block; a chunk with any ±0,
-//!   subnormal or ∞ lane also runs a select-only special block — the
-//!   generic [`crate::ops`] special rules, `invalid` included — and
+//!   subnormal or ∞ lane (or, for square root, a negative one) also runs
+//!   a select-only special block — the generic [`crate::ops`] special
+//!   rules, `invalid` and `div_by_zero` included — and
 //!   blends it over those lanes. All-normal chunks skip it on one
 //!   predictable branch, and a special-heavy batch costs at most about
 //!   one extra block per chunk, so throughput no longer depends on the
@@ -47,20 +54,23 @@
 //!   in-register 8-entry LUT and are stored interleaved with the results,
 //!   under compile-time layout checks. The bits entry points
 //!   ([`crate::fastpath::mul_bcast_bits`],
-//!   [`crate::fastpath::add_acc_bits`]) take a second sink through the
-//!   same binary driver: result words only, with each chunk's flags
+//!   [`crate::fastpath::add_acc_bits`], the `*_bits_into` family and
+//!   [`crate::fastpath::fma_rank1_bits`]) take a second sink through the
+//!   same binary and fma drivers: result words only, written in element
+//!   order into a flat slice or a strided block, with each chunk's flags
 //!   decoded by a LUT and OR-ed in register into one [`Flags`] for the
-//!   batch. The wide path exists on x86-64 only; every other target runs
-//!   the scalar lane.
+//!   batch. A batch shorter than one chunk of add, sub, mul or fma runs
+//!   the scalar fast lane directly. The wide path exists on x86-64 only;
+//!   every other target runs the scalar lane.
 //! * **Engine by value**: [`active_engine`] detects the best engine once
 //!   per process (AVX-512, else AVX2 with FMA3, else
 //!   [`SimdEngine::Scalar`]). Every batch entry point in
 //!   [`crate::fastpath`] has a `*_with` form that takes the engine as an
 //!   argument, and the plain form passes [`active_engine`] — so every
-//!   existing consumer (the matmul policy kernels, served eltwise and LU,
-//!   the network front-end) runs the detected engine with zero call-site
-//!   changes, while tests and conformance sweeps pin an engine without
-//!   touching any process-wide state.
+//!   existing consumer (the matmul policy kernels, served eltwise, LU
+//!   and FFT, the network front-end) runs the detected engine with zero
+//!   call-site changes, while tests and conformance sweeps pin an engine
+//!   without touching any process-wide state.
 
 use crate::exceptions::Flags;
 use crate::format::FpFormat;
@@ -253,25 +263,28 @@ fn shr128_sticky(hi: u64, lo: u64, n: u64) -> (u64, u64, u64) {
 // Packed flag codes. `round_pack_lane` only emits 0, `FL_INEXACT`,
 // `FL_OVERFLOW | FL_INEXACT` and `FL_UNDERFLOW | FL_INEXACT`; overflow and
 // underflow never coincide, so their joint code is free to mean
-// `invalid`, which the wide kernels' special lanes (∞ − ∞, 0 × ∞) raise
-// alone.
+// `invalid`, which the wide kernels' special lanes (∞ − ∞, 0 × ∞, 0/0,
+// ∞/∞, √negative) raise alone, and that code with `FL_INEXACT` is free to
+// mean `div_by_zero`, which only x/0 raises, alone too.
 const FL_OVERFLOW: u64 = 1;
 const FL_UNDERFLOW: u64 = 2;
 const FL_INEXACT: u64 = 4;
 const FL_INVALID: u64 = FL_OVERFLOW | FL_UNDERFLOW;
+const FL_DIV_BY_ZERO: u64 = FL_INVALID | FL_INEXACT;
 
-/// Expand a lane's packed flag word into [`Flags`]. No lane raises
-/// `div_by_zero` (add/sub/mul/fma cannot), and only a special operand
-/// raises `invalid` (code `FL_INVALID`).
+/// Expand a lane's packed flag word into [`Flags`]. Only a special
+/// operand raises `invalid` (code `FL_INVALID`) or `div_by_zero` (code
+/// `FL_DIV_BY_ZERO`).
 #[inline(always)]
 pub(crate) const fn unpack_flags(fl: u64) -> Flags {
     let range = fl & FL_INVALID;
+    let div_by_zero = fl == FL_DIV_BY_ZERO;
     Flags {
         overflow: range == FL_OVERFLOW,
         underflow: range == FL_UNDERFLOW,
-        invalid: range == FL_INVALID,
-        inexact: fl & FL_INEXACT != 0,
-        div_by_zero: false,
+        invalid: range == FL_INVALID && !div_by_zero,
+        inexact: fl & FL_INEXACT != 0 && !div_by_zero,
+        div_by_zero,
     }
 }
 
@@ -443,10 +456,13 @@ pub(crate) fn fma_wide_scalar(
 // The x86-64 versions live in `wide`; everywhere else there is no wide
 // engine.
 
-/// Binary-op selectors for `run_bin`.
+/// Op selectors for `run_bin`. Square root is unary: its drivers load
+/// and ignore a second operand stream.
 pub(crate) const OP_ADD: u8 = 0;
 pub(crate) const OP_SUB: u8 = 1;
 pub(crate) const OP_MUL: u8 = 2;
+pub(crate) const OP_DIV: u8 = 3;
+pub(crate) const OP_SQRT: u8 = 4;
 
 /// Panic unless this host can run `eng`: the wide drivers execute its
 /// instructions without further checks.
@@ -463,11 +479,107 @@ fn assert_available(eng: SimdEngine) {
 pub(crate) struct PairSink<'o>(pub(crate) &'o mut Vec<(u64, Flags)>);
 
 /// The sink of the bits entry points ([`crate::fastpath::mul_bcast_bits`],
-/// [`crate::fastpath::add_acc_bits`]): result bits written in place, one
-/// cell per element — cells, so that `add_acc_bits` can read and write
-/// its accumulator through the same slice — and flags OR-ed into one
-/// [`Flags`] for the whole batch.
-pub(crate) struct BitsSink<'o>(pub(crate) &'o [Cell<u64>]);
+/// [`crate::fastpath::add_acc_bits`], [`crate::fastpath::fma_rank1_bits`],
+/// …): result bits written in place, one cell per element — cells, so
+/// that the accumulating entry points can read and write their
+/// accumulator through the same slice — and flags OR-ed into one
+/// [`Flags`] for the whole batch. The cells are a row-major block of
+/// `cols`-wide rows `stride` cells apart (a flat slice is one endless
+/// row), and results arrive in element order, as the drivers produce
+/// them: the sink keeps the next element's place as a cursor, so no
+/// element index is ever divided by the row width.
+pub(crate) struct BitsSink<'o> {
+    cells: &'o [Cell<u64>],
+    cols: usize,
+    stride: usize,
+    /// The cursor: the next element's row start and column.
+    row: usize,
+    col: usize,
+}
+
+impl<'o> BitsSink<'o> {
+    /// Element `t` at cell `t`.
+    pub(crate) fn flat(cells: &'o [Cell<u64>]) -> Self {
+        Self::block(cells, usize::MAX, usize::MAX)
+    }
+
+    /// Element `t` at row `t / cols`, column `t % cols` of a block whose
+    /// rows start `stride` cells apart.
+    pub(crate) fn block(cells: &'o [Cell<u64>], cols: usize, stride: usize) -> Self {
+        BitsSink {
+            cells,
+            cols,
+            stride,
+            row: 0,
+            col: 0,
+        }
+    }
+
+    /// Store the next element.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, v: u64) {
+        self.cells[self.row + self.col].set(v);
+        self.col += 1;
+        if self.col == self.cols {
+            (self.row, self.col) = (self.row + self.stride, 0);
+        }
+    }
+
+    /// Store the next [`LANES`] elements.
+    #[inline(always)]
+    pub(crate) fn put_lanes(&mut self, vs: [u64; LANES]) {
+        if self.col + LANES > self.cols {
+            vs.into_iter().for_each(|v| self.put(v));
+            return;
+        }
+        let at = self.row + self.col;
+        for (cell, v) in self.cells[at..at + LANES].iter().zip(vs) {
+            cell.set(v);
+        }
+        self.col += LANES;
+        if self.col == self.cols {
+            (self.row, self.col) = (self.row + self.stride, 0);
+        }
+    }
+}
+
+/// An fma driver's operand loader: the three operand chunks of elements
+/// `i..i + LANES`, once per full chunk in order, then the tail elements
+/// one at a time in order — so a loader may walk its operands with a
+/// cursor. A `(chunk, one)` pair of closures is a loader; a loader too
+/// large for LLVM to inline as a closure implements the trait with
+/// `inline(always)` methods instead.
+pub(crate) trait FmaLoad {
+    fn chunk(
+        &mut self,
+        i: usize,
+        xs: &mut [u64; LANES],
+        ys: &mut [u64; LANES],
+        zs: &mut [u64; LANES],
+    );
+    fn one(&mut self, j: usize) -> (u64, u64, u64);
+}
+
+impl<C, O> FmaLoad for (C, O)
+where
+    C: FnMut(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
+    O: Fn(usize) -> (u64, u64, u64),
+{
+    #[inline(always)]
+    fn chunk(
+        &mut self,
+        i: usize,
+        xs: &mut [u64; LANES],
+        ys: &mut [u64; LANES],
+        zs: &mut [u64; LANES],
+    ) {
+        (self.0)(i, xs, ys, zs)
+    }
+    #[inline(always)]
+    fn one(&mut self, j: usize) -> (u64, u64, u64) {
+        (self.1)(j)
+    }
+}
 
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) trait Sink {}
@@ -497,13 +609,12 @@ pub(crate) fn run_fma(
     eng: SimdEngine,
     _fmt: FpFormat,
     _n: usize,
-    _load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-    _load_one: impl Fn(usize) -> (u64, u64, u64),
+    _load: impl FmaLoad,
     _mode: RoundMode,
-    _out: &mut Vec<(u64, Flags)>,
-) -> bool {
+    _sink: &mut impl Sink,
+) -> Option<Flags> {
     assert_available(eng);
-    false
+    None
 }
 
 #[cfg(test)]

@@ -26,10 +26,11 @@ use crate::fastpath::{self, lane_of, Lane};
 //
 // Semantics contract (what the equivalence tests pin down): the integer
 // methods are exact lane-wise u64 operations (wrapping), with uniform
-// shift amounts below 64. `fadd`/`fsub`/`fmul`/`ffma` are IEEE binary64
-// operations rounded to nearest-even with subnormals kept, which is
-// Rust's default FP environment; the blocks only feed them normal values
-// (see `add_b64_block` and `scale_pair`). The datapath's lanes with a special operand may hold
+// shift amounts below 64. `fadd`/`fsub`/`fmul`/`fdiv`/`fsqrt`/`ffma` are
+// IEEE binary64 operations rounded to nearest-even with subnormals kept,
+// which is Rust's default FP environment; the blocks only feed them
+// normal values (see `add_b64_block`, `scale_pair` and `div_b64_block`).
+// The datapath's lanes with a special operand may hold
 // anything: the drivers blend the special blocks' result over every
 // such lane, so the datapath's contents there are never observable.
 
@@ -47,6 +48,9 @@ pub(crate) trait Words: Copy {
     unsafe fn fadd(self, o: Self) -> Self;
     unsafe fn fsub(self, o: Self) -> Self;
     unsafe fn fmul(self, o: Self) -> Self;
+    /// Binary64 quotient and square root (same environment).
+    unsafe fn fdiv(self, o: Self) -> Self;
+    unsafe fn fsqrt(self) -> Self;
     /// Fused binary64 `self·y + z`, rounded once.
     unsafe fn ffma(self, y: Self, z: Self) -> Self;
     unsafe fn vand(self, o: Self) -> Self;
@@ -141,6 +145,15 @@ mod engines_x86 {
         #[target_feature(enable = "avx2,fma")]
         unsafe fn fmul(self, o: W2) -> W2 {
             fop2!(_mm256_mul_pd, self, o)
+        }
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fdiv(self, o: W2) -> W2 {
+            fop2!(_mm256_div_pd, self, o)
+        }
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fsqrt(self) -> W2 {
+            let half = |a| _mm256_castpd_si256(_mm256_sqrt_pd(_mm256_castsi256_pd(a)));
+            W2(half(self.0), half(self.1))
         }
         #[target_feature(enable = "avx2,fma")]
         unsafe fn ffma(self, y: W2, z: W2) -> W2 {
@@ -327,6 +340,19 @@ mod engines_x86 {
                 _mm512_castsi512_pd(self.0),
                 _mm512_castsi512_pd(o.0),
             )))
+        }
+        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
+        unsafe fn fdiv(self, o: W5) -> W5 {
+            W5(_mm512_castpd_si512(_mm512_div_pd(
+                _mm512_castsi512_pd(self.0),
+                _mm512_castsi512_pd(o.0),
+            )))
+        }
+        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
+        unsafe fn fsqrt(self) -> W5 {
+            W5(_mm512_castpd_si512(_mm512_sqrt_pd(_mm512_castsi512_pd(
+                self.0,
+            ))))
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn ffma(self, y: W5, z: W5) -> W5 {
@@ -588,9 +614,15 @@ unsafe fn add_b64_block<W: Words, const E: u32, const F: u32>(
 /// exponents) are harmless too.
 #[inline(always)]
 unsafe fn scale_pair<W: Words>(x: W, y: W) -> (W, W, W) {
-    let sig = |v: W| v.vand(W::splat(!INF)).vor(W::splat(1023 << 52));
     let k = bexp(x).vadd(bexp(y)).vsub(W::splat(2 * 1023));
-    (sig(x), sig(y), k)
+    (unit(x), unit(y), k)
+}
+
+/// `x` with its exponent field set to binary64's bias: sign and
+/// fraction kept, magnitude in `[1, 2)`.
+#[inline(always)]
+unsafe fn unit<W: Words>(x: W) -> W {
+    x.vand(W::splat(!INF)).vor(W::splat(1023 << 52))
 }
 
 /// Vector multiply block on the binary64 unit. The f32 product of the
@@ -659,6 +691,59 @@ unsafe fn fma_block<W: Words, const E: u32, const F: u32>(a: W, b: W, c: W, rtn:
         W::sel(big, W::splat(0), k),
         rtn,
     )
+}
+
+/// The sign of `x`'s lanes only.
+#[inline(always)]
+unsafe fn sign_of<W: Words>(x: W) -> W {
+    x.vand(W::splat(SIGN))
+}
+
+/// Vector divide block on the binary64 unit. f32 divides the widened
+/// operands, whose quotient stays inside binary64's normal range.
+/// f48/f64 scale both operands to `[1, 2)` ([`unit`]) and
+/// carry the exponent difference as the rounding step's offset, so the
+/// quotient `q` lies in `(1/2, 2)`. `q` is binary64's round-to-nearest
+/// quotient, so the remainder `a − q·b` is exact in binary64 and one
+/// `fma` gives it; its sign, flipped by the divisor's, is the sign of the
+/// exact quotient's distance from `q`, which is all [`round_pack_f64`]
+/// needs (as TwoSum's error for add).
+#[inline(always)]
+unsafe fn div_b64_block<W: Words, const E: u32, const F: u32>(a: W, b: W, rtn: bool) -> (W, W) {
+    let (x, y) = (widen::<W, E, F>(a), widen::<W, E, F>(b));
+    let (x, y, k) = if E == 8 {
+        (x, y, W::splat(0))
+    } else {
+        (unit(x), unit(y), bexp(x).vsub(bexp(y)))
+    };
+    let q = x.fdiv(y);
+    let rem = q.vxor(W::splat(SIGN)).ffma(y, x);
+    round_pack_f64::<W, E, F>(q, rem.vxor(sign_of(y)), k, rtn)
+}
+
+/// Vector square-root block on the binary64 unit, on `|a|` (a negative
+/// lane is the special block's). f32 takes the root of the widened
+/// operand. f48/f64 scale it to `[1, 4)` with an even exponent removed
+/// (biased exponent `B` becomes `1024 − (B & 1)`) and carry half of that
+/// exponent, `(B + (B & 1))/2 − 512`, as the rounding step's offset. The
+/// root `r` is binary64's round-to-nearest root, so `a − r·r` is exact in
+/// binary64 and one `fma` gives it; its sign is the sign of the exact
+/// root's distance from `r`.
+#[inline(always)]
+unsafe fn sqrt_b64_block<W: Words, const E: u32, const F: u32>(a: W, rtn: bool) -> (W, W) {
+    let x = widen::<W, E, F>(a).vand(W::splat(!SIGN));
+    let (x, k) = if E == 8 {
+        (x, W::splat(0))
+    } else {
+        let be = bexp(x);
+        let odd = be.vand(W::splat(1));
+        let frac = x.vand(W::splat((1 << 52) - 1));
+        let xs = frac.vor(W::splat(1024).vsub(odd).shlc(52));
+        (xs, be.vadd(odd).shrc(1).vsub(W::splat(512)))
+    };
+    let r = x.fsqrt();
+    let rem = r.vxor(W::splat(SIGN)).ffma(r, x);
+    round_pack_f64::<W, E, F>(r, rem, k, rtn)
 }
 
 // ---------------------------------------------------------------------------
@@ -732,6 +817,50 @@ unsafe fn mul_special<W: Words, const E: u32, const F: u32>(a: W, b: W) -> (W, W
     )
 }
 
+/// Divide with a special operand, rule for rule as the generic div: 0/0
+/// is +0 and ∞/∞ is +∞, both `invalid`; else ∞ over anything and x/0
+/// (`div_by_zero`) are ∞, and 0 over anything and x/∞ are 0, each with
+/// the quotient's sign.
+#[inline(always)]
+unsafe fn div_special<W: Words, const E: u32, const F: u32>(a: W, b: W) -> (W, W) {
+    let (inf, sgn, _) = vconsts::<W, E, F>();
+    let zero = W::splat(0);
+    let (za, ia) = vclass::<W, E, F>(a);
+    let (zb, ib) = vclass::<W, E, F>(b);
+    let sign = a.vxor(b).vand(sgn);
+    let invalid = W::mor(W::mand(za, zb), W::mand(ia, ib));
+    let to_inf = W::mor(ia, zb);
+    let div_by_zero = W::mand(zb, W::mnot(W::mor(za, ia)));
+    (
+        W::sel(
+            invalid,
+            W::sel(ia, inf, zero),
+            W::sel(to_inf, sign.vor(inf), sign),
+        ),
+        W::sel(
+            invalid,
+            W::splat(FL_INVALID),
+            W::sel(div_by_zero, W::splat(FL_DIV_BY_ZERO), zero),
+        ),
+    )
+}
+
+/// Square root with a special or negative operand, rule for rule as the
+/// generic sqrt: √±0 is ±0, √+∞ is +∞, and any other negative operand
+/// gives +0 with `invalid`.
+#[inline(always)]
+unsafe fn sqrt_special<W: Words, const E: u32, const F: u32>(a: W) -> (W, W) {
+    let (inf, sgn, _) = vconsts::<W, E, F>();
+    let zero = W::splat(0);
+    let (za, ia) = vclass::<W, E, F>(a);
+    let neg = a.vand(sgn).vne(zero);
+    let invalid = W::mand(neg, W::mnot(za));
+    (
+        W::sel(za, a.vand(sgn), W::sel(W::mor(neg, W::mnot(ia)), zero, inf)),
+        W::sel(invalid, W::splat(FL_INVALID), zero),
+    )
+}
+
 /// Fma with a special operand, rule for rule as the generic fma: 0 × ∞ is
 /// +0 with `invalid` whatever c is; an ∞ product wins unless c is the
 /// opposite ∞ (+∞, `invalid`); an ∞ c wins next; a zero product returns
@@ -800,6 +929,7 @@ const fn flag_word(i: u64) -> u64 {
         | (f.underflow as u64) << (8 * std::mem::offset_of!(Flags, underflow) % 64)
         | (f.invalid as u64) << (8 * std::mem::offset_of!(Flags, invalid) % 64)
         | (f.inexact as u64) << (8 * std::mem::offset_of!(Flags, inexact) % 64)
+        | (f.div_by_zero as u64) << (8 * std::mem::offset_of!(Flags, div_by_zero) % 64)
 }
 
 /// Word-form twin of [`FLAG_LUT`] for the in-register epilogue lookup.
@@ -854,7 +984,8 @@ pub(crate) trait Sink {
     /// Make room for `n` results.
     fn reserve(&mut self, n: usize);
     /// Store the full chunk at elements `i..i + LANES`: result words and
-    /// packed flag words.
+    /// packed flag words. The drivers store every full chunk in order,
+    /// then the tail elements in order.
     ///
     /// # Safety
     /// `W`'s engine must have passed runtime feature detection, and the
@@ -884,16 +1015,14 @@ impl Sink for BitsSink<'_> {
     const REDUCE: bool = true;
     fn reserve(&mut self, _n: usize) {}
     #[inline(always)]
-    unsafe fn chunk<W: Words>(&mut self, i: usize, r: W, _f: W) {
+    unsafe fn chunk<W: Words>(&mut self, _i: usize, r: W, _f: W) {
         let mut res = [0u64; LANES];
         r.store(&mut res);
-        for (cell, v) in self.0[i..i + LANES].iter().zip(res) {
-            cell.set(v);
-        }
+        self.put_lanes(res)
     }
     #[inline(always)]
-    fn one(&mut self, j: usize, r: (u64, Flags)) {
-        self.0[j].set(r.0)
+    fn one(&mut self, _j: usize, r: (u64, Flags)) {
+        self.put(r.0)
     }
 }
 
@@ -912,7 +1041,8 @@ const FLAG_BITS: [u64; 8] = {
 };
 
 /// The scalar fast lane's `OP`: the chunk tail, and the add/sub lanes
-/// whose binary64 TwoSum overflowed.
+/// whose binary64 TwoSum overflowed. Divide and square root have no
+/// scalar fast lane; their tails run as a padded chunk.
 #[inline(always)]
 fn scalar_bin<const E: u32, const F: u32, const OP: u8>(
     x: u64,
@@ -922,18 +1052,23 @@ fn scalar_bin<const E: u32, const F: u32, const OP: u8>(
     match OP {
         OP_ADD => fastpath::add::<E, F>(x, y, m),
         OP_SUB => fastpath::sub::<E, F>(x, y, m),
-        _ => fastpath::mul::<E, F>(x, y, m),
+        OP_MUL => fastpath::mul::<E, F>(x, y, m),
+        _ => unreachable!("divide and square root tails run as a padded chunk"),
     }
 }
 
-/// Binary-op batch driver: every full chunk runs the datapath block; a
-/// chunk with any non-normal lane also runs the special block and blends
-/// it over those lanes. The sub-chunk tail runs the scalar fast lane
-/// (which handles its own specials), as do add/sub lanes whose binary64
-/// TwoSum overflowed. Results go to `sink`; when the sink
-/// reduces flags ([`Sink::REDUCE`]) the decoded flag words are OR-ed in
-/// register and the OR of every element's flags is returned, otherwise
-/// [`Flags::NONE`].
+/// Binary-op batch driver (square root too, which ignores `y`): every
+/// full chunk runs the datapath block; a chunk with any non-normal lane
+/// (for square root, also a negative one) also runs the special block
+/// and blends it over those lanes ([`bin_chunk`]). The sub-chunk tail
+/// runs the scalar fast lane (which handles its own specials), as do
+/// add/sub lanes whose binary64 TwoSum overflowed; a divide or square
+/// root tail runs as one padded chunk instead. Results go to `sink`;
+/// when the sink reduces flags ([`Sink::REDUCE`]) the decoded flag words
+/// are OR-ed in register and the OR of every element's flags is
+/// returned, otherwise [`Flags::NONE`]. The binary64 blocks need the
+/// calling thread in Rust's default FP environment, which debug builds
+/// assert.
 #[inline(always)]
 fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
     n: usize,
@@ -943,7 +1078,6 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
     sink: &mut S,
 ) -> Flags {
     debug_assert!(default_fp_env());
-    let rtn = mode == RoundMode::NearestEven;
     let full = n - n % LANES;
     sink.reserve(n);
     // SAFETY: `W`'s engine passed positive runtime feature detection (the
@@ -956,41 +1090,7 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
         load_chunk(i, &mut xs, &mut ys);
         // SAFETY: as above, and the sink has room for every element.
         unsafe {
-            let va = W::load(&xs);
-            let mut vb = W::load(&ys);
-            if OP == OP_SUB {
-                vb = vb.vxor(W::splat(1u64 << (E + F)));
-            }
-            let normal = W::mand(vnormal::<W, E, F>(va), vnormal::<W, E, F>(vb));
-            let (mut r, mut f) = if OP == OP_MUL {
-                mul_b64_block::<W, E, F>(va, vb, rtn)
-            } else {
-                let (r, f, rare) = add_b64_block::<W, E, F>(va, vb, normal, rtn);
-                if E == 11 && W::mbits(rare) != 0 {
-                    let (mut res, mut fl) = ([0u64; LANES], [0u64; LANES]);
-                    r.store(&mut res);
-                    f.store(&mut fl);
-                    for l in (0..LANES).filter(|l| W::mbits(rare) >> l & 1 == 1) {
-                        let (x, y) = load_one(i + l);
-                        let (bits, flags) = scalar_bin::<E, F, OP>(x, y, mode);
-                        let code = FLAG_LUT.iter().position(|&g| g == flags);
-                        res[l] = bits;
-                        fl[l] = code.expect("add/sub flags have a packed code") as u64;
-                    }
-                    (W::load(&res), W::load(&fl))
-                } else {
-                    (r, f)
-                }
-            };
-            if !W::mall(normal) {
-                let (sr, sf) = if OP == OP_MUL {
-                    mul_special::<W, E, F>(va, vb)
-                } else {
-                    add_special::<W, E, F>(va, vb)
-                };
-                r = W::sel(normal, r, sr);
-                f = W::sel(normal, f, sf);
-            }
+            let (r, f) = bin_chunk::<W, E, F, OP>(&xs, &ys, |l| load_one(i + l), mode);
             if S::REDUCE {
                 seen = seen.vor(f.vand(W::splat(7)).lut8(&FLAG_BITS));
             }
@@ -998,12 +1098,35 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
         }
         i += LANES;
     }
-    let mut flags = Flags::NONE;
-    if S::REDUCE {
-        let mut words = [0u64; LANES];
+    let mut flags = if S::REDUCE {
+        reduced(seen)
+    } else {
+        Flags::NONE
+    };
+    if (OP == OP_DIV || OP == OP_SQRT) && full < n {
+        // Divide and square root have no scalar fast lane: their tail
+        // runs as one chunk padded with 1.0, whose padding lanes are
+        // dropped.
+        let one = ((1u64 << (E - 1)) - 1) << F;
+        let (mut xs, mut ys) = ([one; LANES], [one; LANES]);
+        for (l, j) in (full..n).enumerate() {
+            (xs[l], ys[l]) = load_one(j);
+        }
+        let (mut res, mut fl) = ([0u64; LANES], [0u64; LANES]);
         // SAFETY: as above.
-        unsafe { seen.store(&mut words) };
-        flags = Flags::from_bits(words.iter().fold(0, |acc, &w| acc | w) as u8);
+        unsafe {
+            let (r, f) = bin_chunk::<W, E, F, OP>(&xs, &ys, |_| unreachable!(), mode);
+            r.store(&mut res);
+            f.store(&mut fl);
+        }
+        for (l, j) in (full..n).enumerate() {
+            let r = (res[l], FLAG_LUT[(fl[l] & 7) as usize]);
+            if S::REDUCE {
+                flags |= r.1;
+            }
+            sink.one(j, r);
+        }
+        return flags;
     }
     for j in full..n {
         let (x, y) = load_one(j);
@@ -1016,27 +1139,95 @@ fn bin_driver<W: Words, const E: u32, const F: u32, const OP: u8, S: Sink>(
     flags
 }
 
-/// Ternary (fma) batch driver; same structure as [`bin_driver`]. A chunk
-/// with a non-normal lane also runs [`mul_b64_block`] for the c = ±0 lanes.
+/// One chunk of [`bin_driver`]: the datapath block, the add/sub lanes
+/// whose TwoSum overflowed redone on the scalar fast lane (`load_one(l)`
+/// reads lane `l`'s operands), and the special block blended over the
+/// non-normal lanes (for square root, also the negative ones).
+///
+/// # Safety
+/// `W`'s engine must have passed runtime feature detection.
+#[inline(always)]
+unsafe fn bin_chunk<W: Words, const E: u32, const F: u32, const OP: u8>(
+    xs: &[u64; LANES],
+    ys: &[u64; LANES],
+    load_one: impl Fn(usize) -> (u64, u64),
+    mode: RoundMode,
+) -> (W, W) {
+    let rtn = mode == RoundMode::NearestEven;
+    let va = W::load(xs);
+    let mut vb = W::load(ys);
+    if OP == OP_SUB {
+        vb = vb.vxor(W::splat(1u64 << (E + F)));
+    }
+    let normal = if OP == OP_SQRT {
+        let sign = W::splat(1u64 << (E + F));
+        W::mand(vnormal::<W, E, F>(va), va.vand(sign).veq(W::splat(0)))
+    } else {
+        W::mand(vnormal::<W, E, F>(va), vnormal::<W, E, F>(vb))
+    };
+    let (mut r, mut f) = if OP == OP_MUL {
+        mul_b64_block::<W, E, F>(va, vb, rtn)
+    } else if OP == OP_DIV {
+        div_b64_block::<W, E, F>(va, vb, rtn)
+    } else if OP == OP_SQRT {
+        sqrt_b64_block::<W, E, F>(va, rtn)
+    } else {
+        let (r, f, rare) = add_b64_block::<W, E, F>(va, vb, normal, rtn);
+        if E == 11 && W::mbits(rare) != 0 {
+            let (mut res, mut fl) = ([0u64; LANES], [0u64; LANES]);
+            r.store(&mut res);
+            f.store(&mut fl);
+            for l in (0..LANES).filter(|l| W::mbits(rare) >> l & 1 == 1) {
+                let (x, y) = load_one(l);
+                let (bits, flags) = scalar_bin::<E, F, OP>(x, y, mode);
+                let code = FLAG_LUT.iter().position(|&g| g == flags);
+                res[l] = bits;
+                fl[l] = code.expect("add/sub flags have a packed code") as u64;
+            }
+            (W::load(&res), W::load(&fl))
+        } else {
+            (r, f)
+        }
+    };
+    if !W::mall(normal) {
+        let (sr, sf) = match OP {
+            OP_MUL => mul_special::<W, E, F>(va, vb),
+            OP_DIV => div_special::<W, E, F>(va, vb),
+            OP_SQRT => sqrt_special::<W, E, F>(va),
+            _ => add_special::<W, E, F>(va, vb),
+        };
+        r = W::sel(normal, r, sr);
+        f = W::sel(normal, f, sf);
+    }
+    (r, f)
+}
+
+/// Ternary (fma) batch driver; same structure, sinks and flag reduction
+/// as [`bin_driver`], and the same FP-environment need. A chunk with a
+/// non-normal lane also runs [`mul_b64_block`] for the c = ±0 lanes.
+/// Operands come from `load` in element order ([`FmaLoad`]).
+/// An in-place sink may alias `c` with the results: each chunk is
+/// loaded before it is stored.
 #[inline(always)]
 #[allow(clippy::type_complexity)]
-fn fma_driver<W: Words, const E: u32, const F: u32>(
+fn fma_driver<W: Words, const E: u32, const F: u32, S: Sink>(
     n: usize,
-    load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-    load_one: impl Fn(usize) -> (u64, u64, u64),
+    mut load: impl FmaLoad,
     mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) {
+    sink: &mut S,
+) -> Flags {
     debug_assert!(default_fp_env());
     let rtn = mode == RoundMode::NearestEven;
     let full = n - n % LANES;
-    out.reserve(n);
+    sink.reserve(n);
+    // SAFETY: as in `bin_driver`.
+    let mut seen = unsafe { W::splat(0) };
     let mut i = 0;
     while i < full {
         let mut xs = [0u64; LANES];
         let mut ys = [0u64; LANES];
         let mut zs = [0u64; LANES];
-        load_chunk(i, &mut xs, &mut ys, &mut zs);
+        load.chunk(i, &mut xs, &mut ys, &mut zs);
         // SAFETY: as in `bin_driver`.
         unsafe {
             let va = W::load(&xs);
@@ -1053,14 +1244,36 @@ fn fma_driver<W: Words, const E: u32, const F: u32>(
                 r = W::sel(normal, r, sr);
                 f = W::sel(normal, f, sf);
             }
-            store_chunk(r, f, out);
+            if S::REDUCE {
+                seen = seen.vor(f.vand(W::splat(7)).lut8(&FLAG_BITS));
+            }
+            sink.chunk(i, r, f);
         }
         i += LANES;
     }
+    let mut flags = if S::REDUCE {
+        reduced(seen)
+    } else {
+        Flags::NONE
+    };
     for j in full..n {
-        let (x, y, z) = load_one(j);
-        out.push(fastpath::fma::<E, F>(x, y, z, mode));
+        let (x, y, z) = load.one(j);
+        let r = fastpath::fma::<E, F>(x, y, z, mode);
+        if S::REDUCE {
+            flags |= r.1;
+        }
+        sink.one(j, r);
     }
+    flags
+}
+
+/// The OR of the decoded flag words a reducing driver gathered.
+#[inline(always)]
+fn reduced<W: Words>(seen: W) -> Flags {
+    let mut words = [0u64; LANES];
+    // SAFETY: as in `bin_driver`.
+    unsafe { seen.store(&mut words) };
+    Flags::from_bits(words.iter().fold(0, |acc, &w| acc | w) as u8)
 }
 
 // The intrinsics engines need monomorphizations of the generic drivers
@@ -1082,14 +1295,13 @@ mod engine {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn fma_driver_tf<const E: u32, const F: u32>(
+    pub(super) unsafe fn fma_driver_tf<const E: u32, const F: u32, S: Sink>(
         n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64, u64),
+        load: impl FmaLoad,
         mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-    ) {
-        super::fma_driver::<W2, E, F>(n, load_chunk, load_one, mode, out)
+        sink: &mut S,
+    ) -> Flags {
+        super::fma_driver::<W2, E, F, S>(n, load, mode, sink)
     }
 
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
@@ -1104,14 +1316,13 @@ mod engine {
     }
 
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
-    pub(super) unsafe fn fma_driver_512<const E: u32, const F: u32>(
+    pub(super) unsafe fn fma_driver_512<const E: u32, const F: u32, S: Sink>(
         n: usize,
-        load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-        load_one: impl Fn(usize) -> (u64, u64, u64),
+        load: impl FmaLoad,
         mode: RoundMode,
-        out: &mut Vec<(u64, Flags)>,
-    ) {
-        super::fma_driver::<W5, E, F>(n, load_chunk, load_one, mode, out)
+        sink: &mut S,
+    ) -> Flags {
+        super::fma_driver::<W5, E, F, S>(n, load, mode, sink)
     }
 }
 
@@ -1132,12 +1343,12 @@ macro_rules! wide_dispatch {
     };
     (fma, $eng:expr, $lane:expr, $($arg:expr),*) => {
         match ($lane, $eng) {
-            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<8, 23>($($arg),*) },
-            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<8, 23>($($arg),*) },
-            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<11, 36>($($arg),*) },
-            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<11, 36>($($arg),*) },
-            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<11, 52>($($arg),*) },
-            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<11, 52>($($arg),*) },
+            (Lane::Single, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<8, 23, _>($($arg),*) },
+            (Lane::Single, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<8, 23, _>($($arg),*) },
+            (Lane::W48, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<11, 36, _>($($arg),*) },
+            (Lane::W48, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<11, 36, _>($($arg),*) },
+            (Lane::Double, SimdEngine::WideAvx512) => unsafe { engine::fma_driver_512::<11, 52, _>($($arg),*) },
+            (Lane::Double, SimdEngine::WideAvx2) => unsafe { engine::fma_driver_tf::<11, 52, _>($($arg),*) },
             _ => unreachable!("wide dispatch requires a wide engine and a named lane"),
         }
     };
@@ -1160,7 +1371,10 @@ fn wide_lane(eng: SimdEngine, fmt: FpFormat) -> Option<Lane> {
 
 /// Run a binary batch on `eng` into `sink`, returning the driver's
 /// flags (see [`bin_driver`]); `None`, leaving the sink untouched, when
-/// the scalar lane should run instead.
+/// the scalar lane should run instead. An add, sub or mul batch shorter
+/// than a chunk is the scalar lane's: the driver would run its scalar
+/// tail on every element, after a fixed cost of its own. A short divide
+/// or square root still runs here, as one padded chunk.
 #[inline(always)]
 pub(crate) fn run_bin<const OP: u8>(
     eng: SimdEngine,
@@ -1171,27 +1385,26 @@ pub(crate) fn run_bin<const OP: u8>(
     mode: RoundMode,
     sink: &mut impl Sink,
 ) -> Option<Flags> {
-    let lane = wide_lane(eng, fmt)?;
+    let padded = OP == OP_DIV || OP == OP_SQRT;
+    let lane = wide_lane(eng, fmt).filter(|_| n >= LANES || padded)?;
     Some(wide_dispatch!(
         bin, eng, lane, OP, n, load_chunk, load_one, mode, sink
     ))
 }
 
-/// Run an fma batch on `eng`; `false` when the scalar lane should run
-/// instead.
+/// Run an fma batch on `eng` into `sink`, returning the driver's flags
+/// (see [`fma_driver`]); `None`, leaving the sink untouched, when the
+/// scalar lane should run instead, as it does for a batch shorter than a
+/// chunk (see [`run_bin`]).
 #[inline(always)]
 pub(crate) fn run_fma(
     eng: SimdEngine,
     fmt: FpFormat,
     n: usize,
-    load_chunk: impl Fn(usize, &mut [u64; LANES], &mut [u64; LANES], &mut [u64; LANES]),
-    load_one: impl Fn(usize) -> (u64, u64, u64),
+    load: impl FmaLoad,
     mode: RoundMode,
-    out: &mut Vec<(u64, Flags)>,
-) -> bool {
-    let Some(lane) = wide_lane(eng, fmt) else {
-        return false;
-    };
-    wide_dispatch!(fma, eng, lane, n, load_chunk, load_one, mode, out);
-    true
+    sink: &mut impl Sink,
+) -> Option<Flags> {
+    let lane = wide_lane(eng, fmt).filter(|_| n >= LANES)?;
+    Some(wide_dispatch!(fma, eng, lane, n, load, mode, sink))
 }

@@ -540,3 +540,280 @@ fn binary64_lane_boundaries_match_generic() {
         }
     }
 }
+
+/// Quotients at the boundaries of the wide engines' binary64 divide: exact
+/// quotients; quotients just below and above 1 and 2, where a Truncate
+/// result steps into the binade below; near-ties `1 + 3·2^-(F+1)` and
+/// `1 + 2^-(F+1)` that fall within binary64's precision for f48 and that
+/// the remainder's sign must break against ties-to-even; quotients whose
+/// exponent overflows or flushes at the format's range edges (exact,
+/// rounding and near-one fractions); and every class pair (x/0, 0/0,
+/// ∞/∞, denormal encodings, both signs). Operands with bits set above the
+/// format width are divided as the generic op reads them.
+fn quotient_cases(fmt: FpFormat) -> Vec<(u64, u64)> {
+    let f = fmt.frac_bits() as i32;
+    let (emin, emax, mask) = (1 - fmt.bias(), fmt.bias(), fmt.frac_mask());
+    let v = |e: i32, frac: u64| val(fmt, false, e, frac);
+    let c = 3 - (1u64 << (f % 2)); // 2^F + c is a multiple of 3
+    let fb = ((1u64 << f) + c) / 3;
+    let mut cases = vec![
+        (v(2, 1 << (f - 1)), v(1, 1 << (f - 1))), // 6 / 3
+        (v(0, 0), v(2, 0)),
+        (v(0, 5), v(0, 5)),
+        (v(3, mask), v(0, 0)),
+        (v(0, 0), v(0, 1)),    // just below 1
+        (v(0, mask), v(0, 0)), // just below 2
+        (v(0, mask - 1), v(0, mask)),
+        (v(1, 0), v(0, mask)),    // 1 + 2^-(F+1) + …: a near-tie
+        (v(0, fb + 2), v(0, fb)), // just below the tie 1 + 3·2^-(F+1)
+        (v(0, 0), v(-1, mask)),
+        (v(-1, mask), v(0, 0)),
+        (fmt.max_finite(), fmt.min_positive()),
+        (fmt.min_positive(), fmt.max_finite()),
+    ];
+    let fracs = [
+        (0, 0),
+        (mask, 0),
+        (0, mask),
+        (mask, mask),
+        (1, mask),
+        (mask, 1),
+    ];
+    for diff in [emax - 1, emax, emax + 1, emin - 1, emin, emin + 1] {
+        for &(fa, fbb) in &fracs {
+            let ea = if diff > 0 { emax } else { emin };
+            let eb = ea - diff;
+            if (emin..=emax).contains(&eb) {
+                cases.push((v(ea, fa), v(eb, fbb)));
+            }
+        }
+    }
+    let vals = class_values(fmt);
+    cases.extend(vals.iter().flat_map(|&a| vals.iter().map(move |&b| (a, b))));
+    let neg = 1u64 << fmt.sign_shift();
+    let mut all: Vec<(u64, u64)> = cases
+        .iter()
+        .flat_map(|&(a, b)| [(a, b), (a ^ neg, b), (a, b ^ neg)])
+        .collect();
+    if fmt.sign_shift() < 63 {
+        let junk = 0x5a5a_5a5a_5a5a_5a5a << (fmt.sign_shift() + 1);
+        all.extend(cases.iter().map(|&(a, b)| (a | junk, b | junk << 1)));
+    }
+    all
+}
+
+/// Radicands at the boundaries of the wide engines' binary64 square root:
+/// exact roots at even and odd exponents; radicands just below 1, 2 and 4
+/// (roots just below a power of two, where Truncate steps into the binade
+/// below); near-ties `1 + 2^-F` and `1 + 3·2^-F`, whose roots lie just
+/// below a tie; the range's ends; negatives, ±0, ±∞ and denormal
+/// encodings; and operands with bits set above the format width.
+fn radicand_cases(fmt: FpFormat) -> Vec<u64> {
+    let (emin, emax, mask) = (1 - fmt.bias(), fmt.bias(), fmt.frac_mask());
+    let f = fmt.frac_bits();
+    let v = |e: i32, frac: u64| val(fmt, false, e, frac);
+    let mut cases = vec![
+        v(0, 0),
+        v(2, 0),
+        v(3, 1 << (f - 3)), // 9
+        v(1, 1 << (f - 3)), // 2.25
+        v(-1, mask),        // just below 1
+        v(0, mask),         // just below 2
+        v(1, mask),         // just below 4
+        v(0, 1),
+        v(0, 3),
+        v(1, 1),
+        v(1, 3),
+        v(emin, 0),
+        v(emin + 1, mask),
+        v(emax, mask),
+        v(emax - 1, 0),
+    ];
+    cases.extend(class_values(fmt));
+    let neg = 1u64 << fmt.sign_shift();
+    let mut all: Vec<u64> = cases.iter().flat_map(|&a| [a, a ^ neg]).collect();
+    if fmt.sign_shift() < 63 {
+        let junk = 0xa5a5_a5a5_a5a5_a5a5 << (fmt.sign_shift() + 1);
+        all.extend(cases.iter().map(|&a| a | junk));
+    }
+    all
+}
+
+#[test]
+fn binary64_divide_and_root_boundaries_match_generic() {
+    for fmt in FORMATS {
+        let quotients = quotient_cases(fmt);
+        let radicands = radicand_cases(fmt);
+        let one = val(fmt, false, 0, 0);
+        for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
+            check_grid(
+                &format!("div {fmt:?} {mode:?}"),
+                &quotients,
+                (one, one),
+                |(a, b)| ops::div::div(fmt, a, b, mode),
+                |eng, ps, out| {
+                    let (a, b): (Vec<u64>, Vec<u64>) = ps.iter().copied().unzip();
+                    fastpath::div_bits_batch_with(eng, fmt, &a, &b, mode, out)
+                },
+            );
+            check_grid(
+                &format!("sqrt {fmt:?} {mode:?}"),
+                &radicands,
+                one,
+                |a| ops::sqrt::sqrt(fmt, a, mode),
+                |eng, xs, out| fastpath::sqrt_bits_batch_with(eng, fmt, xs, mode, out),
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Divide and square root on random batches at every special density:
+    /// the binary64 blocks, the special blend and the padded tail.
+    #[test]
+    fn div_and_sqrt_batches_match_generic(
+        fmt in any_fmt(),
+        mode in any_mode(),
+        raw in raw_batch(),
+        density in prop_oneof![Just(0u16), Just(5), Just(50), Just(100)],
+    ) {
+        let a: Vec<u64> = raw
+            .iter()
+            .map(|&(x, _, _, s)| encode(fmt, x, s, density))
+            .collect();
+        let b: Vec<u64> = raw
+            .iter()
+            .map(|&(_, y, _, s)| encode(fmt, y, s.wrapping_add(7), density))
+            .collect();
+        for eng in SimdEngine::available() {
+            let mut out = Vec::new();
+            fastpath::div_bits_batch_with(eng, fmt, &a, &b, mode, &mut out);
+            for i in 0..a.len() {
+                let want = ops::div::div(fmt, a[i], b[i], mode);
+                prop_assert_eq!(out[i], want, "{:?} div {}", eng, i);
+            }
+            out.clear();
+            fastpath::sqrt_bits_batch_with(eng, fmt, &a, mode, &mut out);
+            for i in 0..a.len() {
+                let want = ops::sqrt::sqrt(fmt, a[i], mode);
+                prop_assert_eq!(out[i], want, "{:?} sqrt {}", eng, i);
+            }
+        }
+    }
+}
+
+/// A deterministic operand stream, a quarter of it special encodings.
+fn stream(fmt: FpFormat, n: usize, seed: u64) -> Vec<u64> {
+    let mut s = seed;
+    (0..n)
+        .map(|i| {
+            s = s
+                .wrapping_mul(0xd129_42e2_96fe_94e3)
+                .wrapping_add(0x2545_f491_4f6c_dd1d);
+            encode(fmt, s, (s >> 48) as u16 ^ i as u16, 25)
+        })
+        .collect()
+}
+
+fn or_flags(pairs: &[(u64, Flags)]) -> Flags {
+    pairs.iter().fold(Flags::NONE, |acc, &(_, f)| acc | f)
+}
+
+/// The in-place fma writes `fma_bits_batch`'s results element for
+/// element and returns the OR of its flags: on one row at lengths around
+/// the chunk width, and on strided blocks whose chunks straddle rows,
+/// where it must leave the cells between the rows alone.
+#[test]
+fn in_place_fma_matches_fma_bits_batch() {
+    let rows = [0usize, 1, 7, 8, 9, 39].map(|len| (1, len, len));
+    let blocks = [
+        (0, 3, 3),
+        (3, 3, 5),
+        (5, 7, 7),
+        (4, 13, 16),
+        (7, 6, 11),
+        (2, 2, 9),
+    ];
+    for fmt in FORMATS {
+        for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
+            for (rows, cols, stride) in rows.into_iter().chain(blocks) {
+                let (col, row) = (stream(fmt, rows, 4), stream(fmt, cols, 5));
+                let block = stream(fmt, rows * stride, 6);
+                let (mut ga, mut gb, mut gc) = (Vec::new(), Vec::new(), Vec::new());
+                for i in 0..rows {
+                    for j in 0..cols {
+                        ga.push(col[i]);
+                        gb.push(row[j]);
+                        gc.push(block[i * stride + j]);
+                    }
+                }
+                for eng in SimdEngine::available() {
+                    let mut want = Vec::new();
+                    fastpath::fma_bits_batch_with(eng, fmt, &ga, &gb, &gc, mode, &mut want);
+                    let mut expect = block.clone();
+                    for (t, &(r, _)) in want.iter().enumerate() {
+                        expect[t / cols * stride + t % cols] = r;
+                    }
+                    let mut got = block.clone();
+                    let flags =
+                        fastpath::fma_rank1_bits_with(eng, fmt, &col, &row, &mut got, stride, mode);
+                    let what = format!("{eng:?} {fmt:?} {mode:?} {rows}x{cols}/{stride}");
+                    assert_eq!(got, expect, "{what}");
+                    assert_eq!(flags, or_flags(&want), "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// The `*_bits_into` entry points write the pair batches' result bits
+/// and return the OR of their flags, on every engine and on a dynamic
+/// format.
+#[test]
+fn bits_into_match_pair_batches() {
+    type Pairs = fn(SimdEngine, FpFormat, &[u64], &[u64], RoundMode, &mut Vec<(u64, Flags)>);
+    type Into = fn(SimdEngine, FpFormat, &[u64], &[u64], RoundMode, &mut [u64]) -> Flags;
+    let ops: [(&str, Pairs, Into); 4] = [
+        (
+            "add",
+            fastpath::add_bits_batch_with,
+            fastpath::add_bits_into_with,
+        ),
+        (
+            "sub",
+            fastpath::sub_bits_batch_with,
+            fastpath::sub_bits_into_with,
+        ),
+        (
+            "mul",
+            fastpath::mul_bits_batch_with,
+            fastpath::mul_bits_into_with,
+        ),
+        (
+            "div",
+            fastpath::div_bits_batch_with,
+            fastpath::div_bits_into_with,
+        ),
+    ];
+    for fmt in FORMATS.into_iter().chain([FpFormat::new(5, 10)]) {
+        for mode in [RoundMode::NearestEven, RoundMode::Truncate] {
+            for len in [0usize, 1, 7, 8, 9, 39] {
+                let (a, b) = (stream(fmt, len, 7), stream(fmt, len, 8));
+                for eng in SimdEngine::available() {
+                    for (name, pairs, into) in ops {
+                        let mut want = Vec::new();
+                        pairs(eng, fmt, &a, &b, mode, &mut want);
+                        let mut got = vec![0; len];
+                        let flags = into(eng, fmt, &a, &b, mode, &mut got);
+                        let bits: Vec<u64> = want.iter().map(|&(r, _)| r).collect();
+                        let what = format!("{eng:?} {name} {fmt:?} {mode:?} len {len}");
+                        assert_eq!(got, bits, "{what}");
+                        assert_eq!(flags, or_flags(&want), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
