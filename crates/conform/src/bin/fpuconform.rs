@@ -16,7 +16,7 @@
 //! `--threads N` shards every sweep over `N` scoped worker threads
 //! (0 = one per CPU); the output is byte-identical for every `N`.
 //! `--lane` picks the datapath the flush-to-zero evaluation (the `ftz`
-//! sweep and the `fpu` sweep's oracle) runs add/sub/mul/div/sqrt/fma on:
+//! sweep and the `fpu` sweep's oracle) runs add/sub/mul/div/sqrt/fma/muladd on:
 //! `generic` (the default) is the generic `ops`; the other lanes run
 //! every case as a full 8-lane chunk through the production batch entry
 //! points, pinned to the scalar fast lane (`scalar`), the SIMD engine
@@ -24,7 +24,7 @@
 //! sweep checks the vector datapath, not the scalar tail, and an AVX-512
 //! host can sweep the AVX2 body too. A `wide` or `avx2` lane exits 2 on
 //! a host without that engine. On a lane, the `ftz` sweep also compares
-//! every add/sub/mul/div/sqrt/fma result with the generic `ops` before any
+//! every add/sub/mul/div/sqrt/fma/muladd result with the generic `ops` before any
 //! masking (underflow cases and NaN/denormal operands included), and
 //! sweeps f48 (and any other non-host format requested) against the
 //! generic `ops` alone.
@@ -60,7 +60,7 @@ struct Args {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: fpuconform [--ops add,sub,mul,div,sqrt,fma,convert,compare]\n\
+        "usage: fpuconform [--ops add,sub,mul,div,sqrt,fma,muladd,convert,compare]\n\
          \x20                 [--formats f32,f64,f48,e<E>f<F>] [--samples N] [--seed S]\n\
          \x20                 [--sweeps ieee,ftz,fpu,limb] [--max-divergences K]\n\
          \x20                 [--limb-formats f128,f256,e<E>f<F>]\n\
@@ -257,7 +257,7 @@ fn limb_report_text(report: &LimbSweepReport) {
     }
 }
 
-/// The engine a sweep evaluated add/sub/mul/div/sqrt/fma on.
+/// The engine a sweep evaluated add/sub/mul/div/sqrt/fma/muladd on.
 fn engine_name(lane: Option<SimdEngine>) -> String {
     lane.map_or("generic".to_string(), |eng| format!("{eng:?}"))
 }

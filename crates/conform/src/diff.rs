@@ -37,6 +37,9 @@ pub enum Op {
     Sqrt,
     /// Fused multiply-add (ternary).
     Fma,
+    /// Multiply, then add: `a·b` rounded, then `+ c` rounded (ternary) —
+    /// a matmul step; its batch lane is one multiply-accumulate step.
+    MulAdd,
     /// Format conversion: single widens to double, double narrows to
     /// single (unary).
     Convert,
@@ -46,13 +49,14 @@ pub enum Op {
 
 impl Op {
     /// Every op, in canonical order.
-    pub const ALL: [Op; 8] = [
+    pub const ALL: [Op; 9] = [
         Op::Add,
         Op::Sub,
         Op::Mul,
         Op::Div,
         Op::Sqrt,
         Op::Fma,
+        Op::MulAdd,
         Op::Convert,
         Op::Compare,
     ];
@@ -66,6 +70,7 @@ impl Op {
             Op::Div => "div",
             Op::Sqrt => "sqrt",
             Op::Fma => "fma",
+            Op::MulAdd => "muladd",
             Op::Convert => "convert",
             Op::Compare => "compare",
         }
@@ -80,7 +85,7 @@ impl Op {
     pub fn arity(self) -> usize {
         match self {
             Op::Sqrt | Op::Convert => 1,
-            Op::Fma => 3,
+            Op::Fma | Op::MulAdd => 3,
             _ => 2,
         }
     }
@@ -194,6 +199,11 @@ pub fn eval_ieee(case: &Case) -> (u64, Flags) {
         Op::Div => ieee::ieee_div(fmt, a, b, mode),
         Op::Sqrt => ieee::ieee_sqrt(fmt, a, mode),
         Op::Fma => ieee::ieee_fma(fmt, a, b, c, mode),
+        Op::MulAdd => {
+            let (p, f) = ieee::ieee_mul(fmt, a, b, mode);
+            let (r, g) = ieee::ieee_add(fmt, p, c, mode);
+            (r, f | g)
+        }
         Op::Convert => ieee::ieee_convert(fmt, a, result_format(case), mode),
         Op::Compare => {
             let (ord, flags) = ieee::ieee_compare(fmt, a, b);
@@ -222,6 +232,22 @@ pub fn eval_host(case: &Case) -> HostEval {
         Op::Sqrt => host::sqrt_f64(a, mode),
         Op::Fma if single => host::fma_f32(a, b, c, mode),
         Op::Fma => host::fma_f64(a, b, c, mode),
+        Op::MulAdd => {
+            let p = if single {
+                host::mul_f32(a, b, mode)
+            } else {
+                host::mul_f64(a, b, mode)
+            };
+            let r = if single {
+                host::add_f32(p.bits, c, mode)
+            } else {
+                host::add_f64(p.bits, c, mode)
+            };
+            HostEval {
+                bits: r.bits,
+                flags: p.flags.zip(r.flags).map(|(f, g)| f | g),
+            }
+        }
         Op::Convert if single => host::widen_f32_f64(a),
         Op::Convert => host::narrow_f64_f32(a, mode),
         Op::Compare => {
@@ -286,7 +312,7 @@ pub struct SweepConfig {
     /// for every thread count.
     pub threads: usize,
     /// The datapath the flush-to-zero evaluation ([`eval_ftz`]) runs
-    /// add/sub/mul/div/sqrt/fma on: `None` is the generic `ops`, `Some(engine)` the
+    /// add/sub/mul/div/sqrt/fma/muladd on: `None` is the generic `ops`, `Some(engine)` the
     /// production batch entry points pinned to that engine. Every lane
     /// must produce a byte-identical report.
     pub lane: Option<SimdEngine>,
@@ -491,7 +517,7 @@ fn outside_ftz_domain(fmt: FpFormat, bits: u64) -> bool {
 }
 
 /// Evaluate a case with the paper-faithful flush-to-zero ops. With a
-/// `lane`, add/sub/mul/div/sqrt/fma run through that engine's production
+/// `lane`, add/sub/mul/div/sqrt/fma/muladd run through that engine's production
 /// batch path; otherwise they, and convert/compare (which have no batch
 /// lane) always, run the generic implementations.
 pub fn eval_ftz(case: &Case, lane: Option<SimdEngine>) -> (u64, Flags) {
@@ -524,6 +550,11 @@ pub fn eval_ftz_lanes(
         Op::Div => fpfpga_softfp::div_bits(fmt, a, b, mode),
         Op::Sqrt => fpfpga_softfp::sqrt_bits(fmt, a, mode),
         Op::Fma => fpfpga_softfp::fma_bits(fmt, a, b, c, mode),
+        Op::MulAdd => {
+            let (p, f) = fpfpga_softfp::mul_bits(fmt, a, b, mode);
+            let (r, g) = fpfpga_softfp::add_bits(fmt, p, c, mode);
+            (r, f | g)
+        }
         Op::Convert => fpfpga_softfp::convert::convert(fmt, a, result_format(case), mode),
         Op::Compare => {
             let ord = fpfpga_softfp::compare::compare(fmt, a, b);
@@ -533,19 +564,22 @@ pub fn eval_ftz_lanes(
     (r, None)
 }
 
-/// Whether `op` has a batch lane (add, sub, mul, div, sqrt and fma).
+/// Whether `op` has a batch lane (add, sub, mul, div, sqrt, fma and
+/// muladd).
 fn has_batch_lane(op: Op) -> bool {
     matches!(
         op,
-        Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Sqrt | Op::Fma
+        Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Sqrt | Op::Fma | Op::MulAdd
     )
 }
 
 /// One add/sub/mul/div/sqrt/fma case through `fastpath::*_bits_batch_with`
-/// on `eng`, returning every lane's result. The operands are broadcast to
-/// a full chunk of [`LANES`], so a wide engine runs its vector datapath
-/// and special-operand blend rather than the scalar tail. `None` for ops
-/// without a batch lane.
+/// on `eng`, returning every lane's result; a muladd case is one
+/// `fastpath::mac_steps_bits_with` step (`a·b` into an accumulator
+/// holding `c`), whose flags come back once for the whole chunk. The
+/// operands are broadcast to a full chunk of [`LANES`], so a wide engine
+/// runs its vector datapath and special-operand blend rather than the
+/// scalar tail. `None` for ops without a batch lane.
 fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<Vec<(u64, Flags)>> {
     let Case {
         op,
@@ -564,6 +598,12 @@ fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<Vec<(u64, Flags)>> {
         Op::Div => fastpath::div_bits_batch_with(eng, fmt, &a, &b, mode, &mut out),
         Op::Sqrt => fastpath::sqrt_bits_batch_with(eng, fmt, &a, mode, &mut out),
         Op::Fma => fastpath::fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut out),
+        Op::MulAdd => {
+            let mut acc = c;
+            let flags =
+                fastpath::mac_steps_bits_with(eng, fmt, fmt, &b[..1], &a, LANES, &mut acc, 1, mode);
+            out.extend(acc.map(|r| (r, flags)));
+        }
         _ => return None,
     }
     Some(out)
@@ -584,7 +624,7 @@ fn lane_skew(case: Case, got: (u64, Flags), lane0: (u64, Flags)) -> Divergence {
 /// semantic domain (no NaNs or denormals in, no NaN/denormal/underflow
 /// cases out — those deviations are deliberate and documented).
 ///
-/// On a batch lane (`config.lane`) every add/sub/mul/div/sqrt/fma result
+/// On a batch lane (`config.lane`) every add/sub/mul/div/sqrt/fma/muladd result
 /// is first compared with the generic `ops` (`against: "generic"`),
 /// before any masking, so underflow cases and NaN/denormal operands count
 /// too, and the formats the host has no hardware for (f48) are swept

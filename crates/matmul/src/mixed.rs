@@ -26,27 +26,24 @@
 //! and cycles, and these kernels are the one served implementation of
 //! all three under every policy.
 //!
-//! [`mixed_matmul`] and [`mixed_mvm`] share one rank-1 core, which
-//! [`MultiMatMul`](crate::multi::MultiMatMul) also runs, one row of an
-//! `A` tile against a `B` tile per call. Operands
-//! are converted once per call, and step `k` is one [`mul_bcast_bits`]
-//! of a row (row `k` of `B`, or column `k` of `A`) against one
-//! broadcast element, then one [`add_acc_bits`] into a row of
-//! accumulators (row `i` of `C`, or bank slot `k % La` of every MVM row
-//! at once), product first as the engines add. Every sum takes its
-//! products in ascending `k`, so matmul is the per-element triple loop
-//! and MVM the engine's banked order, flags included; the MVM banks
-//! then fold pairwise as the hardware's sequencer does. [`mixed_dot`]
-//! forms its products in one [`mul_bits_batch`] call and accumulates
-//! them in `La`-wide [`add_acc_bits`] rounds, one per pass over the
-//! bank. Matmul and MVM are pinned against a per-element oracle on the
-//! generic ops (`tests/mixed_oracle.rs`), values and flags.
+//! All three run on one softfp kernel, [`mac_steps_bits`]: the rank-1
+//! steps `bank[k % La] += widen(lhs[k] · rhs[k])` of one call, product
+//! first as the engines add, in ascending `k`. A matmul row is one call
+//! (row `i` of `A` against `B`, into row `i` of `C`), MVM one call over
+//! all rows at once (`x` against `Aᵀ`, into `La` bank rows), and a dot
+//! product one call one element wide with `La` banks.
+//! [`MultiMatMul`](crate::multi::MultiMatMul) runs the same kernel, one
+//! row of an `A` tile against a `B` tile per call. Operands are converted
+//! once per call. Every sum takes its products in ascending `k`, so matmul is the
+//! per-element triple loop and MVM and dot the engines' banked order,
+//! flags included; the banks then fold pairwise as the hardware's
+//! sequencer does. Matmul and MVM are pinned against a per-element
+//! oracle on the generic ops (`tests/mixed_oracle.rs`), values and
+//! flags.
 
 use crate::matrix::Matrix;
 use fpfpga_softfp::convert::convert;
-use fpfpga_softfp::{
-    add_acc_bits, mul_bcast_bits, mul_bits_batch, Flags, FpFormat, PrecisionPolicy, RoundMode,
-};
+use fpfpga_softfp::{add_acc_bits, mac_steps_bits, Flags, FpFormat, PrecisionPolicy, RoundMode};
 use std::borrow::Cow;
 
 /// Result of a mixed-precision dot product.
@@ -90,39 +87,6 @@ fn convert_in_place(src: FpFormat, dst: FpFormat, mode: RoundMode, bits: &mut [u
             flags |= f;
             *b = v;
         }
-    }
-    flags
-}
-
-/// The rank-1 steps `bank[k % la] += lhs[k] · rhs[k]` in ascending `k`:
-/// `rhs[k]` is the first `p` elements of row `k` of a compute-format
-/// matrix with row stride `stride`, where `p` is the width of each of
-/// the `la` accumulate-format banks packed in `banks`. Each step is one
-/// [`mul_bcast_bits`], the widening, and one [`add_acc_bits`] (product
-/// first, as the engines add). Returns the flags.
-pub(crate) fn rank1_steps(
-    policy: PrecisionPolicy,
-    mode: RoundMode,
-    lhs: &[u64],
-    rhs: &[u64],
-    stride: usize,
-    banks: &mut [u64],
-    la: usize,
-) -> Flags {
-    let p = banks.len() / la;
-    let mut flags = Flags::NONE;
-    let mut prod = vec![0u64; p];
-    for (k, &l) in lhs.iter().enumerate() {
-        let row = &rhs[k * stride..k * stride + p];
-        flags |= mul_bcast_bits(policy.compute, row, l, mode, &mut prod);
-        flags |= convert_in_place(policy.compute, policy.accumulate, mode, &mut prod);
-        let s = k % la;
-        flags |= add_acc_bits(
-            policy.accumulate,
-            &prod,
-            &mut banks[s * p..(s + 1) * p],
-            mode,
-        );
     }
     flags
 }
@@ -174,24 +138,20 @@ pub fn mixed_dot(
     assert!(add_stages >= 1, "adder must have at least one stage");
     let (xc, xf) = in_format(policy.storage, x, policy.compute, mode);
     let (yc, yf) = in_format(policy.storage, y, policy.compute, mode);
-    let mut flags = xf | yf;
-    let mut products = Vec::with_capacity(x.len());
-    mul_bits_batch(policy.compute, &xc, &yc, mode, &mut products);
-    let mut wide: Vec<u64> = products
-        .iter()
-        .map(|&(p, pf)| {
-            flags |= pf;
-            p
-        })
-        .collect();
-    flags |= convert_in_place(policy.compute, policy.accumulate, mode, &mut wide);
-    // Product `r·La + s` goes to bank slot `s`: each round of `La`
-    // products is `La` independent adds.
+    // Product `k`, `x[k]·y[k]`, goes to bank slot `k % La`.
     let la = add_stages as usize;
     let mut bank = vec![policy.accumulate.zero(); la];
-    for round in wide.chunks(la) {
-        flags |= add_acc_bits(policy.accumulate, round, &mut bank[..round.len()], mode);
-    }
+    let mut flags = xf | yf;
+    flags |= mac_steps_bits(
+        policy.compute,
+        policy.accumulate,
+        &yc,
+        &xc,
+        1,
+        &mut bank,
+        la,
+        mode,
+    );
     flags |= fold_banks(policy.accumulate, mode, &mut bank, la);
     flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut bank[..1]);
     // Stream + drain, then `La − 1` fold adds, each waiting out the
@@ -225,9 +185,17 @@ pub fn mixed_matmul(
     // `B`'s flags count once there is a row of `C` that reads it.
     let mut flags = af | if n > 0 { bf } else { Flags::NONE };
     let mut data = vec![policy.accumulate.zero(); n * p];
-    for i in 0..n {
-        let (a_row, c_row) = (&ac[i * m..(i + 1) * m], &mut data[i * p..(i + 1) * p]);
-        flags |= rank1_steps(policy, mode, a_row, &bc, p, c_row, 1);
+    for (a_row, c_row) in ac.chunks(m.max(1)).zip(data.chunks_mut(p.max(1))) {
+        flags |= mac_steps_bits(
+            policy.compute,
+            policy.accumulate,
+            a_row,
+            &bc,
+            p,
+            c_row,
+            1,
+            mode,
+        );
     }
     flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut data);
     (Matrix::from_bits(policy.storage, n, p, data), flags)
@@ -271,7 +239,16 @@ pub fn mixed_mvm(
     }
     let la = add_stages as usize;
     let mut banks = vec![policy.accumulate.zero(); la * n];
-    flags |= rank1_steps(policy, mode, &xc, &a_t, n, &mut banks, la);
+    flags |= mac_steps_bits(
+        policy.compute,
+        policy.accumulate,
+        &xc,
+        &a_t,
+        n,
+        &mut banks,
+        la,
+        mode,
+    );
     flags |= fold_banks(policy.accumulate, mode, &mut banks, la);
     banks.truncate(n);
     flags |= convert_in_place(policy.accumulate, policy.storage, mode, &mut banks);

@@ -11,10 +11,10 @@
 //! exactly one array, accumulating its ⌈K/b⌉ block products in ascending
 //! `k` order.
 //!
-//! The arithmetic runs on the precision-policy kernels' rank-1 core
-//! (`mixed::rank1_steps` under a uniform policy): for every block
-//! product, each real row of the `A` tile is one call against the `B`
-//! tile, accumulating into that row of the `C` tile. Zero padding only
+//! The arithmetic runs on the precision-policy kernels' multiply-accumulate
+//! kernel ([`mac_steps_bits`] in one format): for every block product,
+//! each real row of the `A` tile is one call against the `B` tile,
+//! accumulating into that row of the `C` tile. Zero padding only
 //! costs the hardware cycles, so it is never computed; each array's
 //! statistics come from the plan instead, as the sum of
 //! [`BlockMatMul::stats`] over one-tile sub-plans of the tiles it owns.
@@ -38,8 +38,7 @@
 use crate::array::ArrayStats;
 use crate::block::{BlockMatMul, PlanError};
 use crate::matrix::Matrix;
-use crate::mixed::rank1_steps;
-use fpfpga_softfp::{Flags, FpFormat, PrecisionPolicy, RoundMode};
+use fpfpga_softfp::{mac_steps_bits, Flags, FpFormat, RoundMode};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A source of zero-padded b×b operand tiles. Implementations must be
@@ -207,7 +206,6 @@ impl MultiMatMul {
         let plan = self.plan;
         plan.check_sources(a, b)?;
         let fmt = a.format();
-        let policy = PrecisionPolicy::uniform(fmt);
         let bs = plan.b as usize;
         let tk = plan.tiles_k() as usize;
 
@@ -240,7 +238,7 @@ impl MultiMatMul {
                     fetches.fetch_add(2, Ordering::Relaxed);
                     for (a_row, c_row) in a_buf.data().chunks(bs).zip(c_tile.chunks_mut(cols)) {
                         let a_row = &a_row[..steps];
-                        flags |= rank1_steps(policy, mode, a_row, b_buf.data(), bs, c_row, 1);
+                        flags |= mac_steps_bits(fmt, fmt, a_row, b_buf.data(), bs, c_row, 1, mode);
                     }
                 }
                 // A one-tile sub-plan has exactly this tile's cycles,

@@ -59,7 +59,7 @@ pub mod value;
 pub use exceptions::Flags;
 pub use fastpath::{
     add_acc_bits, add_bits_batch, add_bits_into, add_pairs_batch, div_bits_batch, div_bits_into,
-    fma_bits_batch, fma_rank1_bits, mul_bcast_bits, mul_bits_batch, mul_bits_into, mul_pairs_batch,
+    fma_bits_batch, fma_rank1_bits, mac_steps_bits, mul_bits_batch, mul_bits_into, mul_pairs_batch,
     sqrt_bits_batch, sub_bits_batch, sub_bits_into, sub_pairs_batch,
 };
 pub use format::{FpFormat, ParseFormatError};

@@ -185,24 +185,34 @@ impl LimbFormat {
     /// `frac_bits` (debug-checked); the exponent is masked to width.
     pub(crate) fn pack(self, sign: bool, biased_exp: u64, frac: &Big) -> Vec<u64> {
         debug_assert!(frac.bit_len() <= self.frac_bits as u64, "fraction too wide");
-        let exp_field =
-            Big::from_u64(biased_exp & ((1u64 << self.exp_bits) - 1)).shl(self.frac_bits as u64);
-        let mut out = frac.or(&exp_field);
-        if sign {
-            out = out.or(&Big::from_u64(1).shl(self.total_bits() as u64 - 1));
+        let mut out = frac.to_limbs_fixed(self.limbs());
+        // The exponent field starts at bit `frac_bits` and may straddle
+        // two limbs.
+        let exp = biased_exp & ((1u64 << self.exp_bits) - 1);
+        let (limb, shift) = ((self.frac_bits / 64) as usize, self.frac_bits % 64);
+        out[limb] |= exp << shift;
+        if shift != 0 && exp >> (64 - shift) != 0 {
+            out[limb + 1] |= exp >> (64 - shift);
         }
-        out.to_limbs_fixed(self.limbs())
+        let top = self.total_bits() - 1;
+        out[(top / 64) as usize] |= (sign as u64) << (top % 64);
+        out
     }
 
     /// Split an encoding into `(sign, biased_exp, frac)`.
     pub(crate) fn unpack_fields(self, bits: &[u64]) -> (bool, u64, Big) {
         debug_assert_eq!(bits.len(), self.limbs(), "wrong limb count");
-        let v = Big::from_limbs(bits);
-        let sign = v.bit(self.total_bits() as u64 - 1);
-        let (shifted, _) = v.shr_sticky(self.frac_bits as u64);
-        let biased = shifted.mask_low(self.exp_bits as u64).low_u64();
-        let frac = v.mask_low(self.frac_bits as u64);
-        (sign, biased, frac)
+        let top = self.total_bits() - 1;
+        let sign = bits[(top / 64) as usize] >> (top % 64) & 1 == 1;
+        // The exponent field starts at bit `frac_bits` and may straddle
+        // two limbs.
+        let (limb, shift) = ((self.frac_bits / 64) as usize, self.frac_bits % 64);
+        let mut field = bits[limb] >> shift;
+        if shift != 0 && limb + 1 < bits.len() {
+            field |= bits[limb + 1] << (64 - shift);
+        }
+        let biased = field & ((1u64 << self.exp_bits) - 1);
+        (sign, biased, Big::low_bits(bits, self.frac_bits as u64))
     }
 
     /// Assemble an encoding from raw fields with the fraction as

@@ -53,8 +53,7 @@
 //!   — packed flag words become [`Flags`] byte patterns via an
 //!   in-register 8-entry LUT and are stored interleaved with the results,
 //!   under compile-time layout checks. The bits entry points
-//!   ([`crate::fastpath::mul_bcast_bits`],
-//!   [`crate::fastpath::add_acc_bits`], the `*_bits_into` family and
+//!   ([`crate::fastpath::add_acc_bits`], the `*_bits_into` family and
 //!   [`crate::fastpath::fma_rank1_bits`]) take a second sink through the
 //!   same binary and fma drivers: result words only, written in element
 //!   order into a flat slice or a strided block, with each chunk's flags
@@ -62,6 +61,17 @@
 //!   batch. A batch shorter than one chunk of add, sub, mul or fma runs
 //!   the scalar fast lane directly. The wide path exists on x86-64 only;
 //!   every other target runs the scalar lane.
+//! * **A register-resident multiply-accumulate driver** behind
+//!   [`crate::fastpath::mac_steps_bits`], the matmul, MVM and dot kernel:
+//!   one monomorphization per (compute lane, covering accumulate lane),
+//!   column chunks outside and steps inside, so a chunk's accumulators
+//!   stay in a register across every step. Each step is the multiply
+//!   block rounded to the compute format but kept as its binary64 value
+//!   (`round_val_f64`), then TwoSum with the widened accumulators and one
+//!   rounding step to the accumulate format; special lanes blend the two
+//!   special blocks and TwoSum overflows are redone on the scalar lane,
+//!   as in the binary driver. Flag codes are gathered one-hot per step
+//!   and decoded once per call.
 //! * **Engine by value**: [`active_engine`] detects the best engine once
 //!   per process (AVX-512, else AVX2 with FMA3, else
 //!   [`SimdEngine::Scalar`]). Every batch entry point in
@@ -82,7 +92,7 @@ use std::sync::OnceLock;
 #[cfg(target_arch = "x86_64")]
 mod wide;
 #[cfg(target_arch = "x86_64")]
-pub(crate) use wide::{run_bin, run_fma};
+pub(crate) use wide::{run_bin, run_fma, run_mac};
 
 /// Lanes per chunk. Eight u64 lanes = one 512-bit register (AVX-512) or
 /// two 256-bit registers (AVX2) per operand stream; wide enough to keep
@@ -478,9 +488,8 @@ fn assert_available(eng: SimdEngine) {
 /// element, appended to the caller's buffer.
 pub(crate) struct PairSink<'o>(pub(crate) &'o mut Vec<(u64, Flags)>);
 
-/// The sink of the bits entry points ([`crate::fastpath::mul_bcast_bits`],
-/// [`crate::fastpath::add_acc_bits`], [`crate::fastpath::fma_rank1_bits`],
-/// …): result bits written in place, one cell per element — cells, so
+/// The sink of the bits entry points ([`crate::fastpath::add_acc_bits`],
+/// [`crate::fastpath::fma_rank1_bits`], …): result bits written in place, one cell per element — cells, so
 /// that the accumulating entry points can read and write their
 /// accumulator through the same slice — and flags OR-ed into one
 /// [`Flags`] for the whole batch. The cells are a row-major block of
@@ -617,11 +626,28 @@ pub(crate) fn run_fma(
     None
 }
 
+#[cfg(not(target_arch = "x86_64"))]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_mac(
+    eng: SimdEngine,
+    _compute: FpFormat,
+    _accumulate: FpFormat,
+    _lhs: &[u64],
+    _rhs: &[u64],
+    _stride: usize,
+    _banks: &mut [u64],
+    _la: usize,
+    _mode: RoundMode,
+) -> Option<Flags> {
+    assert_available(eng);
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fastpath::{
-        add_bits_batch_with, add_pairs_batch_with, fma_bits_batch_with, mul_bcast_bits_with,
+        add_bits_batch_with, add_pairs_batch_with, fma_bits_batch_with, mac_steps_bits_with,
         mul_bits_batch_with, sub_bits_batch_with,
     };
     use crate::{fastpath, ops};
@@ -795,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn pairs_and_bcast_and_triples_match_slices() {
+    fn pairs_and_mac_and_triples_match_slices() {
         let fmt = FpFormat::DOUBLE;
         let vals = probe_values(fmt);
         let a: Vec<u64> = vals.clone();
@@ -809,18 +835,35 @@ mod tests {
             add_pairs_batch_with(eng, fmt, &pairs, mode, &mut s2);
             assert_eq!(s1, s2, "pairs {eng:?}");
 
-            let mut m1 = Vec::new();
-            let bb: Vec<u64> = vec![b[3]; a.len()];
-            mul_bits_batch_with(eng, fmt, &a, &bb, mode, &mut m1);
-            let mut m2 = vec![0; a.len()];
-            let mf = mul_bcast_bits_with(eng, fmt, &a, b[3], mode, &mut m2);
-            let m1_bits: Vec<u64> = m1.iter().map(|&(r, _)| r).collect();
-            assert_eq!(m1_bits, m2, "bcast {eng:?}");
-            assert_eq!(
-                m1.iter().fold(Flags::NONE, |acc, &(_, f)| acc | f),
-                mf,
-                "bcast flags {eng:?}"
-            );
+            // Five steps over 9-wide rows of `a` 11 apart, into `la`
+            // banks: one full chunk and a ragged one.
+            let (steps, p, stride) = (5, 9, 11);
+            for la in [1, 3] {
+                let mut want = c[..la * p].to_vec();
+                let mut want_flags = Flags::NONE;
+                for k in 0..steps {
+                    for j in 0..p {
+                        let (x, f1) = ops::mul::mul(fmt, a[k * stride + j], b[k], mode);
+                        let acc = &mut want[(k % la) * p + j];
+                        let (y, f2) = ops::add::add(fmt, x, *acc, mode);
+                        (*acc, want_flags) = (y, want_flags | f1 | f2);
+                    }
+                }
+                let mut got = c[..la * p].to_vec();
+                let rhs = &a[..(steps - 1) * stride + p];
+                let flags = mac_steps_bits_with(
+                    eng,
+                    fmt,
+                    fmt,
+                    &b[..steps],
+                    rhs,
+                    stride,
+                    &mut got,
+                    la,
+                    mode,
+                );
+                assert_eq!((got, flags), (want, want_flags), "mac {eng:?} la={la}");
+            }
 
             let mut f1 = Vec::new();
             fma_bits_batch_with(eng, fmt, &a, &b, &c, mode, &mut f1);

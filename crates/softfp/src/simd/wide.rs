@@ -60,6 +60,8 @@ pub(crate) trait Words: Copy {
     unsafe fn shlc(self, n: u32) -> Self;
     /// Uniform right shift by a runtime-constant amount (< 64).
     unsafe fn shrc(self, n: u32) -> Self;
+    /// Per-lane left shift by `n`'s lanes (a lane of 64 or more gives 0).
+    unsafe fn shlv(self, n: Self) -> Self;
     unsafe fn veq(self, o: Self) -> Self::M;
     unsafe fn vne(self, o: Self) -> Self::M;
     unsafe fn vgt_u(self, o: Self) -> Self::M;
@@ -187,6 +189,13 @@ mod engines_x86 {
         unsafe fn shrc(self, n: u32) -> W2 {
             let c = _mm_cvtsi32_si128(n as i32);
             W2(_mm256_srl_epi64(self.0, c), _mm256_srl_epi64(self.1, c))
+        }
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn shlv(self, n: W2) -> W2 {
+            W2(
+                _mm256_sllv_epi64(self.0, n.0),
+                _mm256_sllv_epi64(self.1, n.1),
+            )
         }
         #[target_feature(enable = "avx2,fma")]
         unsafe fn veq(self, o: W2) -> W2 {
@@ -383,6 +392,10 @@ mod engines_x86 {
             W5(_mm512_srl_epi64(self.0, _mm_cvtsi32_si128(n as i32)))
         }
         #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
+        unsafe fn shlv(self, n: W5) -> W5 {
+            W5(_mm512_sllv_epi64(self.0, n.0))
+        }
+        #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
         unsafe fn veq(self, o: W5) -> __mmask8 {
             _mm512_cmpeq_epi64_mask(self.0, o.0)
         }
@@ -534,24 +547,17 @@ unsafe fn two_sum<W: Words>(x: W, y: W) -> (W, W) {
     (s, x.fsub(s.fsub(bb)).fadd(y.fsub(bb)))
 }
 
-/// Round the exact value `(s + e)·2^k` to `F + 1` bits and pack it with
-/// packed flags (an exact zero `s` is +0). `s` is a binary64 value with at
-/// least `F + 1` bits of precision, `e` counts only by its sign and
-/// whether it is non-zero, and `k` is a per-lane exponent offset
-/// (two's complement) that the range check and the packed exponent add.
+/// Round the binary64 `s + e` to `F + 1` bits: the rounded binary64
+/// value (same binade as `s`, or the next one up) and the inexact mask.
+/// `s` is a binary64 value with at least `F + 1` bits of precision, and
+/// `e` counts only by its sign and whether it is non-zero.
 #[inline(always)]
-unsafe fn round_pack_f64<W: Words, const E: u32, const F: u32>(
-    s: W,
-    e: W,
-    k: W,
-    rtn: bool,
-) -> (W, W) {
+unsafe fn round_f64<W: Words, const F: u32>(s: W, e: W, rtn: bool) -> (W, W::M) {
     let d = 52 - F;
     let zero = W::splat(0);
-    let abs = W::splat(!SIGN);
     let low = s.vand(W::splat((1u64 << d) - 1));
     let half = W::splat((1u64 << d) >> 1);
-    let e_nz = e.vand(abs).vne(zero);
+    let e_nz = e.vand(W::splat(!SIGN)).vne(zero);
     let e_opp = e.vxor(s).vlt_s(zero);
     let r = if rtn {
         // A tie (only when d > 0) goes by the sign of `e`, else to even.
@@ -567,23 +573,81 @@ unsafe fn round_pack_f64<W: Words, const E: u32, const F: u32>(
         let down = W::mand(W::mand(low.veq(zero), e_nz), e_opp);
         s.vsub(low).vsub(W::m01(down).shlc(d))
     };
-    let inexact = W::mor(low.vne(zero), e_nz);
-    let k = k.vsub(W::splat(rebase(E)));
-    let exp = bexp(r).vadd(k);
+    (r, W::mor(low.vne(zero), e_nz))
+}
+
+/// The range check of a rounded `r` whose value is `r·2^k`, with `kr`
+/// the offset `k` rebased to the format (`k − rebase(E)`): the overflow
+/// and underflow masks and the packed flag code.
+#[inline(always)]
+unsafe fn range_f64<W: Words, const E: u32>(r: W, kr: W, inexact: W::M) -> (W::M, W::M, W) {
+    let exp = bexp(r).vadd(kr);
     let over = exp.vgt_s(W::splat((1u64 << E) - 2));
     let under = exp.vlt_s(W::splat(1));
-    // ∞, or under Truncate the largest finite value, one below it.
-    let over_mag = W::splat((((1u64 << E) - 1) << F) - !rtn as u64);
-    let norm_mag = r.vand(abs).shrc(d).vadd(k.shlc(F));
-    let mag = W::sel(over, over_mag, W::sel(under, zero, norm_mag));
     let fl = W::m01(over)
         .vor(W::m01(under).shlc(1))
         .vor(W::m01(W::mor(W::mor(inexact, over), under)).shlc(2));
-    let exact_zero = s.vand(abs).veq(zero);
+    (over, under, fl)
+}
+
+/// Round the exact value `(s + e)·2^k` to `F + 1` bits and pack it with
+/// packed flags (an exact zero `s` is +0). `s` and `e` are as
+/// [`round_f64`] takes them, and `k` is a per-lane exponent offset (two's
+/// complement) that the range check and the packed exponent add.
+#[inline(always)]
+unsafe fn round_pack_f64<W: Words, const E: u32, const F: u32>(
+    s: W,
+    e: W,
+    k: W,
+    rtn: bool,
+) -> (W, W) {
+    let zero = W::splat(0);
+    let (r, inexact) = round_f64::<W, F>(s, e, rtn);
+    let k = k.vsub(W::splat(rebase(E)));
+    let (over, under, fl) = range_f64::<W, E>(r, k, inexact);
+    // ∞, or under Truncate the largest finite value, one below it.
+    let over_mag = W::splat((((1u64 << E) - 1) << F) - !rtn as u64);
+    let norm_mag = r.vand(W::splat(!SIGN)).shrc(52 - F).vadd(k.shlc(F));
+    let mag = W::sel(over, over_mag, W::sel(under, zero, norm_mag));
+    let exact_zero = s.vand(W::splat(!SIGN)).veq(zero);
     (
         W::sel(exact_zero, zero, r.shrc(63).shlc(E + F).vor(mag)),
         W::sel(exact_zero, zero, fl),
     )
+}
+
+/// [`round_pack_f64`]'s result as a binary64 value instead of an
+/// encoding: the rounded `(s + e)·2^k`, ±∞ (or under Truncate the
+/// format's largest finite value) above its range and ±0 below it, with
+/// the same packed flags. Exact for f32, f48 and f64, whose values are
+/// all binary64 values; `s` is never zero here (a product of normals).
+#[inline(always)]
+unsafe fn round_val_f64<W: Words, const E: u32, const F: u32>(
+    s: W,
+    e: W,
+    k: W,
+    rtn: bool,
+) -> (W, W) {
+    let (r, inexact) = round_f64::<W, F>(s, e, rtn);
+    let (over, under, fl) = range_f64::<W, E>(r, k.vsub(W::splat(rebase(E))), inexact);
+    let big = if rtn { INF } else { max_val::<E, F>() };
+    let sign = sign_of(r);
+    let val = W::sel(
+        over,
+        sign.vor(W::splat(big)),
+        W::sel(under, sign, r.vadd(k.shlc(52))),
+    );
+    (val, fl)
+}
+
+/// The binary64 bits of the format's largest finite value.
+const fn max_val<const E: u32, const F: u32>() -> u64 {
+    let max = (((1u64 << E) - 1) << F) - 1;
+    if E == 11 {
+        max << (52 - F)
+    } else {
+        (max << (52 - F)) + (rebase(E) << 52)
+    }
 }
 
 /// Vector add block (`sub` is a sign flip at the call site): [`widen`],
@@ -633,13 +697,21 @@ unsafe fn unit<W: Words>(x: W) -> W {
 /// normal value, and the scaling replaces every f48/f64 exponent.
 #[inline(always)]
 unsafe fn mul_b64_block<W: Words, const E: u32, const F: u32>(a: W, b: W, rtn: bool) -> (W, W) {
+    let (p, e, k) = mul_b64_exact::<W, E, F>(a, b);
+    round_pack_f64::<W, E, F>(p, e, k, rtn)
+}
+
+/// The exact product of [`mul_b64_block`] before its rounding step: the
+/// binary64 product `p`, its error `e` and the exponent offset `k`.
+#[inline(always)]
+unsafe fn mul_b64_exact<W: Words, const E: u32, const F: u32>(a: W, b: W) -> (W, W, W) {
     let (x, y) = (widen::<W, E, F>(a), widen::<W, E, F>(b));
     if E == 8 {
-        return round_pack_f64::<W, E, F>(x.fmul(y), W::splat(0), W::splat(0), rtn);
+        return (x.fmul(y), W::splat(0), W::splat(0));
     }
     let (x, y, k) = scale_pair(x, y);
     let p = x.fmul(y);
-    round_pack_f64::<W, E, F>(p, x.ffma(y, p.vxor(W::splat(SIGN))), k, rtn)
+    (p, x.ffma(y, p.vxor(W::splat(SIGN))), k)
 }
 
 /// Vector fma block on the binary64 unit. f32: the exact product, then
@@ -975,7 +1047,7 @@ unsafe fn store_chunk<W: Words>(r: W, f: W, out: &mut Vec<(u64, Flags)>) {
 
 /// Where a binary driver's results go: the one point where the pair
 /// entry points (`*_bits_batch`, `*_pairs_batch`) and the bits entry
-/// points (`mul_bcast_bits`, `add_acc_bits`) differ.
+/// points (`add_acc_bits`, the `*_bits_into` family) differ.
 pub(crate) trait Sink {
     /// True when the driver ORs every element's flags into the
     /// [`Flags`] it returns (the bits sink, which stores no per-element
@@ -1276,6 +1348,164 @@ fn reduced<W: Words>(seen: W) -> Flags {
     Flags::from_bits(words.iter().fold(0, |acc, &w| acc | w) as u8)
 }
 
+// ---------------------------------------------------------------------------
+// Multiply-accumulate driver
+// ---------------------------------------------------------------------------
+
+/// Binary64 1.0: the stand-in operand of the add lanes the special
+/// block owns.
+const ONE_F64: u64 = 0x3ff << 52;
+
+/// A product's binary64 value ([`round_val_f64`], [`mul_special_val`])
+/// as an `(E, F)` encoding: exact for every value of a format that
+/// `(E, F)` covers, ±0 and ±∞ included.
+#[inline(always)]
+unsafe fn pack_val<W: Words, const E: u32, const F: u32>(v: W) -> W {
+    if E == 11 {
+        return v.shrc(52 - F);
+    }
+    let zero = W::splat(0);
+    let mag = v.vand(W::splat(!SIGN));
+    let norm = mag.vsub(W::splat(rebase(E) << 52)).shrc(52 - F);
+    let inf = W::splat(((1u64 << E) - 1) << F);
+    let mag = W::sel(
+        mag.veq(zero),
+        zero,
+        W::sel(mag.veq(W::splat(INF)), inf, norm),
+    );
+    v.shrc(63).shlc(E + F).vor(mag)
+}
+
+/// [`mul_special`]'s result as a binary64 value: ±0 or ±∞.
+#[inline(always)]
+unsafe fn mul_special_val<W: Words, const E: u32, const F: u32>(a: W, b: W) -> (W, W) {
+    let (r, f) = mul_special::<W, E, F>(a, b);
+    let (inf, _, _) = vconsts::<W, E, F>();
+    let mag = W::sel(r.vand(inf).veq(inf), W::splat(INF), W::splat(0));
+    (r.shrc(E + F).shlc(63).vor(mag), f)
+}
+
+/// One step of a multiply-accumulate chunk: `r·l` rounded to the compute
+/// format `(EC, FC)`, kept as its binary64 value, then added to the
+/// `(EA, FA)` accumulators `acc` (product first) and rounded again.
+/// Returns the new accumulators and the two steps' packed flag codes.
+/// Lanes with a special product or accumulator take the special blocks,
+/// and lanes whose TwoSum overflowed (`EA = 11` only) the scalar fast
+/// lane, as in [`bin_chunk`].
+///
+/// # Safety
+/// `W`'s engine must have passed runtime feature detection.
+#[inline(always)]
+unsafe fn mac_step<W: Words, const EC: u32, const FC: u32, const EA: u32, const FA: u32>(
+    r: W,
+    l: W,
+    acc: W,
+    mode: RoundMode,
+) -> (W, W, W) {
+    let rtn = mode == RoundMode::NearestEven;
+    let (p, e, k) = mul_b64_exact::<W, EC, FC>(r, l);
+    let (mut pv, mut pf) = round_val_f64::<W, EC, FC>(p, e, k, rtn);
+    let operands = W::mand(vnormal::<W, EC, FC>(r), vnormal::<W, EC, FC>(l));
+    if !W::mall(operands) {
+        let (sv, sf) = mul_special_val::<W, EC, FC>(r, l);
+        pv = W::sel(operands, pv, sv);
+        pf = W::sel(operands, pf, sf);
+    }
+    let finite = pv
+        .vand(W::splat(!SIGN))
+        .vsub(W::splat(1))
+        .vlt_u(W::splat(INF - 1));
+    let normal = W::mand(finite, vnormal::<W, EA, FA>(acc));
+    let one = W::splat(ONE_F64);
+    let (s, e) = two_sum(
+        W::sel(normal, pv, one),
+        W::sel(normal, widen::<W, EA, FA>(acc), one),
+    );
+    let (mut sum, mut f) = round_pack_f64::<W, EA, FA>(s, e, W::splat(0), rtn);
+    let inf = W::splat(INF);
+    let rare = if EA == 11 {
+        W::mbits(e.vand(inf).veq(inf))
+    } else {
+        0
+    };
+    if rare != 0 {
+        let (mut res, mut fl, mut pvs, mut accs) =
+            ([0u64; LANES], [0u64; LANES], [0; LANES], [0; LANES]);
+        sum.store(&mut res);
+        f.store(&mut fl);
+        pv.store(&mut pvs);
+        acc.store(&mut accs);
+        for l in (0..LANES).filter(|l| rare >> l & 1 == 1) {
+            let (bits, flags) = fastpath::add::<EA, FA>(pvs[l] >> (52 - FA), accs[l], mode);
+            let code = FLAG_LUT.iter().position(|&g| g == flags);
+            res[l] = bits;
+            fl[l] = code.expect("add flags have a packed code") as u64;
+        }
+        (sum, f) = (W::load(&res), W::load(&fl));
+    }
+    if !W::mall(normal) {
+        let (sr, sf) = add_special::<W, EA, FA>(pack_val::<W, EA, FA>(pv), acc);
+        sum = W::sel(normal, sum, sr);
+        f = W::sel(normal, f, sf);
+    }
+    (sum, pf, f)
+}
+
+/// Multiply-accumulate driver: the rank-1 steps of
+/// [`fastpath::mac_steps_bits`] for a compute format `(EC, FC)` and an
+/// accumulate format `(EA, FA)` that covers it, over banks at least one
+/// chunk wide. Column chunks are the outer loop and the steps of one
+/// bank slot the inner one, so a chunk's accumulators stay in a register
+/// across all its steps and touch memory once. A ragged last chunk runs
+/// first, as the chunk that ends at the last column: it reads its
+/// columns before any full chunk writes them, so the columns it shares
+/// with the last full chunk compute exactly what that chunk computes
+/// again, and only its own columns are stored. Every step's two flag
+/// codes are gathered as one-hot bits and decoded once per call. FP
+/// environment as [`bin_driver`].
+#[inline(always)]
+fn mac_driver<W: Words, const EC: u32, const FC: u32, const EA: u32, const FA: u32>(
+    lhs: &[u64],
+    rhs: &[u64],
+    stride: usize,
+    banks: &mut [u64],
+    la: usize,
+    mode: RoundMode,
+) -> Flags {
+    debug_assert!(default_fp_env());
+    let p = banks.len() / la;
+    let full = p - p % LANES;
+    let tail = (full < p).then_some(p - LANES);
+    // SAFETY (every block below): `W`'s engine passed positive runtime
+    // feature detection (the dispatch layer's invariant).
+    let (mut seen, bit) = unsafe { (W::splat(0), W::splat(1)) };
+    for j0 in tail.into_iter().chain((0..full).step_by(LANES)) {
+        let keep = if Some(j0) == tail { full - j0 } else { 0 };
+        for s in 0..la.min(lhs.len()) {
+            let bank = &mut banks[s * p + j0..s * p + j0 + LANES];
+            let mut acc = unsafe { W::load((&*bank).try_into().unwrap()) };
+            for (&l, k) in lhs[s..].iter().step_by(la).zip((s..).step_by(la)) {
+                let row = &rhs[k * stride + j0..k * stride + j0 + LANES];
+                unsafe {
+                    let r = W::load(row.try_into().unwrap());
+                    let (sum, pf, f) = mac_step::<W, EC, FC, EA, FA>(r, W::splat(l), acc, mode);
+                    seen = seen.vor(bit.shlv(pf)).vor(bit.shlv(f));
+                    acc = sum;
+                }
+            }
+            let mut out = [0u64; LANES];
+            unsafe { acc.store(&mut out) };
+            bank[keep..].copy_from_slice(&out[keep..]);
+        }
+    }
+    let mut codes = [0u64; LANES];
+    unsafe { seen.store(&mut codes) };
+    let set = codes.iter().fold(0, |acc, &w| acc | w);
+    (0..8)
+        .filter(|c| set >> c & 1 == 1)
+        .fold(Flags::NONE, |acc, c| acc | FLAG_LUT[c])
+}
+
 // The intrinsics engines need monomorphizations of the generic drivers
 // whose call contexts carry the matching `#[target_feature]` set, so the
 // engine methods (and through them the intrinsics) inline into the chunk
@@ -1313,6 +1543,40 @@ mod engine {
         sink: &mut S,
     ) -> Flags {
         super::bin_driver::<W5, E, F, OP, S>(n, load_chunk, load_one, mode, sink)
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn mac_driver_tf<
+        const EC: u32,
+        const FC: u32,
+        const EA: u32,
+        const FA: u32,
+    >(
+        lhs: &[u64],
+        rhs: &[u64],
+        stride: usize,
+        banks: &mut [u64],
+        la: usize,
+        mode: RoundMode,
+    ) -> Flags {
+        super::mac_driver::<W2, EC, FC, EA, FA>(lhs, rhs, stride, banks, la, mode)
+    }
+
+    #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
+    pub(super) unsafe fn mac_driver_512<
+        const EC: u32,
+        const FC: u32,
+        const EA: u32,
+        const FA: u32,
+    >(
+        lhs: &[u64],
+        rhs: &[u64],
+        stride: usize,
+        banks: &mut [u64],
+        la: usize,
+        mode: RoundMode,
+    ) -> Flags {
+        super::mac_driver::<W5, EC, FC, EA, FA>(lhs, rhs, stride, banks, la, mode)
     }
 
     #[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512dq,avx512bw")]
@@ -1407,4 +1671,52 @@ pub(crate) fn run_fma(
 ) -> Option<Flags> {
     let lane = wide_lane(eng, fmt).filter(|_| n >= LANES)?;
     Some(wide_dispatch!(fma, eng, lane, n, load, mode, sink))
+}
+
+/// Run the rank-1 steps of [`fastpath::mac_steps_bits`] on `eng`,
+/// returning their flags; `None`, leaving `banks` untouched, when the
+/// caller's scalar loop should run instead: the scalar engine, a dynamic
+/// format, an accumulate format that does not cover the compute format
+/// (the widening would round), or banks narrower than a chunk. The
+/// caller has checked the shapes.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_mac(
+    eng: SimdEngine,
+    compute: FpFormat,
+    accumulate: FpFormat,
+    lhs: &[u64],
+    rhs: &[u64],
+    stride: usize,
+    banks: &mut [u64],
+    la: usize,
+    mode: RoundMode,
+) -> Option<Flags> {
+    let (c, a) = (wide_lane(eng, compute)?, wide_lane(eng, accumulate)?);
+    if banks.len() / la < LANES {
+        return None;
+    }
+    // SAFETY: `wide_lane` saw `eng` pass runtime feature detection.
+    macro_rules! pair {
+        ($ec:literal, $fc:literal, $ea:literal, $fa:literal) => {
+            match eng {
+                SimdEngine::WideAvx512 => unsafe {
+                    engine::mac_driver_512::<$ec, $fc, $ea, $fa>(lhs, rhs, stride, banks, la, mode)
+                },
+                SimdEngine::WideAvx2 => unsafe {
+                    engine::mac_driver_tf::<$ec, $fc, $ea, $fa>(lhs, rhs, stride, banks, la, mode)
+                },
+                SimdEngine::Scalar => unreachable!("wide_lane returns no lane for Scalar"),
+            }
+        };
+    }
+    Some(match (c, a) {
+        (Lane::Single, Lane::Single) => pair!(8, 23, 8, 23),
+        (Lane::Single, Lane::W48) => pair!(8, 23, 11, 36),
+        (Lane::Single, Lane::Double) => pair!(8, 23, 11, 52),
+        (Lane::W48, Lane::W48) => pair!(11, 36, 11, 36),
+        (Lane::W48, Lane::Double) => pair!(11, 36, 11, 52),
+        (Lane::Double, Lane::Double) => pair!(11, 52, 11, 52),
+        _ => return None,
+    })
 }

@@ -1,15 +1,16 @@
-//! The bits entry points (`fastpath::mul_bcast_bits`, `add_acc_bits`)
-//! against the pair entry points on every engine the host runs: result
-//! bits element for element, and the returned `Flags` equal to the OR of
-//! the pair path's per-element flags. Covers the paper's precisions and
-//! dynamic formats (which take the scalar lane on every engine), special
-//! densities of 0/50/100%, lengths around the chunk width, and batches
-//! whose only raised range flags are overflow, underflow, invalid, or
-//! overflow and underflow together — the case where OR-ing the packed
-//! flag codes instead of decoded flags would invent `invalid`.
+//! The bits entry points (`fastpath::mac_steps_bits` one step deep,
+//! `add_acc_bits`) against the pair entry points on every engine the host
+//! runs: result bits element for element, and the returned `Flags` equal
+//! to the OR of the pair path's per-element flags. Covers the paper's
+//! precisions and dynamic formats (which take the scalar lane on every
+//! engine), special densities of 0/50/100%, lengths around the chunk
+//! width, and batches whose only raised range flags are overflow,
+//! underflow, invalid, or overflow and underflow together — the case
+//! where OR-ing the packed flag codes instead of decoded flags would
+//! invent `invalid`.
 
 use fpfpga_softfp::fastpath::{
-    add_acc_bits_with, add_bits_batch_with, mul_bcast_bits_with, mul_bits_batch_with,
+    add_acc_bits_with, add_bits_batch_with, mac_steps_bits_with, mul_bits_batch_with,
 };
 use fpfpga_softfp::{Flags, FpFormat, RoundMode, SimdEngine};
 
@@ -52,8 +53,9 @@ fn operands(fmt: FpFormat, n: usize, density_pct: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// `mul_bcast_bits` and `add_acc_bits` on `eng` against the pair entry
-/// points on the same engine; returns both reduced flag sets.
+/// One `mac_steps_bits` step (`a[j]·b + acc0[j]`) and `add_acc_bits` on
+/// `eng` against the pair entry points on the same engine; returns both
+/// reduced flag sets.
 fn check(
     eng: SimdEngine,
     fmt: FpFormat,
@@ -64,13 +66,20 @@ fn check(
 ) -> (Flags, Flags) {
     let ctx = format!("{eng:?} {fmt:?} {mode:?} n={}", a.len());
 
+    let mut products = Vec::new();
+    mul_bits_batch_with(eng, fmt, a, &vec![b; a.len()], mode, &mut products);
+    let product_bits: Vec<u64> = products.iter().map(|&(r, _)| r).collect();
     let mut pairs = Vec::new();
-    mul_bits_batch_with(eng, fmt, a, &vec![b; a.len()], mode, &mut pairs);
-    let mut bits = vec![0xdead_beef; a.len()];
-    let mul_flags = mul_bcast_bits_with(eng, fmt, a, b, mode, &mut bits);
+    add_bits_batch_with(eng, fmt, &product_bits, acc0, mode, &mut pairs);
+    let mut bank = acc0.to_vec();
+    let mac_flags = mac_steps_bits_with(eng, fmt, fmt, &[b], a, a.len(), &mut bank, 1, mode);
     let want: Vec<u64> = pairs.iter().map(|&(r, _)| r).collect();
-    assert_eq!(bits, want, "mul bits {ctx}");
-    assert_eq!(mul_flags, or_flags(&pairs), "mul flags {ctx}");
+    assert_eq!(bank, want, "mac bits {ctx}");
+    assert_eq!(
+        mac_flags,
+        or_flags(&products) | or_flags(&pairs),
+        "mac flags {ctx}"
+    );
 
     pairs.clear();
     add_bits_batch_with(eng, fmt, a, acc0, mode, &mut pairs);
@@ -80,7 +89,7 @@ fn check(
     assert_eq!(acc, want, "add bits {ctx}");
     assert_eq!(add_flags, or_flags(&pairs), "add flags {ctx}");
 
-    (mul_flags, add_flags)
+    (mac_flags, add_flags)
 }
 
 #[test]
@@ -172,10 +181,20 @@ fn reduced_flags_decode_overflow_underflow_and_invalid_separately() {
 }
 
 #[test]
-#[should_panic(expected = "equal lengths")]
-fn mul_bcast_bits_length_mismatch_panics() {
-    let mut out = [0u64; 2];
-    fpfpga_softfp::mul_bcast_bits(FpFormat::SINGLE, &[0], 0, RoundMode::NearestEven, &mut out);
+#[should_panic(expected = "rhs too short")]
+fn mac_steps_bits_short_rhs_panics() {
+    let mut bank = [0u64; 2];
+    let mode = RoundMode::NearestEven;
+    fpfpga_softfp::mac_steps_bits(
+        FpFormat::SINGLE,
+        FpFormat::SINGLE,
+        &[0],
+        &[0],
+        2,
+        &mut bank,
+        1,
+        mode,
+    );
 }
 
 #[test]
