@@ -170,8 +170,7 @@ impl FusedMacUnit {
 
     /// Advance one clock, optionally injecting `(a, b, c)`.
     pub fn clock(&mut self, input: Option<(u64, u64, u64)>) -> Option<(u64, Flags)> {
-        let computed =
-            input.map(|(a, b, c)| fpfpga_softfp::fastpath::fma_bits(self.fmt, a, b, c, self.mode));
+        let computed = input.map(|(a, b, c)| fpfpga_softfp::fma_bits(self.fmt, a, b, c, self.mode));
         self.line.push_back(computed);
         self.line.pop_front().expect("line non-empty")
     }

@@ -221,9 +221,9 @@ impl DelayLineUnit {
 
     fn compute(&self, a: u64, b: u64) -> (u64, Flags) {
         match self.op {
-            DelayOp::Add => fpfpga_softfp::fastpath::add_bits(self.fmt, a, b, self.mode),
-            DelayOp::Sub => fpfpga_softfp::fastpath::sub_bits(self.fmt, a, b, self.mode),
-            DelayOp::Mul => fpfpga_softfp::fastpath::mul_bits(self.fmt, a, b, self.mode),
+            DelayOp::Add => fpfpga_softfp::add_bits(self.fmt, a, b, self.mode),
+            DelayOp::Sub => fpfpga_softfp::sub_bits(self.fmt, a, b, self.mode),
+            DelayOp::Mul => fpfpga_softfp::mul_bits(self.fmt, a, b, self.mode),
             DelayOp::Div => fpfpga_softfp::div_bits(self.fmt, a, b, self.mode),
             DelayOp::Sqrt => fpfpga_softfp::sqrt_bits(self.fmt, a, self.mode),
         }

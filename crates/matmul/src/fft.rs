@@ -61,26 +61,24 @@ pub fn butterfly_softfp(
     y: Cplx,
     w: Cplx,
 ) -> (Cplx, Cplx, Flags) {
-    use fpfpga_softfp::fastpath;
+    use fpfpga_softfp::{add_bits, mul_bits, sub_bits};
     let mut flags = Flags::NONE;
     let mut op = |r: (u64, Flags)| {
         flags |= r.1;
         r.0
     };
-    // t = w * y — the 10 scalar ops go through the monomorphized
-    // fast-lane dispatchers, which are bit-identical to the generic
-    // `SoftFloat` path on every input.
-    let ac = op(fastpath::mul_bits(fmt, w.re, y.re, mode));
-    let bd = op(fastpath::mul_bits(fmt, w.im, y.im, mode));
-    let ad = op(fastpath::mul_bits(fmt, w.re, y.im, mode));
-    let bc = op(fastpath::mul_bits(fmt, w.im, y.re, mode));
-    let t_re = op(fastpath::sub_bits(fmt, ac, bd, mode));
-    let t_im = op(fastpath::add_bits(fmt, ad, bc, mode));
+    // t = w * y
+    let ac = op(mul_bits(fmt, w.re, y.re, mode));
+    let bd = op(mul_bits(fmt, w.im, y.im, mode));
+    let ad = op(mul_bits(fmt, w.re, y.im, mode));
+    let bc = op(mul_bits(fmt, w.im, y.re, mode));
+    let t_re = op(sub_bits(fmt, ac, bd, mode));
+    let t_im = op(add_bits(fmt, ad, bc, mode));
     // outputs
-    let x_re = op(fastpath::add_bits(fmt, x.re, t_re, mode));
-    let x_im = op(fastpath::add_bits(fmt, x.im, t_im, mode));
-    let y_re = op(fastpath::sub_bits(fmt, x.re, t_re, mode));
-    let y_im = op(fastpath::sub_bits(fmt, x.im, t_im, mode));
+    let x_re = op(add_bits(fmt, x.re, t_re, mode));
+    let x_im = op(add_bits(fmt, x.im, t_im, mode));
+    let y_re = op(sub_bits(fmt, x.re, t_re, mode));
+    let y_im = op(sub_bits(fmt, x.im, t_im, mode));
     (
         Cplx { re: x_re, im: x_im },
         Cplx { re: y_re, im: y_im },

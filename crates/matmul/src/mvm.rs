@@ -16,8 +16,7 @@
 use crate::dot::interleaved_reference;
 use crate::matrix::Matrix;
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
-use fpfpga_softfp::fastpath::add_bits;
-use fpfpga_softfp::{Flags, FpFormat, RoundMode};
+use fpfpga_softfp::{add_bits, Flags, FpFormat, RoundMode};
 use std::collections::VecDeque;
 
 /// One MVM processing element: several matrix rows + a banked MAC.

@@ -4,16 +4,18 @@
 //! ascending `k` — accumulator values and the OR of every flag. Covers
 //! every covering pair of the paper's precisions, two dynamic formats and
 //! a rounding (non-covering) pair; both rounding modes; bank counts,
-//! widths around the chunk width, row strides equal to and wider than
-//! the banks, and one-column (dot) calls longer than a block of products;
+//! widths around the chunk width and every width narrower than a chunk,
+//! row strides equal to and wider than the banks, and one-column (dot)
+//! calls with every bank count below a chunk, with fewer steps than a
+//! chunk and with more;
 //! special densities of 0/50/100%; and targeted rows: products that
 //! overflow or underflow into the accumulator, ∞ − ∞ in the middle of a
 //! row, and f48/f64 sums near the largest finite value, where the
 //! binary64 TwoSum overflows.
 
 use fpfpga_softfp::convert::convert;
-use fpfpga_softfp::fastpath::{add_bits, mac_steps_bits_with, mul_bits};
-use fpfpga_softfp::{Flags, FpFormat, RoundMode, SimdEngine};
+use fpfpga_softfp::fastpath::mac_steps_bits_with;
+use fpfpga_softfp::{add_bits, mul_bits, Flags, FpFormat, RoundMode, SimdEngine};
 
 const F32: FpFormat = FpFormat::SINGLE;
 const F48: FpFormat = FpFormat::FP48;
@@ -237,6 +239,51 @@ fn one_column_calls_span_several_product_blocks() {
                     RoundMode::NearestEven,
                     &ctx,
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn rows_narrower_than_a_chunk_read_only_their_own_columns() {
+    // `rhs` ends exactly at the last step's row, so a padded load that
+    // read past a row's `p` columns would index out of the slice.
+    let steps = 5;
+    for pair @ (compute, accumulate) in PAIRS {
+        for mode in MODES {
+            for p in 1..8 {
+                for (la, stride) in [(1, p), (2, p + 1), (3, p + 7)] {
+                    for density in [0, 50] {
+                        let seed = (la * 10 + p) as u64 + density;
+                        let lhs = operands(compute, steps, density, seed);
+                        let rhs = operands(compute, (steps - 1) * stride + p, density, seed + 1);
+                        let banks = operands(accumulate, la * p, density, seed + 2);
+                        let ctx = format!("p={p} stride={stride} density={density}");
+                        check(pair, &lhs, &rhs, stride, &banks, la, mode, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn dots_at_every_bank_count_below_a_chunk() {
+    // A dot runs each round of `la` adds as one step `la` wide, and the
+    // last `m % la` products as one narrower step.
+    for pair @ (compute, accumulate) in PAIRS {
+        for mode in MODES {
+            for la in 1..8 {
+                for m in [1, 3, 5, 7, 9, 16, 23] {
+                    for density in [0, 50] {
+                        let seed = (la * 100 + m) as u64 + density;
+                        let lhs = operands(compute, m, density, seed);
+                        let rhs = operands(compute, m, density, seed + 1);
+                        let banks = operands(accumulate, la, density, seed + 2);
+                        let ctx = format!("dot m={m} density={density}");
+                        check(pair, &lhs, &rhs, 1, &banks, la, mode, &ctx);
+                    }
+                }
             }
         }
     }
