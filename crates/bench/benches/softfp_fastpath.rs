@@ -1,5 +1,5 @@
-//! Fast-lane throughput bench: the monomorphized `softfp::fastpath`
-//! batch kernels against the generic scalar `unpacked` path, single
+//! Batch throughput bench: the `softfp::fastpath` batch entry points
+//! against the generic scalar `unpacked` path, single
 //! thread, on the three named formats. Before any timing the batch
 //! results are asserted bit-identical (values *and* flags) to the
 //! generic path element by element; the headline claim — the batch

@@ -1,9 +1,9 @@
 //! `bench_pr10` — performance snapshot of the SIMD batch lanes: per-engine
-//! softfp batch throughput (scalar fast lane vs each wide engine the host
+//! softfp batch throughput (the portable `Scalar` engine vs each wide engine the host
 //! runs), a special-value density sweep (add and fma, 0–100% special
 //! operands, which the wide kernels resolve in register), and two gates:
 //! ≥4× wide/scalar on add/mul, and no density slower on the wide engine
-//! than on the scalar lane. Writes `BENCH_PR10.json` at the repository
+//! than on the portable engine. Writes `BENCH_PR10.json` at the repository
 //! root (and echoes to stdout) so EXPERIMENTS.md has a machine-readable
 //! source.
 //!
@@ -227,7 +227,7 @@ fn density_mops(fmt: FpFormat, op: &str, density: u32, seed: u64) -> (f64, f64) 
 
 /// Wide-vs-scalar throughput of one op across special-value densities,
 /// under the density gate: no density may run slower on the wide engine
-/// than on the scalar lane. A row that does gets one re-measure on fresh
+/// than on the portable engine. A row that does gets one re-measure on fresh
 /// operands (shared-box noise insurance) before the gate trips.
 fn density_section(fmt: FpFormat, name: &str, op: &str) -> Value {
     let mut rows = Vec::new();
@@ -244,7 +244,7 @@ fn density_section(fmt: FpFormat, name: &str, op: &str) -> Value {
         );
         assert!(
             wide_mops >= scalar_mops,
-            "density gate: wide engine slower than the scalar lane for {name} {op} at {density}% specials"
+            "density gate: wide engine slower than the portable engine for {name} {op} at {density}% specials"
         );
         rows.push(json!({
             "special_density_pct": density,
@@ -298,7 +298,7 @@ fn main() {
     }
 
     // The ≥4× gate: batch add and mul, the detected wide engine (what the
-    // default entry points run) vs the scalar fast lane, every named format. Only
+    // default entry points run) vs the portable engine, every named format. Only
     // armed when a wide x86 engine is detected; a failed first look gets
     // one re-measure before the gate trips (shared-box noise insurance).
     const GATE: f64 = 4.0;

@@ -19,10 +19,10 @@
 //! sweep and the `fpu` sweep's oracle) runs add/sub/mul/div/sqrt/fma/muladd on:
 //! `generic` (the default) is the generic `ops`; the other lanes run
 //! every case as a full 8-lane chunk through the production batch entry
-//! points, pinned to the scalar fast lane (`scalar`), the SIMD engine
-//! this host detected (`wide`), or the AVX2 engine (`avx2`) — so a wide
-//! sweep checks the vector datapath, not the scalar tail, and an AVX-512
-//! host can sweep the AVX2 body too. A `wide` or `avx2` lane exits 2 on
+//! points, pinned to the portable engine (`scalar`), the SIMD engine
+//! this host detected (`wide`), or the AVX2 engine (`avx2`) — each
+//! through the same chunked drivers, and an AVX-512 host can sweep the
+//! AVX2 body too. A `wide` or `avx2` lane exits 2 on
 //! a host without that engine. On a lane, the `ftz` sweep also compares
 //! every add/sub/mul/div/sqrt/fma/muladd result with the generic `ops` before any
 //! masking (underflow cases and NaN/denormal operands included), and

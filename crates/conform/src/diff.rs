@@ -577,9 +577,9 @@ fn has_batch_lane(op: Op) -> bool {
 /// on `eng`, returning every lane's result; a muladd case is one
 /// `fastpath::mac_steps_bits_with` step (`a·b` into an accumulator
 /// holding `c`), whose flags come back once for the whole chunk. The
-/// operands are broadcast to a full chunk of [`LANES`], so a wide engine
-/// runs its vector datapath and special-operand blend rather than the
-/// scalar tail. `None` for ops without a batch lane.
+/// operands are broadcast to a full chunk of [`LANES`], so every lane of
+/// the engine's datapath and special-operand blend runs the case. `None`
+/// for ops without a batch lane.
 fn eval_on_lane(eng: SimdEngine, case: &Case) -> Option<Vec<(u64, Flags)>> {
     let Case {
         op,
@@ -958,7 +958,7 @@ mod tests {
 
     #[test]
     fn forced_simd_report_is_byte_identical_in_every_policy() {
-        // Every wide engine this host runs; the scalar lane is covered above.
+        // Every wide engine this host runs; the portable engine is covered above.
         assert_lanes_report_byte_identically(
             SimdEngine::available().filter(|&eng| eng != SimdEngine::Scalar),
         );

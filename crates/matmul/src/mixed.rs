@@ -5,7 +5,7 @@
 //! core) show the profitable configuration is usually *asymmetric* — a
 //! cheap narrow multiplier feeding a wider accumulator, with data at rest
 //! in a third (storage) format. These kernels implement that split on top
-//! of the softfp batched fast lanes, driven by a [`PrecisionPolicy`]:
+//! of the softfp batch lanes, driven by a [`PrecisionPolicy`]:
 //!
 //! 1. operands are converted `storage → compute` (exact when widening),
 //! 2. products are formed in the compute format on the batched lanes,

@@ -2,7 +2,7 @@
 //! `add_acc_bits`) against the pair entry points on every engine the host
 //! runs: result bits element for element, and the returned `Flags` equal
 //! to the OR of the pair path's per-element flags. Covers the paper's
-//! precisions and dynamic formats (which take the scalar lane on every
+//! precisions and dynamic formats (which take the generic ops on every
 //! engine), special densities of 0/50/100%, lengths around the chunk
 //! width, and batches whose only raised range flags are overflow,
 //! underflow, invalid, or overflow and underflow together — the case
