@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! cargo run --release -p fpfpga-bench --bin fpugen -- \
-//!     --op add --bits 32 --target-mhz 200 --metric freq-area
+//!     --op add --format f32 --target-mhz 200 --metric freq-area
 //! ```
 //!
 //! ```text
 //! Options:
 //!   --op <add|mul|div|sqrt|mac>       operation (required)
-//!   --bits <32|48|64>                 precision (default 32)
-//!   --exp <n> --frac <n>              custom format (overrides --bits)
+//!   --format <f32|f48|f64|e<E>f<F>>   precision (default f32)
 //!   --target-mhz <f>                  required clock
 //!   --max-slices <n>                  slice budget
 //!   --metric <max-freq|freq-area|min-area>   selection rule (default freq-area)
@@ -19,7 +18,7 @@
 //!   --verbose                         print the generated netlist table
 //! ```
 
-use fpfpga::fpu::generator::{Generation, Metric, Request, UnitOp};
+use fpfpga::fpu::generator::{generate, Metric, Request, UnitOp};
 use fpfpga::prelude::*;
 use fpfpga_bench::cli::{bad_flag, parse_format, parse_num};
 
@@ -29,9 +28,7 @@ Usage: fpugen --op <op> [options]
 
 Options:
   --op <add|mul|div|sqrt|mac>       operation (required)
-  --format <f32|f48|f64|e<E>f<F>>   precision, canonical grammar (default f32)
-  --bits <32|48|64>                 precision, legacy spelling
-  --exp <n> --frac <n>              custom format (overrides --bits)
+  --format <f32|f48|f64|e<E>f<F>>   precision (default f32)
   --target-mhz <f>                  required clock
   --max-slices <n>                  slice budget
   --metric <max-freq|freq-area|min-area>   selection rule (default freq-area)
@@ -45,9 +42,6 @@ Options:
 const VALUE_FLAGS: &[&str] = &[
     "--op",
     "--format",
-    "--bits",
-    "--exp",
-    "--frac",
     "--target-mhz",
     "--max-slices",
     "--metric",
@@ -97,31 +91,7 @@ fn main() {
         }
     };
 
-    let format = if let (Some(e), Some(f)) = (get("--exp"), get("--frac")) {
-        let exp: u32 = parse_num("--exp", &e, "an exponent width in bits");
-        let frac: u32 = parse_num("--frac", &f, "a fraction width in bits");
-        FpFormat::try_new(exp, frac).unwrap_or_else(|| {
-            eprintln!(
-                "error: invalid values '{e}'/'{f}' for --exp/--frac: \
-                 1+{exp}+{frac} is not a representable format"
-            );
-            std::process::exit(2);
-        })
-    } else if let Some(v) = get("--format") {
-        parse_format("--format", &v)
-    } else {
-        let v = get("--bits").unwrap_or_else(|| "32".to_string());
-        match v.as_str() {
-            "32" => FpFormat::SINGLE,
-            "48" => FpFormat::FP48,
-            "64" => FpFormat::DOUBLE,
-            _ => bad_flag(
-                "--bits",
-                &v,
-                "32, 48 or 64 (use --format or --exp/--frac for other formats)",
-            ),
-        }
-    };
+    let format = get("--format").map_or(FpFormat::SINGLE, |v| parse_format("--format", &v));
 
     let metric = {
         let v = get("--metric").unwrap_or_else(|| "freq-area".to_string());
@@ -160,7 +130,7 @@ fn main() {
         metric,
     };
 
-    match Generation::of(req).run(&tech, opts) {
+    match generate(&req, &tech, opts) {
         Ok(g) => {
             println!("generated {:?} unit, {format}:", op);
             println!("  {}", g.report);
@@ -174,7 +144,6 @@ fn main() {
                 println!("  warning: {w}");
             }
             if args.iter().any(|a| a == "--verbose") {
-                use fpfpga::fpu::generator::UnitOp;
                 let netlist = match op {
                     UnitOp::Add => fpfpga::prelude::AdderDesign::new(format).netlist(&tech),
                     UnitOp::Mul => fpfpga::prelude::MultiplierDesign::new(format).netlist(&tech),

@@ -14,6 +14,7 @@
 //! meets the budget) is marked `<- selected`; if no row qualifies the
 //! tool exits with the budget code (3).
 
+use fpfpga::fpu::SweepCache;
 use fpfpga::prelude::*;
 use fpfpga::serve::autotune;
 use fpfpga::serve::tuner::{candidate_policies, policy_cost, probe_stats, PROBE_DEPTHS};

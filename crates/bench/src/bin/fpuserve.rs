@@ -25,6 +25,7 @@
 
 use std::time::Instant;
 
+use fpfpga::fpu::SweepCache;
 use fpfpga::prelude::*;
 use fpfpga::serve::tuner::{policy_cost, probe_stats, PROBE_DEPTHS};
 use fpfpga::serve::{autotune, run_serial, Kernel};

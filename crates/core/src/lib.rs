@@ -36,9 +36,8 @@
 //!
 //! // Sweep any core kind's pipeline depth and pick the
 //! // highest-throughput/area implementation (the paper's "opt"):
-//! let tech = Tech::virtex2pro();
-//! let sweep = CoreSweep::builder(CoreKind::Adder, FpFormat::SINGLE)
-//!     .run(&tech, SynthesisOptions::SPEED);
+//! let (tech, opts) = (Tech::virtex2pro(), SynthesisOptions::SPEED);
+//! let sweep = CoreSweep::new(CoreKind::Adder, FpFormat::SINGLE, &tech, opts);
 //! let opt = sweep.opt();
 //! println!("opt: {} stages, {} slices, {:.0} MHz", opt.stages, opt.slices, opt.clock_mhz);
 //!
@@ -85,7 +84,6 @@ pub mod prelude {
     pub use fpfpga_fpu::{
         analysis::CoreKind, AdderDesign, CoreConfig, CoreConfigBuilder, CoreSweep, DelayLineUnit,
         DividerDesign, FpPipe, MultiplierDesign, PipelinedUnit, PrecisionAnalysis, SqrtDesign,
-        SweepCache,
     };
     pub use fpfpga_matmul::pe::UnitBackend;
     pub use fpfpga_matmul::{

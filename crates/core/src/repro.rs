@@ -15,16 +15,6 @@ pub fn paper_flow() -> (Tech, SynthesisOptions) {
     (Tech::virtex2pro(), SynthesisOptions::SPEED)
 }
 
-/// The process-wide synthesis-sweep cache. Every artifact in this
-/// module re-sweeps the same handful of `(op, format)` design spaces;
-/// sharing one [`SweepCache`] makes the first artifact pay the
-/// synthesis cost and every later one a pure memoized read (the cache's
-/// hit/miss counters make redundant synthesis observable in tests).
-pub fn shared_cache() -> SweepCache {
-    static CACHE: std::sync::OnceLock<SweepCache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(SweepCache::default).clone()
-}
-
 // ---------------------------------------------------------------- Fig. 2
 
 /// One Figure 2 curve: frequency/area vs pipeline stages.
@@ -48,7 +38,7 @@ pub struct Fig2 {
 /// Compute Figure 2.
 pub fn fig2() -> Fig2 {
     let (tech, opts) = paper_flow();
-    let analysis = PrecisionAnalysis::run_parallel_cached(&tech, opts, &shared_cache());
+    let analysis = PrecisionAnalysis::run(&tech, opts);
     let curve = |s: &CoreSweep| Fig2Curve {
         precision: s.format.to_string(),
         points: s.freq_area_curve(),
@@ -79,7 +69,7 @@ pub type UnitTable = Vec<UnitTableBlock>;
 
 fn unit_table(kind: CoreKind) -> UnitTable {
     let (tech, opts) = paper_flow();
-    let analysis = PrecisionAnalysis::run_parallel_cached(&tech, opts, &shared_cache());
+    let analysis = PrecisionAnalysis::run(&tech, opts);
     FpFormat::PAPER_PRECISIONS
         .iter()
         .map(|&f| {
@@ -143,7 +133,7 @@ pub struct Fig3 {
 pub fn fig3() -> Fig3 {
     let (tech, opts) = paper_flow();
     let model = PowerModel::virtex2pro();
-    let analysis = PrecisionAnalysis::run_parallel_cached(&tech, opts, &shared_cache());
+    let analysis = PrecisionAnalysis::run(&tech, opts);
     let curve = |s: &CoreSweep| Fig3Curve {
         precision: s.format.to_string(),
         points: s
@@ -187,8 +177,7 @@ pub struct GflopsReport {
 pub fn gflops() -> GflopsReport {
     let (tech, opts) = paper_flow();
     let fill = |fmt: FpFormat| {
-        let units =
-            UnitSet::for_level_cached(fmt, PipeliningLevel::Maximum, &tech, opts, &shared_cache());
+        let units = UnitSet::for_level(fmt, PipeliningLevel::Maximum, &tech, opts);
         DeviceFill::new(Device::XC2VP125, &units, 64, &tech)
     };
     let single = fill(FpFormat::SINGLE);
@@ -224,8 +213,7 @@ pub fn fig4() -> Vec<Fig4Bar> {
     let mut bars = Vec::new();
     for &n in &[10u32, 30] {
         for level in PipeliningLevel::ALL {
-            let units =
-                UnitSet::for_level_cached(FpFormat::SINGLE, level, &tech, opts, &shared_cache());
+            let units = UnitSet::for_level(FpFormat::SINGLE, level, &tech, opts);
             let arch = ArchitectureEnergy::new(units, n, n, &tech);
             let rep = arch.charge_flat(n, &tech);
             bars.push(Fig4Bar {
@@ -269,8 +257,7 @@ pub fn fig5(problem_sizes: &[u32]) -> Vec<ArchPoint> {
     let (tech, opts) = paper_flow();
     let mut out = Vec::new();
     for level in PipeliningLevel::ALL {
-        let units =
-            UnitSet::for_level_cached(FpFormat::SINGLE, level, &tech, opts, &shared_cache());
+        let units = UnitSet::for_level(FpFormat::SINGLE, level, &tech, opts);
         for &n in problem_sizes {
             let arch = ArchitectureEnergy::new(units.clone(), n, n, &tech);
             let rep = arch.charge_flat(n, &tech);
@@ -294,8 +281,7 @@ pub fn fig6(n: u32, block_sizes: &[u32]) -> Vec<ArchPoint> {
     let (tech, opts) = paper_flow();
     let mut out = Vec::new();
     for level in PipeliningLevel::ALL {
-        let units =
-            UnitSet::for_level_cached(FpFormat::SINGLE, level, &tech, opts, &shared_cache());
+        let units = UnitSet::for_level(FpFormat::SINGLE, level, &tech, opts);
         for &b in block_sizes {
             let plan = BlockMatMul::square(n, b, level.pl()).expect("figure grid is positive");
             let arch = ArchitectureEnergy::new(units.clone(), b, b, &tech);
@@ -380,23 +366,5 @@ mod tests {
         for &b in &FIG6_BLOCK_SIZES {
             assert_eq!(FIG6_PROBLEM_SIZE % b, 0);
         }
-    }
-
-    #[test]
-    fn artifacts_share_one_sweep_cache() {
-        let cache = shared_cache();
-        let _ = fig2(); // populates Add/Mul × 3 precisions
-        let misses = cache.misses();
-        assert!(misses > 0, "first artifact must synthesize");
-        let hits = cache.hits();
-        let _ = fig2();
-        let _ = table1();
-        let _ = fig3();
-        assert_eq!(
-            cache.misses(),
-            misses,
-            "warm artifacts must not re-synthesize"
-        );
-        assert!(cache.hits() > hits, "warm artifacts must read the cache");
     }
 }

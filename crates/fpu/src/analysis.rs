@@ -10,7 +10,6 @@
 //! * **opt** — "the implementation \[that\] reaches highest freq/area
 //!   ratio", the paper's recommended operating point.
 
-use crate::cache::SweepCache;
 use crate::generator::{sweep_for, UnitOp};
 use fpfpga_fabric::report::ImplementationReport;
 use fpfpga_fabric::synthesis::SynthesisOptions;
@@ -54,107 +53,35 @@ pub struct CoreSweep {
     pub reports: Vec<ImplementationReport>,
 }
 
-/// Staged configuration for a [`CoreSweep`]: pick the core and format,
-/// optionally attach a [`SweepCache`], then [`run`](CoreSweepBuilder::run).
-///
-/// This is the single entry point that replaced the
-/// `CoreSweep::new` / `CoreSweep::new_cached` pair.
-#[derive(Clone, Copy)]
-pub struct CoreSweepBuilder<'a> {
-    kind: CoreKind,
-    format: FpFormat,
-    cache: Option<&'a SweepCache>,
-}
-
-impl<'a> CoreSweepBuilder<'a> {
-    /// Memoize the depth sweep through `cache`: a warm cache returns the
-    /// stored reports without re-synthesizing.
-    pub fn cached<'b>(self, cache: &'b SweepCache) -> CoreSweepBuilder<'b> {
-        CoreSweepBuilder {
-            kind: self.kind,
-            format: self.format,
-            cache: Some(cache),
-        }
-    }
-
-    /// Run the sweep against a technology and synthesis flow.
-    pub fn run(self, tech: &Tech, opts: SynthesisOptions) -> CoreSweep {
-        let reports = match self.cache {
-            Some(cache) => cache
-                .sweep(self.kind.unit_op(), self.format, tech, opts)
-                .to_vec(),
-            None => sweep_for(self.kind.unit_op(), self.format, tech, opts),
-        };
-        CoreSweep {
-            kind: self.kind,
-            format: self.format,
-            reports,
-        }
-    }
-}
-
 impl CoreSweep {
-    /// Start configuring a sweep — the unified entry point for cached
-    /// and uncached construction.
+    /// Sweep any core kind's pipeline depth under a technology and
+    /// synthesis flow.
     ///
     /// ```
     /// use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
     /// use fpfpga_fpu::prelude::*;
     ///
-    /// let tech = Tech::virtex2pro();
-    /// let sweep = CoreSweep::builder(CoreKind::Divider, FpFormat::SINGLE)
-    ///     .run(&tech, SynthesisOptions::SPEED);
+    /// let (tech, opts) = (Tech::virtex2pro(), SynthesisOptions::SPEED);
+    /// let sweep = CoreSweep::new(CoreKind::Divider, FpFormat::SINGLE, &tech, opts);
     /// assert!(sweep.opt().clock_mhz > 100.0);
-    ///
-    /// // Memoized through a cache:
-    /// let cache = fpfpga_fpu::cache::SweepCache::new();
-    /// let warmed = CoreSweep::builder(CoreKind::Divider, FpFormat::SINGLE)
-    ///     .cached(&cache)
-    ///     .run(&tech, SynthesisOptions::SPEED);
-    /// assert_eq!(warmed.reports, sweep.reports);
+    /// assert_eq!(sweep.min().stages, 1);
     /// ```
-    pub fn builder(kind: CoreKind, format: FpFormat) -> CoreSweepBuilder<'static> {
-        CoreSweepBuilder {
+    pub fn new(kind: CoreKind, format: FpFormat, tech: &Tech, opts: SynthesisOptions) -> CoreSweep {
+        CoreSweep {
             kind,
             format,
-            cache: None,
+            reports: sweep_for(kind.unit_op(), format, tech, opts),
         }
     }
 
-    /// Sweep any core kind without a cache.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `CoreSweep::builder(kind, format).run(tech, opts)`"
-    )]
-    pub fn new(kind: CoreKind, format: FpFormat, tech: &Tech, opts: SynthesisOptions) -> CoreSweep {
-        CoreSweep::builder(kind, format).run(tech, opts)
-    }
-
-    /// Sweep through a [`SweepCache`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `CoreSweep::builder(kind, format).cached(cache).run(tech, opts)`"
-    )]
-    pub fn new_cached(
-        kind: CoreKind,
-        format: FpFormat,
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> CoreSweep {
-        CoreSweep::builder(kind, format)
-            .cached(cache)
-            .run(tech, opts)
-    }
-
-    /// Sweep an adder (shorthand for [`CoreSweep::builder`]).
+    /// Sweep an adder (shorthand for [`CoreSweep::new`]).
     pub fn adder(format: FpFormat, tech: &Tech, opts: SynthesisOptions) -> CoreSweep {
-        CoreSweep::builder(CoreKind::Adder, format).run(tech, opts)
+        CoreSweep::new(CoreKind::Adder, format, tech, opts)
     }
 
-    /// Sweep a multiplier (shorthand for [`CoreSweep::builder`]).
+    /// Sweep a multiplier (shorthand for [`CoreSweep::new`]).
     pub fn multiplier(format: FpFormat, tech: &Tech, opts: SynthesisOptions) -> CoreSweep {
-        CoreSweep::builder(CoreKind::Multiplier, format).run(tech, opts)
+        CoreSweep::new(CoreKind::Multiplier, format, tech, opts)
     }
 
     /// The least-pipelined implementation.
@@ -225,103 +152,6 @@ impl PrecisionAnalysis {
         }
     }
 
-    /// [`PrecisionAnalysis::run`] backed by a [`SweepCache`]: re-running
-    /// the analysis against a warm cache performs zero synthesis.
-    pub fn run_cached(
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> PrecisionAnalysis {
-        PrecisionAnalysis {
-            adders: FpFormat::PAPER_PRECISIONS
-                .iter()
-                .map(|&f| {
-                    CoreSweep::builder(CoreKind::Adder, f)
-                        .cached(cache)
-                        .run(tech, opts)
-                })
-                .collect(),
-            multipliers: FpFormat::PAPER_PRECISIONS
-                .iter()
-                .map(|&f| {
-                    CoreSweep::builder(CoreKind::Multiplier, f)
-                        .cached(cache)
-                        .run(tech, opts)
-                })
-                .collect(),
-        }
-    }
-
-    /// [`PrecisionAnalysis::run`] with the six independent sweeps fanned
-    /// out over scoped threads. Deterministic: results are identical to
-    /// the sequential run (each sweep is a pure function of its inputs).
-    pub fn run_parallel(tech: &Tech, opts: SynthesisOptions) -> PrecisionAnalysis {
-        std::thread::scope(|scope| {
-            let adder_handles: Vec<_> = FpFormat::PAPER_PRECISIONS
-                .iter()
-                .map(|&f| scope.spawn(move || CoreSweep::adder(f, tech, opts)))
-                .collect();
-            let mult_handles: Vec<_> = FpFormat::PAPER_PRECISIONS
-                .iter()
-                .map(|&f| scope.spawn(move || CoreSweep::multiplier(f, tech, opts)))
-                .collect();
-            PrecisionAnalysis {
-                adders: adder_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep panicked"))
-                    .collect(),
-                multipliers: mult_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep panicked"))
-                    .collect(),
-            }
-        })
-    }
-
-    /// [`PrecisionAnalysis::run_parallel`] through a shared
-    /// [`SweepCache`]: cold, the six sweeps synthesize concurrently and
-    /// populate the cache; warm, every thread returns memoized reports.
-    pub fn run_parallel_cached(
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> PrecisionAnalysis {
-        std::thread::scope(|scope| {
-            let adder_handles: Vec<_> = FpFormat::PAPER_PRECISIONS
-                .iter()
-                .map(|&f| {
-                    let cache = cache.clone();
-                    scope.spawn(move || {
-                        CoreSweep::builder(CoreKind::Adder, f)
-                            .cached(&cache)
-                            .run(tech, opts)
-                    })
-                })
-                .collect();
-            let mult_handles: Vec<_> = FpFormat::PAPER_PRECISIONS
-                .iter()
-                .map(|&f| {
-                    let cache = cache.clone();
-                    scope.spawn(move || {
-                        CoreSweep::builder(CoreKind::Multiplier, f)
-                            .cached(&cache)
-                            .run(tech, opts)
-                    })
-                })
-                .collect();
-            PrecisionAnalysis {
-                adders: adder_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep panicked"))
-                    .collect(),
-                multipliers: mult_handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep panicked"))
-                    .collect(),
-            }
-        })
-    }
-
     /// The sweep for a given core kind and format.
     pub fn sweep(&self, kind: CoreKind, format: FpFormat) -> &CoreSweep {
         let list = match kind {
@@ -329,7 +159,7 @@ impl PrecisionAnalysis {
             CoreKind::Multiplier => &self.multipliers,
             other => panic!(
                 "PrecisionAnalysis covers the paper's adder/multiplier study; \
-                 sweep {other:?} directly via CoreSweep::builder"
+                 sweep {other:?} directly via CoreSweep::new"
             ),
         };
         list.iter()
@@ -426,66 +256,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_deterministic() {
-        let tech = Tech::virtex2pro();
-        let seq = PrecisionAnalysis::run(&tech, SynthesisOptions::SPEED);
-        let par = PrecisionAnalysis::run_parallel(&tech, SynthesisOptions::SPEED);
-        for (a, b) in seq.adders.iter().zip(&par.adders) {
-            assert_eq!(a.reports, b.reports);
-        }
-        for (a, b) in seq.multipliers.iter().zip(&par.multipliers) {
-            assert_eq!(a.reports, b.reports);
-        }
-    }
-
-    #[test]
     fn unified_constructor_matches_wrappers_and_covers_new_kinds() {
         let tech = Tech::virtex2pro();
         let opts = SynthesisOptions::SPEED;
-        let via_builder = CoreSweep::builder(CoreKind::Adder, FpFormat::SINGLE).run(&tech, opts);
+        let via_new = CoreSweep::new(CoreKind::Adder, FpFormat::SINGLE, &tech, opts);
         let via_wrapper = CoreSweep::adder(FpFormat::SINGLE, &tech, opts);
-        assert_eq!(via_builder.reports, via_wrapper.reports);
+        assert_eq!(via_new.reports, via_wrapper.reports);
+        let via_new = CoreSweep::new(CoreKind::Multiplier, FpFormat::DOUBLE, &tech, opts);
+        let via_wrapper = CoreSweep::multiplier(FpFormat::DOUBLE, &tech, opts);
+        assert_eq!(via_new.reports, via_wrapper.reports);
         for kind in [CoreKind::Divider, CoreKind::Sqrt] {
-            let sweep = CoreSweep::builder(kind, FpFormat::SINGLE).run(&tech, opts);
+            let sweep = CoreSweep::new(kind, FpFormat::SINGLE, &tech, opts);
             assert_eq!(sweep.kind, kind);
             assert!(!sweep.reports.is_empty());
             assert!(sweep.opt().clock_mhz > 0.0);
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        let tech = Tech::virtex2pro();
-        let opts = SynthesisOptions::SPEED;
-        let cache = crate::cache::SweepCache::new();
-        let built = CoreSweep::builder(CoreKind::Adder, FpFormat::SINGLE).run(&tech, opts);
-        let legacy = CoreSweep::new(CoreKind::Adder, FpFormat::SINGLE, &tech, opts);
-        assert_eq!(built.reports, legacy.reports);
-        let legacy_cached =
-            CoreSweep::new_cached(CoreKind::Adder, FpFormat::SINGLE, &tech, opts, &cache);
-        assert_eq!(built.reports, legacy_cached.reports);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn cached_runs_are_identical_and_warm_runs_skip_synthesis() {
-        let tech = Tech::virtex2pro();
-        let opts = SynthesisOptions::SPEED;
-        let cache = crate::cache::SweepCache::new();
-        let cold = PrecisionAnalysis::run_parallel_cached(&tech, opts, &cache);
-        assert_eq!(cache.misses(), 6, "2 cores x 3 precisions");
-        let warm = PrecisionAnalysis::run_cached(&tech, opts, &cache);
-        assert_eq!(cache.misses(), 6, "warm run must not synthesize");
-        assert_eq!(cache.hits(), 6);
-        let plain = PrecisionAnalysis::run(&tech, opts);
-        for runs in [&cold, &warm] {
-            for (a, b) in plain.adders.iter().zip(&runs.adders) {
-                assert_eq!(a.reports, b.reports);
-            }
-            for (a, b) in plain.multipliers.iter().zip(&runs.multipliers) {
-                assert_eq!(a.reports, b.reports);
-            }
         }
     }
 

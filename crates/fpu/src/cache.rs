@@ -1,12 +1,15 @@
 //! Memoized synthesis sweeps.
 //!
-//! Every consumer of the design-space data — [`PrecisionAnalysis`]
-//! (Figure 2, Tables 1-2), the matmul `UnitSet` selection, the
-//! architecture explorer, the unit generator — ultimately calls the same
-//! pure function: *sweep (op, format) across pipeline depths under a
-//! (tech, options) flow*. [`SweepCache`] memoizes exactly that function
-//! behind a cheap cloneable handle, so a process regenerating all paper
-//! artifacts synthesizes each distinct point once.
+//! Every design-space query in this crate and in `fpfpga-matmul` —
+//! [`CoreSweep::new`] and [`PrecisionAnalysis`] (Figure 2, Tables 1-2),
+//! the unit generator, `UnitSet` selection, the architecture explorer —
+//! calls the same pure function directly: *sweep (op, format) across
+//! pipeline depths under a (tech, options) flow*, 10–170 µs per call.
+//! [`SweepCache`] memoizes exactly that function behind a cheap
+//! cloneable handle for the one place where design points are drawn per
+//! request at run time: the serving pool, whose `Kernel::Sweep` jobs and
+//! policy auto-tuner read their opt points from a per-shard cache. A
+//! warm lookup returns the stored `Arc` without copying the reports.
 //!
 //! The cache is std-only: a `Mutex<HashMap>` of per-key `OnceLock`s.
 //! Concurrent lookups of *different* keys synthesize in parallel;
@@ -22,6 +25,7 @@
 //! and the [`SweepCache::evictions`] counter increments. An evicted key
 //! that comes back simply re-synthesizes (counted as a fresh miss).
 //!
+//! [`CoreSweep::new`]: crate::analysis::CoreSweep::new
 //! [`PrecisionAnalysis`]: crate::analysis::PrecisionAnalysis
 
 use crate::generator::{sweep_for, UnitOp};

@@ -84,7 +84,7 @@ pub struct Generated {
     pub warnings: Vec<String>,
 }
 
-/// Generation failures.
+/// Unit-generation failures.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GenError {
     /// No pipeline depth satisfies the constraints; the payload reports
@@ -130,29 +130,11 @@ pub fn sweep_for(
     }
 }
 
-/// [`sweep_for`] through a [`SweepCache`]: warm lookups return the
-/// memoized reports without re-synthesizing.
-///
-/// [`SweepCache`]: crate::cache::SweepCache
-pub fn sweep_for_cached(
-    op: UnitOp,
-    format: FpFormat,
-    tech: &Tech,
-    opts: SynthesisOptions,
-    cache: &crate::cache::SweepCache,
-) -> std::sync::Arc<Vec<ImplementationReport>> {
-    cache.sweep(op, format, tech, opts)
-}
-
-/// Staged unit generation: wrap a [`Request`], optionally attach a
-/// [`SweepCache`](crate::cache::SweepCache), then
-/// [`run`](Generation::run).
-///
-/// This is the single entry point that replaced the
-/// `generate` / `generate_cached` pair.
+/// Generate the unit for a request: sweep, filter and select the
+/// implementation point.
 ///
 /// ```
-/// use fpfpga_fpu::generator::{Generation, Metric, Request, UnitOp};
+/// use fpfpga_fpu::generator::{generate, Metric, Request, UnitOp};
 /// use fpfpga_fabric::{synthesis::SynthesisOptions, tech::Tech};
 /// use fpfpga_softfp::FpFormat;
 ///
@@ -163,69 +145,11 @@ pub fn sweep_for_cached(
 ///     max_slices: None,
 ///     metric: Metric::FreqPerArea,
 /// };
-/// let g = Generation::of(req)
-///     .run(&Tech::virtex2pro(), SynthesisOptions::SPEED)
-///     .unwrap();
+/// let g = generate(&req, &Tech::virtex2pro(), SynthesisOptions::SPEED).unwrap();
 /// assert!(g.report.slices > 0);
 /// ```
-#[derive(Clone, Copy)]
-pub struct Generation<'a> {
-    req: Request,
-    cache: Option<&'a crate::cache::SweepCache>,
-}
-
-impl Generation<'static> {
-    /// Start a generation for `req`.
-    pub fn of(req: Request) -> Generation<'static> {
-        Generation { req, cache: None }
-    }
-}
-
-impl<'a> Generation<'a> {
-    /// Memoize the depth sweep through `cache`; the constraint filtering
-    /// and metric selection still run per request.
-    pub fn cached<'b>(self, cache: &'b crate::cache::SweepCache) -> Generation<'b> {
-        Generation {
-            req: self.req,
-            cache: Some(cache),
-        }
-    }
-
-    /// Sweep, filter and select the implementation point.
-    pub fn run(self, tech: &Tech, opts: SynthesisOptions) -> Result<Generated, GenError> {
-        match self.cache {
-            Some(cache) => select(
-                &self.req,
-                &cache.sweep(self.req.op, self.req.format, tech, opts),
-            ),
-            None => select(
-                &self.req,
-                &sweep_for(self.req.op, self.req.format, tech, opts),
-            ),
-        }
-    }
-}
-
-/// Generate the unit for a request.
-#[deprecated(since = "0.6.0", note = "use `Generation::of(*req).run(tech, opts)`")]
 pub fn generate(req: &Request, tech: &Tech, opts: SynthesisOptions) -> Result<Generated, GenError> {
-    Generation::of(*req).run(tech, opts)
-}
-
-/// [`generate`] through a [`SweepCache`].
-///
-/// [`SweepCache`]: crate::cache::SweepCache
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Generation::of(*req).cached(cache).run(tech, opts)`"
-)]
-pub fn generate_cached(
-    req: &Request,
-    tech: &Tech,
-    opts: SynthesisOptions,
-    cache: &crate::cache::SweepCache,
-) -> Result<Generated, GenError> {
-    Generation::of(*req).cached(cache).run(tech, opts)
+    select(req, &sweep_for(req.op, req.format, tech, opts))
 }
 
 /// Pick an implementation point from an already-computed sweep.
@@ -313,7 +237,7 @@ mod tests {
             max_slices: None,
             metric: Metric::FreqPerArea,
         };
-        let g = Generation::of(req).run(&tech, opts).unwrap();
+        let g = generate(&req, &tech, opts).unwrap();
         // Matches the analysis module's "opt" selection.
         let sweep = crate::analysis::CoreSweep::adder(FpFormat::SINGLE, &tech, opts);
         assert_eq!(&g.report, sweep.opt());
@@ -330,7 +254,7 @@ mod tests {
             max_slices: None,
             metric: Metric::MinArea,
         };
-        let g = Generation::of(req).run(&tech, opts).unwrap();
+        let g = generate(&req, &tech, opts).unwrap();
         assert!(g.report.clock_mhz >= 200.0);
         // MinArea: nothing admitted is smaller.
         let sweep = sweep_for(UnitOp::Mul, FpFormat::DOUBLE, &tech, opts);
@@ -349,7 +273,7 @@ mod tests {
             max_slices: None,
             metric: Metric::MaxFrequency,
         };
-        match Generation::of(req).run(&tech, opts) {
+        match generate(&req, &tech, opts) {
             Err(GenError::Infeasible { best_mhz, .. }) => {
                 assert!(best_mhz < 1_000.0 && best_mhz > 100.0);
             }
@@ -367,7 +291,7 @@ mod tests {
             max_slices: Some(300), // a fast double adder cannot be this small
             metric: Metric::MinArea,
         };
-        assert!(Generation::of(req).run(&tech, opts).is_err());
+        assert!(generate(&req, &tech, opts).is_err());
     }
 
     #[test]
@@ -380,50 +304,12 @@ mod tests {
             max_slices: None,
             metric: Metric::MinArea,
         };
-        let g = Generation::of(req).run(&tech, opts).unwrap();
+        let g = generate(&req, &tech, opts).unwrap();
         assert!(
             g.warnings.iter().any(|w| w.contains("digit-recurrence")),
             "{:?}",
             g.warnings
         );
-    }
-
-    #[test]
-    fn cached_generation_matches_plain_and_skips_warm_synthesis() {
-        let (tech, opts) = flow();
-        let cache = crate::cache::SweepCache::new();
-        let req = Request {
-            format: FpFormat::SINGLE,
-            op: UnitOp::Mac,
-            target_mhz: Some(150.0),
-            max_slices: None,
-            metric: Metric::FreqPerArea,
-        };
-        let plain = Generation::of(req).run(&tech, opts).unwrap();
-        let cold = Generation::of(req).cached(&cache).run(&tech, opts).unwrap();
-        let warm = Generation::of(req).cached(&cache).run(&tech, opts).unwrap();
-        assert_eq!(plain.report, cold.report);
-        assert_eq!(plain.report, warm.report);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        let (tech, opts) = flow();
-        let cache = crate::cache::SweepCache::new();
-        let req = Request {
-            format: FpFormat::SINGLE,
-            op: UnitOp::Add,
-            target_mhz: None,
-            max_slices: None,
-            metric: Metric::FreqPerArea,
-        };
-        let built = Generation::of(req).run(&tech, opts).unwrap();
-        let legacy = generate(&req, &tech, opts).unwrap();
-        let legacy_cached = generate_cached(&req, &tech, opts, &cache).unwrap();
-        assert_eq!(built.report, legacy.report);
-        assert_eq!(built.report, legacy_cached.report);
     }
 
     #[test]
@@ -451,7 +337,7 @@ mod tests {
                     max_slices: None,
                     metric: Metric::FreqPerArea,
                 };
-                let g = Generation::of(req).run(&tech, opts).unwrap();
+                let g = generate(&req, &tech, opts).unwrap();
                 assert!(g.report.slices > 0, "{op:?} {fmt}");
             }
         }

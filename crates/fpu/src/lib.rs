@@ -31,12 +31,11 @@
 //! ```
 //! use fpfpga_fpu::prelude::*;
 //!
-//! // Design-space sweep for a single-precision adder, through the
-//! // builder entry point ([`CoreSweep::builder`] covers adder,
-//! // multiplier, divider and square root):
-//! let tech = Tech::virtex2pro();
-//! let sweep = CoreSweep::builder(CoreKind::Adder, FpFormat::SINGLE)
-//!     .run(&tech, SynthesisOptions::SPEED);
+//! // Design-space sweep for a single-precision adder
+//! // (`CoreSweep::new` covers adder, multiplier, divider and square
+//! // root):
+//! let (tech, opts) = (Tech::virtex2pro(), SynthesisOptions::SPEED);
+//! let sweep = CoreSweep::new(CoreKind::Adder, FpFormat::SINGLE, &tech, opts);
 //! let opt = sweep.opt();
 //! assert!(opt.clock_mhz > 150.0); // peak rate is higher still (> 240 MHz)
 //!
@@ -52,13 +51,11 @@
 //! assert_eq!(f32::from_bits(bits as u32), 3.75);
 //! ```
 //!
-//! Repeated sweeps of the same design space can share a memoizing
-//! [`cache::SweepCache`] (attach one with
-//! [`CoreSweepBuilder::cached`](analysis::CoreSweepBuilder::cached) or
-//! [`Generation::cached`](generator::Generation::cached); see also
-//! [`PrecisionAnalysis::run_parallel_cached`]): the first sweep
-//! synthesizes, warm sweeps are pure cache reads, and hit/miss counters
-//! make redundant synthesis observable.
+//! A sweep is a pure function of (op, format, tech, options) and takes
+//! tens to hundreds of microseconds, so every design-space query here
+//! calls it directly. [`cache::SweepCache`] memoizes it for callers
+//! that draw design points per request at run time — the serving
+//! pool's `Kernel::Sweep` jobs and its policy auto-tuner.
 
 pub mod accumulator;
 pub mod adder;
@@ -78,11 +75,10 @@ pub mod trace;
 
 pub use accumulator::{AccumulatorDesign, StreamingAccumulator};
 pub use adder::AdderDesign;
-pub use analysis::{CoreKind, CoreSweep, CoreSweepBuilder, PrecisionAnalysis};
+pub use analysis::{CoreKind, CoreSweep, PrecisionAnalysis};
 pub use cache::SweepCache;
 pub use config::{CoreConfig, CoreConfigBuilder, OpKind};
 pub use divider::{DividerDesign, SqrtDesign};
-pub use generator::Generation;
 pub use mac::{FusedMacDesign, FusedMacUnit, MacComparison};
 pub use multiplier::MultiplierDesign;
 pub use parallel::{chunk_ranges, parallel_map_slice};
@@ -92,8 +88,7 @@ pub use trace::Waveform;
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::adder::AdderDesign;
-    pub use crate::analysis::{CoreKind, CoreSweep, CoreSweepBuilder, PrecisionAnalysis};
-    pub use crate::cache::SweepCache;
+    pub use crate::analysis::{CoreKind, CoreSweep, PrecisionAnalysis};
     pub use crate::config::{CoreConfig, CoreConfigBuilder, OpKind};
     pub use crate::divider::{DividerDesign, SqrtDesign};
     pub use crate::multiplier::MultiplierDesign;

@@ -13,7 +13,6 @@ use crate::units::{PipeliningLevel, UnitSet};
 use fpfpga_fabric::device::Device;
 use fpfpga_fabric::synthesis::SynthesisOptions;
 use fpfpga_fabric::tech::Tech;
-use fpfpga_fpu::SweepCache;
 use fpfpga_softfp::FpFormat;
 
 /// Designer constraints; `None` means unconstrained.
@@ -104,21 +103,7 @@ impl Explorer {
         let mut out = Vec::new();
         for level in PipeliningLevel::ALL {
             let units = UnitSet::for_level(self.format, level, tech, opts);
-            out.extend(self.evaluate_level(level, &units, tech));
-        }
-        out
-    }
-
-    /// Evaluate one pipelining level's column of the candidate grid.
-    fn evaluate_level(
-        &self,
-        level: PipeliningLevel,
-        units: &UnitSet,
-        tech: &Tech,
-    ) -> Vec<Candidate> {
-        self.block_sizes
-            .iter()
-            .map(|&b| {
+            out.extend(self.block_sizes.iter().map(|&b| {
                 let plan = BlockMatMul::square(self.n, b, units.pl())
                     .expect("explorer grid uses positive n, b, pl");
                 let arch = ArchitectureEnergy::new(units.clone(), b, b, tech);
@@ -132,65 +117,9 @@ impl Explorer {
                     pad_fraction: rep.pad_macs as f64
                         / (rep.pad_macs + rep.useful_macs).max(1) as f64,
                 }
-            })
-            .collect()
-    }
-
-    /// [`Explorer::candidates`] with the three pipelining levels fanned
-    /// out over scoped threads, sharing one [`SweepCache`]. The adder
-    /// and multiplier sweeps are the same for every level, so a cold
-    /// cache records exactly two misses and a warm cache none —
-    /// re-exploration performs zero synthesis.
-    pub fn candidates_cached(
-        &self,
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> Vec<Candidate> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = PipeliningLevel::ALL
-                .into_iter()
-                .map(|level| {
-                    let cache = cache.clone();
-                    scope.spawn(move || {
-                        let units =
-                            UnitSet::for_level_cached(self.format, level, tech, opts, &cache);
-                        self.evaluate_level(level, &units, tech)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("level evaluation panicked"))
-                .collect()
-        })
-    }
-
-    /// The full exploration behind Figure 5's closing remark, memoized
-    /// and fanned out: evaluate the (level × block size) grid through
-    /// `cache`, filter by `constraints`, return the Pareto frontier
-    /// sorted by slices ascending. Identical to
-    /// [`Explorer::pareto`] on the same inputs.
-    pub fn explore(
-        &self,
-        constraints: &Constraints,
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> Vec<Candidate> {
-        Explorer::frontier_of(self.candidates_cached(tech, opts, cache), constraints)
-    }
-
-    /// Pareto-filter `all` under `constraints`.
-    fn frontier_of(all: Vec<Candidate>, constraints: &Constraints) -> Vec<Candidate> {
-        let admitted: Vec<&Candidate> = all.iter().filter(|c| constraints.admits(c)).collect();
-        let mut frontier: Vec<Candidate> = admitted
-            .iter()
-            .filter(|c| !admitted.iter().any(|o| o.dominates(c)))
-            .map(|c| (*c).clone())
-            .collect();
-        frontier.sort_by_key(|c| c.slices);
-        frontier
+            }));
+        }
+        out
     }
 
     /// The Pareto frontier of the candidates admitted by `constraints`,
@@ -201,7 +130,15 @@ impl Explorer {
         tech: &Tech,
         opts: SynthesisOptions,
     ) -> Vec<Candidate> {
-        Explorer::frontier_of(self.candidates(tech, opts), constraints)
+        let all = self.candidates(tech, opts);
+        let admitted: Vec<&Candidate> = all.iter().filter(|c| constraints.admits(c)).collect();
+        let mut frontier: Vec<Candidate> = admitted
+            .iter()
+            .filter(|c| !admitted.iter().any(|o| o.dominates(c)))
+            .map(|c| (*c).clone())
+            .collect();
+        frontier.sort_by_key(|c| c.slices);
+        frontier
     }
 }
 
@@ -275,48 +212,6 @@ mod tests {
     fn device_constraint_helper() {
         let c = Constraints::for_device(&Device::XC2VP30);
         assert_eq!(c.max_slices, Some(13_696));
-    }
-
-    #[test]
-    fn explore_matches_pareto_and_never_resynthesizes_warm() {
-        let (tech, opts) = flow();
-        let e = explorer();
-        let cache = SweepCache::new();
-        let cold = e.explore(&Constraints::default(), &tech, opts, &cache);
-        assert_eq!(
-            cache.misses(),
-            2,
-            "one adder + one multiplier sweep, shared by all levels"
-        );
-        let warm = e.explore(&Constraints::default(), &tech, opts, &cache);
-        assert_eq!(
-            cache.misses(),
-            2,
-            "warm exploration must perform zero synthesis"
-        );
-        assert!(cache.hits() >= 4);
-        let plain = e.pareto(&Constraints::default(), &tech, opts);
-        for frontier in [&cold, &warm] {
-            assert_eq!(frontier.len(), plain.len());
-            for (a, b) in plain.iter().zip(frontier.iter()) {
-                assert_eq!((a.level, a.b, a.slices), (b.level, b.b, b.slices));
-                assert_eq!(a.latency_us, b.latency_us);
-                assert_eq!(a.energy_nj, b.energy_nj);
-            }
-        }
-    }
-
-    #[test]
-    fn cached_candidates_match_plain() {
-        let (tech, opts) = flow();
-        let e = explorer();
-        let cache = SweepCache::new();
-        let cached = e.candidates_cached(&tech, opts, &cache);
-        let plain = e.candidates(&tech, opts);
-        assert_eq!(cached.len(), plain.len());
-        for (a, b) in plain.iter().zip(cached.iter()) {
-            assert_eq!((a.level, a.b, a.slices), (b.level, b.b, b.slices));
-        }
     }
 
     #[test]

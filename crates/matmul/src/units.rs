@@ -11,8 +11,7 @@
 use fpfpga_fabric::report::ImplementationReport;
 use fpfpga_fabric::synthesis::SynthesisOptions;
 use fpfpga_fabric::tech::Tech;
-use fpfpga_fpu::generator::UnitOp;
-use fpfpga_fpu::{AdderDesign, MultiplierDesign, SweepCache};
+use fpfpga_fpu::{AdderDesign, MultiplierDesign};
 use fpfpga_softfp::FpFormat;
 
 /// The paper's three pipelining levels for the Section 5 study.
@@ -92,33 +91,6 @@ impl UnitSet {
         }
     }
 
-    /// [`UnitSet::with_stages`] through a [`SweepCache`]: the two depth
-    /// sweeps are memoized, so building all three pipelining levels (or
-    /// re-running an exploration) synthesizes each core once.
-    pub fn with_stages_cached(
-        format: FpFormat,
-        adder_stages: u32,
-        mult_stages: u32,
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> UnitSet {
-        let adder_sweep = cache.sweep(UnitOp::Add, format, tech, opts);
-        let mult_sweep = cache.sweep(UnitOp::Mul, format, tech, opts);
-        let pick = |sweep: &[ImplementationReport], k: u32| {
-            sweep
-                .iter()
-                .find(|r| r.stages == k.min(sweep.len() as u32))
-                .expect("stage count within sweep")
-                .clone()
-        };
-        UnitSet {
-            format,
-            adder: pick(&adder_sweep, adder_stages),
-            multiplier: pick(&mult_sweep, mult_stages),
-        }
-    }
-
     /// Build one of the paper's three Section-5 unit sets.
     pub fn for_level(
         format: FpFormat,
@@ -128,18 +100,6 @@ impl UnitSet {
     ) -> UnitSet {
         let (a, m) = level.stage_split();
         UnitSet::with_stages(format, a, m, tech, opts)
-    }
-
-    /// [`UnitSet::for_level`] through a [`SweepCache`].
-    pub fn for_level_cached(
-        format: FpFormat,
-        level: PipeliningLevel,
-        tech: &Tech,
-        opts: SynthesisOptions,
-        cache: &SweepCache,
-    ) -> UnitSet {
-        let (a, m) = level.stage_split();
-        UnitSet::with_stages_cached(format, a, m, tech, opts, cache)
     }
 
     /// Combined MAC latency (PL): multiplier stages + adder stages.

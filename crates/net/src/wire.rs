@@ -1065,22 +1065,21 @@ fn check_frame_len(len: u32) -> Result<(), FrameError> {
     Ok(())
 }
 
-/// Parse the bytes after the length prefix (version, kind, request id,
-/// body). `rest.len()` is the already-validated `len`, ≥ 10.
-fn parse_frame_tail(mut rest: Vec<u8>) -> Result<Frame, FrameError> {
-    let ver = rest[0];
+/// Bytes after the length prefix and before the body: version, kind
+/// and request id.
+type FrameHeader = [u8; HEADER_AFTER_LEN as usize];
+
+/// Assemble a frame from its header and body (`body.len()` is the
+/// already-validated `len` less the header).
+fn parse_frame(header: FrameHeader, body: Vec<u8>) -> Result<Frame, FrameError> {
+    let ver = header[0];
     if ver != WIRE_VERSION {
         return Err(FrameError::Wire(WireError::BadVersion(ver)));
     }
-    let kind = FrameKind::from_u8(rest[1])
-        .ok_or_else(|| FrameError::Wire(bad(format!("frame kind {}", rest[1]))))?;
-    let req_id = u64::from_le_bytes(rest[2..10].try_into().unwrap());
-    rest.drain(..10);
-    Ok(Frame {
-        kind,
-        req_id,
-        body: rest,
-    })
+    let kind = FrameKind::from_u8(header[1])
+        .ok_or_else(|| FrameError::Wire(bad(format!("frame kind {}", header[1]))))?;
+    let req_id = u64::from_le_bytes(header[2..].try_into().unwrap());
+    Ok(Frame { kind, req_id, body })
 }
 
 /// Read one frame from `r`. A clean EOF *before any byte* of a frame
@@ -1108,9 +1107,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf);
     check_frame_len(len)?;
-    let mut rest = vec![0u8; len as usize];
-    r.read_exact(&mut rest)?;
-    parse_frame_tail(rest)
+    let mut header = FrameHeader::default();
+    r.read_exact(&mut header)?;
+    let mut body = vec![0u8; (len - HEADER_AFTER_LEN) as usize];
+    r.read_exact(&mut body)?;
+    parse_frame(header, body)
 }
 
 /// What [`read_frame_polled`] produced.
@@ -1195,9 +1196,11 @@ pub fn read_frame_polled(r: &mut impl Read, stall_timeout: Duration) -> Result<P
     read_full(r, &mut len_buf[1..], deadline)?;
     let len = u32::from_le_bytes(len_buf);
     check_frame_len(len)?;
-    let mut rest = vec![0u8; len as usize];
-    read_full(r, &mut rest, deadline)?;
-    parse_frame_tail(rest).map(Polled::Frame)
+    let mut header = FrameHeader::default();
+    read_full(r, &mut header, deadline)?;
+    let mut body = vec![0u8; (len - HEADER_AFTER_LEN) as usize];
+    read_full(r, &mut body, deadline)?;
+    parse_frame(header, body).map(Polled::Frame)
 }
 
 /// A bodyless frame of the given kind.

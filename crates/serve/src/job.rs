@@ -20,7 +20,8 @@ use std::hash::{Hash, Hasher};
 use fpfpga_fabric::report::ImplementationReport;
 use fpfpga_fabric::synthesis::SynthesisOptions;
 use fpfpga_fabric::tech::Tech;
-use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
+use fpfpga_fabric::timing;
+use fpfpga_fpu::analysis::CoreKind;
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::fft::reference_fft;
 use fpfpga_matmul::{
@@ -667,12 +668,10 @@ impl Job {
                 JobResult::Apfloat(results)
             }
             Kernel::Sweep { kind, opts } => {
-                let sweep = CoreSweep::builder(*kind, p.compute)
-                    .cached(cache)
-                    .run(tech, *opts);
+                let reports = cache.sweep(kind.unit_op(), p.compute, tech, *opts);
                 JobResult::Sweep {
-                    opt: sweep.opt().clone(),
-                    depths: sweep.reports.len(),
+                    opt: timing::optimal(&reports).clone(),
+                    depths: reports.len(),
                 }
             }
         }

@@ -375,8 +375,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Max coalescible jobs folded into one `run_coalesced` call.
     pub coalesce_window: usize,
-    /// Per-shard sweep-cache bound (`None` = unbounded).
-    pub cache_capacity: Option<usize>,
+    /// Per-shard sweep-cache bound, ≥ 1.
+    pub cache_capacity: usize,
     /// Per-tenant precision policies for [`PolicySel::Default`]
     /// submissions.
     pub policies: PolicyBook,
@@ -390,7 +390,7 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 256,
             coalesce_window: 16,
-            cache_capacity: Some(128),
+            cache_capacity: 128,
             policies: PolicyBook::default(),
             tech: Tech::virtex2pro(),
         }
@@ -472,12 +472,8 @@ impl ServePool {
                 cv: Condvar::new(),
                 idle: AtomicBool::new(false),
             });
-            let cache = match config.cache_capacity {
-                Some(cap) => SweepCache::with_capacity(cap),
-                None => SweepCache::new(),
-            };
             shards.push(shard);
-            caches.push(cache);
+            caches.push(SweepCache::with_capacity(config.cache_capacity));
         }
         let coalesce = Arc::new(AtomicUsize::new(config.coalesce_window));
         for i in 0..config.workers {

@@ -14,8 +14,8 @@
 //!    primitive: every matmul/MVM element is one);
 //! 3. prices each candidate by the paper's area model: opt-point
 //!    slices of a multiplier in the compute format plus an adder in
-//!    the accumulate format (both through the shared [`SweepCache`],
-//!    so repeated tuning is a pure cache read);
+//!    the accumulate format (both read from a [`SweepCache`], so
+//!    repeated tuning is a pure cache read);
 //! 4. returns the cheapest candidate whose probe error the
 //!    [`ErrorBudget`] accepts, or an error naming the best achievable
 //!    error if none qualifies.
@@ -26,7 +26,8 @@
 
 use fpfpga_fabric::synthesis::SynthesisOptions;
 use fpfpga_fabric::tech::Tech;
-use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
+use fpfpga_fabric::timing;
+use fpfpga_fpu::generator::UnitOp;
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::accuracy::{ErrorMeter, ErrorStats};
 use fpfpga_matmul::{mixed_dot, ErrorBudget};
@@ -141,13 +142,11 @@ pub fn probe_stats(policy: PrecisionPolicy, mode: RoundMode) -> ErrorStats {
 /// the compute format plus an adder in the accumulate format, both
 /// under the SPEED objective (memoized through `cache`).
 pub fn policy_cost(policy: PrecisionPolicy, tech: &Tech, cache: &SweepCache) -> u32 {
-    let mult = CoreSweep::builder(CoreKind::Multiplier, policy.compute)
-        .cached(cache)
-        .run(tech, SynthesisOptions::SPEED);
-    let add = CoreSweep::builder(CoreKind::Adder, policy.accumulate)
-        .cached(cache)
-        .run(tech, SynthesisOptions::SPEED);
-    mult.opt().slices + add.opt().slices
+    let opt_slices = |op, format| {
+        let reports = cache.sweep(op, format, tech, SynthesisOptions::SPEED);
+        timing::optimal(&reports).slices
+    };
+    opt_slices(UnitOp::Mul, policy.compute) + opt_slices(UnitOp::Add, policy.accumulate)
 }
 
 /// Pick the cheapest candidate policy for `storage` whose probe error

@@ -117,7 +117,7 @@ proptest! {
         let one = replay(base.clone(), &specs, false);
         let four = replay(ServeConfig { workers: 4, ..base.clone() }, &specs, false);
         let tiny_cache = replay(
-            ServeConfig { workers: 2, cache_capacity: Some(1), ..base },
+            ServeConfig { workers: 2, cache_capacity: 1, ..base },
             &specs,
             false,
         );

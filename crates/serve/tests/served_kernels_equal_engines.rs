@@ -7,18 +7,24 @@
 //! field. The jobs are the trace's own, each run plain and with ±0,
 //! flushed-subnormal, ∞ and ∞-with-payload operands spliced in, under
 //! both rounding modes. Scale 8 runs in release only: the per-cycle
-//! array is slow in debug.
+//! array is slow in debug. Served depth sweeps and the auto-tuner's
+//! price, which read their opt points from a `SweepCache`, equal the
+//! uncached `CoreSweep` model whether the cache is cold, warm or
+//! evicting.
 
 use std::collections::HashSet;
 use std::mem::discriminant;
 
+use fpfpga_fabric::synthesis::SynthesisOptions;
 use fpfpga_fabric::tech::Tech;
+use fpfpga_fpu::analysis::{CoreKind, CoreSweep};
 use fpfpga_fpu::sim::{DelayLineUnit, DelayOp, FpPipe};
 use fpfpga_fpu::SweepCache;
 use fpfpga_matmul::pe::UnitBackend;
 use fpfpga_matmul::{
     mixed_matmul, BlockMatMul, Cplx, DotProductUnit, FftEngine, LuEngine, Matrix, MvmEngine,
 };
+use fpfpga_serve::tuner::{candidate_policies, policy_cost};
 use fpfpga_serve::{synth_trace, EltOp, Job, JobResult, Kernel, TraceConfig};
 use fpfpga_softfp::{FpFormat, PrecisionPolicy, RoundMode};
 
@@ -304,4 +310,87 @@ fn cost_model_is_policy_independent() {
     });
     assert_eq!(uniform, mixed);
     assert!(uniform.1.cycles > 0 && uniform.1.pad_macs > 0);
+}
+
+/// Run `query` on every key against a cold cache, again warm, and twice
+/// over on a one-entry cache that evicts before every lookup; each run
+/// must return the uncached model's answer.
+fn check_cold_warm_evicted<K: Copy + std::fmt::Debug, T: PartialEq + std::fmt::Debug>(
+    keys: &[K],
+    lookups_per_key: u64,
+    model: impl Fn(K) -> T,
+    query: impl Fn(K, &SweepCache) -> T,
+) {
+    let evicting = SweepCache::with_capacity(1);
+    for &key in keys {
+        let want = model(key);
+        let cache = SweepCache::new();
+        assert_eq!(query(key, &cache), want, "cold {key:?}");
+        assert_eq!(query(key, &cache), want, "warm {key:?}");
+        assert_eq!(cache.misses(), lookups_per_key, "{key:?}");
+        assert_eq!(cache.hits(), lookups_per_key, "{key:?}");
+        assert_eq!(query(key, &evicting), want, "evicting {key:?}");
+    }
+    for &key in keys {
+        assert_eq!(query(key, &evicting), model(key), "re-evicted {key:?}");
+    }
+    assert_eq!(evicting.hits(), 0, "every evicting lookup re-synthesizes");
+    assert_eq!(evicting.evictions(), evicting.misses() - 1);
+}
+
+#[test]
+fn served_sweeps_equal_the_uncached_model() {
+    let tech = Tech::virtex2pro();
+    let mut keys = Vec::new();
+    for kind in [
+        CoreKind::Adder,
+        CoreKind::Multiplier,
+        CoreKind::Divider,
+        CoreKind::Sqrt,
+    ] {
+        for fmt in FpFormat::PAPER_PRECISIONS {
+            for opts in [SynthesisOptions::SPEED, SynthesisOptions::AREA] {
+                keys.push((kind, fmt, opts));
+            }
+        }
+    }
+    check_cold_warm_evicted(
+        &keys,
+        1,
+        |(kind, fmt, opts)| {
+            let sweep = CoreSweep::new(kind, fmt, &tech, opts);
+            JobResult::Sweep {
+                opt: sweep.opt().clone(),
+                depths: sweep.reports.len(),
+            }
+        },
+        |(kind, fmt, opts), cache| {
+            let job = Job::uniform(Kernel::Sweep { kind, opts }, fmt, RoundMode::NearestEven);
+            job.validate().expect("a uniform sweep is valid");
+            job.run(&tech, cache)
+        },
+    );
+}
+
+#[test]
+fn tuner_price_equals_the_uncached_model() {
+    let tech = Tech::virtex2pro();
+    let opts = SynthesisOptions::SPEED;
+    let policies: Vec<PrecisionPolicy> = FpFormat::PAPER_PRECISIONS
+        .into_iter()
+        .flat_map(candidate_policies)
+        .collect();
+    check_cold_warm_evicted(
+        &policies,
+        2,
+        |policy| {
+            CoreSweep::multiplier(policy.compute, &tech, opts)
+                .opt()
+                .slices
+                + CoreSweep::adder(policy.accumulate, &tech, opts)
+                    .opt()
+                    .slices
+        },
+        |policy, cache| policy_cost(policy, &tech, cache),
+    );
 }

@@ -12,13 +12,14 @@ use fpfpga::prelude::*;
 fn main() {
     let tech = Tech::virtex2pro();
 
-    // --- 1. Design-space sweep for a single-precision adder, through
-    // the builder entry point and a memoizing cache (a second sweep of
-    // the same space would be a pure cache hit).
-    let cache = SweepCache::new();
-    let sweep = CoreSweep::builder(CoreKind::Adder, FpFormat::SINGLE)
-        .cached(&cache)
-        .run(&tech, SynthesisOptions::SPEED);
+    // --- 1. Design-space sweep for a single-precision adder: one
+    // report per pipeline depth.
+    let sweep = CoreSweep::new(
+        CoreKind::Adder,
+        FpFormat::SINGLE,
+        &tech,
+        SynthesisOptions::SPEED,
+    );
     println!("single-precision adder, pipeline-depth sweep:");
     println!("  min: {}", sweep.min());
     println!("  opt: {}", sweep.opt());

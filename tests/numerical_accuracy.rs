@@ -3,6 +3,7 @@
 //! for the paper's premise that these applications "demand high numerical
 //! stability and accuracy and hence are usually floating-point based".
 
+use fpfpga::fpu::SweepCache;
 use fpfpga::matmul::accuracy::{matmul_error, ulp_at, ErrorMeter};
 use fpfpga::matmul::fft::{Cplx, FftEngine};
 use fpfpga::matmul::pe::UnitBackend;
